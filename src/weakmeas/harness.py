@@ -114,6 +114,8 @@ def run_scenario(
     scenario: Scenario, tolerance: float | None = None, label: str | None = None
 ) -> WeakValueReport:
     """Evolve, post-select, and extract along every applicable route."""
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     ensure_valid(scenario)
     analytic = analytic_oracle(scenario)
     result = post_select(evolve_exact(scenario), scenario)
@@ -201,8 +203,9 @@ def sweep_lambda(
         raise ValueError(f"a sweep needs at least 4 grid points, got {len(grid)}")
     if len(set(grid)) != len(grid):
         raise ValueError("sweep grid contains duplicate values")
-    if any(g <= 0.0 or g > 0.2 for g in grid):
-        raise ValueError("sweep grid values must lie in (0, 0.2]")
+    bad = [g for g in grid if not 0.0 < g <= 0.2]
+    if bad:
+        raise ValueError(f"sweep grid values must be finite and lie in (0, 0.2], got {bad}")
     grid = sorted(grid, reverse=True)
 
     scenario = resolve_scenario(scenario_ref)
@@ -264,6 +267,11 @@ def position_density(
     oscillator eigenbasis.  Raises :class:`GridError` if more than 1e-9 of
     the probability mass falls off the grid.
     """
+    if not 0 <= pointer_index < scenario.n_pointers:
+        raise UnsupportedScenarioError(
+            f"pointer index {pointer_index} is out of range for a scenario with "
+            f"{scenario.n_pointers} pointer(s)"
+        )
     spec = scenario.pointers[pointer_index]
     if not isinstance(spec, FockPointerSpec):
         raise UnsupportedScenarioError("position sampling requires a Fock pointer")

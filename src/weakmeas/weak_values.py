@@ -34,6 +34,7 @@ from .errors import (
     CapacityError,
     DivergentWeakValueError,
     UnsupportedScenarioError,
+    WeakMeasurementError,
     ZeroCouplingError,
 )
 from .evolution import PostSelectionResult, evolve_exact
@@ -102,9 +103,11 @@ def symmetrized_joint_weak_value(
     if _all_commute(observables):
         product = reduce(lambda a, b: a @ b, observables)
         direct = analytic_weak_value(product, pre, post, overlap_floor=overlap_floor)
-        assert abs(value - direct) <= 1e-12 * (1.0 + abs(direct)), (
-            "symmetrized value must reduce to the plain product for commuting observables"
-        )
+        if abs(value - direct) > 1e-12 * (1.0 + abs(direct)):
+            raise WeakMeasurementError(
+                f"symmetrized value {value} does not reduce to the plain-product "
+                f"value {direct} for commuting observables"
+            )
     return value
 
 

@@ -12,9 +12,23 @@ from weakmeas import (
     SpinPointerSpec,
 )
 
-from conftest import SX, SZ, coherent_amplitudes, op, state
+from weakmeas import evolution
+from weakmeas.evolution import _coupling_frame as coupling_frame
+
+from conftest import SX, SY, SZ, coherent_amplitudes, op, random_state, state
 
 R2 = 1.0 / np.sqrt(2.0)
+
+#: Largest full space the dense reference diagonalizes.  triple_ghz_mix at its
+#: shipped truncation is 4096-dimensional, a ~30 s eigh; it is checked at
+#: Fock dim 5 (1000 dimensions) instead.
+DENSE_REFERENCE_MAX_DIM = 1024
+
+
+def dense_evolved(s):
+    """Reference amplitudes: the dense full-space propagator exp(-i H) on |initial>."""
+    propagator = wm.hermitian_propagator(wm.build_hamiltonian(s), 1.0)
+    return (propagator @ wm.initial_composite(s).state).amps
 
 
 def single_scenario(gt, *, dim=12, sigma=1.0, pre=(R2, R2), post=None, kind="fock"):
@@ -115,15 +129,85 @@ class TestEvolveExact:
         evolved = wm.evolve_exact(wm.resolve_scenario(name))
         assert evolved.state.norm() == pytest.approx(1.0, abs=1e-10)
 
-    def test_factorized_matches_full_propagator(self):
-        s = pair_scenario(gt=0.08, dim=8)
-        fast = wm.evolve_exact(s, factorize=True)
-        full = wm.evolve_exact(s, factorize=False)
-        np.testing.assert_allclose(fast.state.amps, full.state.amps, atol=1e-12)
+    def test_matches_dense_propagator_on_every_catalog_scenario(self):
+        for name in wm.catalog_names():
+            s = wm.resolve_scenario(name)
+            if s.full_layout.dim > DENSE_REFERENCE_MAX_DIM:
+                s = s.with_fock_dim(5)
+            np.testing.assert_allclose(
+                wm.evolve_exact(s).state.amps, dense_evolved(s), rtol=0, atol=1e-12, err_msg=name
+            )
 
-    def test_factorization_requires_commuting_observables(self):
-        with pytest.raises(ValueError, match="commut"):
-            wm.evolve_exact(pair_scenario(same_qubit=True), factorize=True)
+    def test_matches_dense_propagator_off_the_phase_shortcut(self):
+        # non-commuting observables share no eigenbasis, so the frame blocks
+        # are not diagonal and go through the batched eigh
+        spin_pair = Scenario(
+            system_dims=(2,),
+            observables=(
+                ObservableSpec(name="sx", matrix=op(SX), target=(0,)),
+                ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),
+            ),
+            pointers=(SpinPointerSpec(s=1.0), SpinPointerSpec(s=0.5)),
+            couplings=(CouplingSpec(gt=0.5), CouplingSpec(gt=0.3)),
+            pre=state([1.0, 0.0]),
+            post=state([R2, R2]),
+        )
+        for s in (pair_scenario(gt=0.08, dim=8, same_qubit=True), spin_pair):
+            assert not coupling_frame(s).diagonal
+            np.testing.assert_allclose(
+                wm.evolve_exact(s).state.amps, dense_evolved(s), rtol=0, atol=1e-12
+            )
+
+    def test_degenerate_weight_combination_falls_back_exactly(self, monkeypatch):
+        # three commuting +-1 observables on separate qubits.  With weights
+        # q^j and q = 1/golden ratio, q + q^2 = 1, so the sign patterns
+        # (+, -, -) and (-, +, +) give the same weighted sum: the combination
+        # is degenerate, its eigenbasis does not diagonalize each observable,
+        # and the blocks must go through eigh instead of the phase shortcut
+        axes = (SX, (SX + SZ) / np.sqrt(2.0), SY)
+        rng = np.random.default_rng(7)
+        pre, post = random_state(rng, 8), random_state(rng, 8)
+        s = Scenario(
+            system_dims=(2, 2, 2),
+            observables=tuple(
+                ObservableSpec(name=f"n{j}", matrix=op(m), target=(j,))
+                for j, m in enumerate(axes)
+            ),
+            pointers=tuple(FockPointerSpec(sigma=1.0, dim=5) for _ in axes),
+            couplings=tuple(CouplingSpec(gt=0.1) for _ in axes),
+            pre=state(pre, 2, 2, 2),
+            post=state(post, 2, 2, 2),
+        )
+        assert coupling_frame(s).diagonal
+        shortcut = wm.evolve_exact(s).state.amps
+        monkeypatch.setattr(evolution, "FRAME_WEIGHT_RATIO", (np.sqrt(5.0) - 1.0) / 2.0)
+        assert not coupling_frame(s).diagonal
+        fallback = wm.evolve_exact(s).state.amps
+        reference = dense_evolved(s)
+        np.testing.assert_allclose(fallback, reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shortcut, reference, rtol=0, atol=1e-12)
+
+    def test_displaced_amplitudes_keep_relative_precision(self):
+        # product eigenstate input: pointer j ends in exp(-i gt P_j)|0>, so the
+        # one-quantum-per-pointer amplitude (order lambda^3 ~ 1e-6) is a product
+        # of per-pointer amplitudes.  The joint extraction divides by lambda^3,
+        # so it needs that amplitude to rounding relative to its own size
+        layout = wm.FactorLayout((2, 2, 2))
+        s = Scenario(
+            system_dims=(2, 2, 2),
+            observables=tuple(
+                ObservableSpec(name=f"z{j}", matrix=op(SZ), target=(j,)) for j in range(3)
+            ),
+            pointers=tuple(FockPointerSpec(sigma=1.0, dim=8) for _ in range(3)),
+            couplings=tuple(CouplingSpec(gt=0.02) for _ in range(3)),
+            pre=wm.StateVector(layout, np.eye(8)[0]),
+            post=wm.StateVector(layout, np.full(8, 1.0 / np.sqrt(8.0))),
+        )
+        amps = wm.evolve_exact(s).state.amps.reshape(8, 8, 8, 8)
+        p = wm.fock_operators(s.pointers[0]).p
+        single = (wm.hermitian_propagator(p, 0.02) @ wm.initial_state(s.pointers[0])).amps
+        product = np.einsum("a,b,c->abc", single[:2], single[:2], single[:2])
+        np.testing.assert_allclose(amps[0, :2, :2, :2], product, rtol=1e-12, atol=0)
 
     def test_leakage_guard_trips(self):
         s = single_scenario(gt=1.0, dim=4)  # lambda = 0.5 on a 4-level pointer
@@ -179,6 +263,19 @@ class TestEvolveTaylor:
             exact = wm.evolve_exact(s)
             series = wm.evolve_taylor(s, order=12)
             assert np.linalg.norm(exact.state.amps - series.state.amps) <= 1e-10, name
+
+    def test_matches_dense_series(self):
+        # a truncated, unconverged series: checks the order-by-order terms
+        s = pair_scenario(gt=0.3, dim=5, same_qubit=True)
+        h = wm.build_hamiltonian(s).matrix
+        term = wm.initial_composite(s).state.amps
+        total = term.copy()
+        for k in range(1, 5):
+            term = (-1j / k) * (h @ term)
+            total = total + term
+        np.testing.assert_allclose(
+            wm.evolve_taylor(s, order=4).state.amps, total, rtol=0, atol=1e-12
+        )
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,11 @@ class TestRunExperiment:
         r = wm.run_experiment("aav_qubit", tolerance=1e-30)
         assert not r.passed
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-3])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            wm.run_experiment("aav_qubit", tolerance=tolerance)
+
     def test_spin_scenario_reports_spin_route(self):
         r = wm.run_experiment("aav_qubit_spinptr")
         assert r.extracted_lowering is None
@@ -128,6 +133,10 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"\(0, 0.2\]"):
             wm.sweep_lambda("aav_qubit", [0.3, 0.1, 0.05, 0.02])
 
+    def test_non_finite_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"finite and lie in \(0, 0.2\], got \[nan\]"):
+            wm.sweep_lambda("aav_qubit", [float("nan"), 0.1, 0.05, 0.02])
+
     def test_duplicate_grid_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             wm.sweep_lambda("aav_qubit", [0.1, 0.1, 0.05, 0.02])
@@ -165,6 +174,12 @@ class TestSampling:
         result, s = conditioned_aav
         grid, density = wm.position_density(result, s, 0)
         assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_pointer_index_out_of_range(self, conditioned_aav, index):
+        result, s = conditioned_aav
+        with pytest.raises(wm.UnsupportedScenarioError, match="out of range"):
+            wm.position_density(result, s, index)
 
     def test_undersized_grid_rejected(self, conditioned_aav):
         result, s = conditioned_aav
@@ -267,6 +282,31 @@ class TestCli:
         second = json.loads(capsys.readouterr().out)
         assert first == second
         assert out.read_text().startswith("position\n")
+
+    @pytest.mark.parametrize("pointer", ["5", "-1"])
+    def test_sample_pointer_out_of_range_errors(self, capsys, pointer):
+        args = ["sample", "aav_qubit", "--pointer", pointer, "--shots", "10", "--seed", "1"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: pointer index {pointer} is out of range for a scenario with "
+            "1 pointer(s)\n"
+        )
+
+    def test_run_non_finite_tolerance_errors(self, capsys):
+        assert cli.main(["run", "aav_qubit", "--tolerance", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be finite and non-negative, got nan\n"
+
+    def test_sweep_non_finite_grid_errors(self, capsys):
+        assert cli.main(["sweep", "aav_qubit", "--grid", "nan,0.1,0.05,0.02"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sweep grid values must be finite and lie in (0, 0.2], got [nan]\n"
+        )
 
     def test_catalog_list(self, capsys):
         assert cli.main(["catalog", "list"]) == 0

@@ -90,6 +90,20 @@ class TestSymmetrizedJointWeakValue:
             direct = wm.analytic_weak_value(product, pre, post)
             assert joint == pytest.approx(direct, abs=1e-12 * (1 + abs(direct)))
 
+    def test_commuting_reduction_is_checked_at_run_time(self, monkeypatch):
+        # a plain-product value that disagrees with the symmetrized sum must
+        # raise a typed error, which (unlike an assert) survives python -O
+        layout = FactorLayout((2, 2))
+        ops = [wm.embed(op(SZ), k, layout) for k in range(2)]
+        exact = wm.weak_values.analytic_weak_value
+        monkeypatch.setattr(
+            wm.weak_values, "analytic_weak_value", lambda *a, **k: exact(*a, **k) + 1e-6
+        )
+        pre = state([0.0, R2, R2, 0.0], 2, 2)
+        post = state([0.5, 0.5, 0.5, 0.5], 2, 2)
+        with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
+            wm.symmetrized_joint_weak_value(ops, pre, post)
+
     def test_permutation_cap(self):
         ops = [op(SZ)] * 9
         with pytest.raises(wm.CapacityError):
