@@ -90,6 +90,7 @@ from .weak_values import (
     extract_joint_spin,
     extraction_tolerance,
     pointer_shift_check,
+    second_order_error,
     strong_position_estimate,
     symmetrized_joint_weak_value,
 )

@@ -26,6 +26,11 @@ from . import harness, scenario as scen
 from .errors import WeakMeasurementError
 from .evolution import evolve_exact, post_select
 
+#: Shots that ``sample --out`` formats with one ``%`` operation and writes with
+#: one call.  Per-shot writes cost more than the sampling itself; formatting
+#: the whole file at once would hold it in memory as one string.
+SAMPLE_WRITE_CHUNK = 4096
+
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="json")
@@ -116,8 +121,9 @@ def _cmd_sample(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("position\n")
-            for x in samples.positions:
-                fh.write(f"{x:.12g}\n")
+            for start in range(0, samples.n_shots, SAMPLE_WRITE_CHUNK):
+                chunk = samples.positions[start : start + SAMPLE_WRITE_CHUNK].tolist()
+                fh.write(("%.12g\n" * len(chunk)) % tuple(chunk))
     return 0
 
 

@@ -154,11 +154,19 @@ class Scenario:
         return replace(self, pointers=pointers)
 
     def embedded_observables(self) -> tuple[Operator, ...]:
-        """Observables embedded on the full system layout."""
-        layout = self.system_layout
-        return tuple(
-            embed_factors(obs.matrix, obs.target, layout) for obs in self.observables
-        )
+        """Observables embedded on the full system layout.
+
+        Built once per scenario and shared: the oracle, the second-order
+        error and the propagator all read them, and operators are immutable.
+        """
+        embedded = self.__dict__.get("_embedded")
+        if embedded is None:
+            layout = self.system_layout
+            embedded = tuple(
+                embed_factors(obs.matrix, obs.target, layout) for obs in self.observables
+            )
+            object.__setattr__(self, "_embedded", embedded)
+        return embedded
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):

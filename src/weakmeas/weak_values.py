@@ -16,16 +16,27 @@ routes recover it from simulated pointer states:
 
 Extraction always uses the exactly evolved, exactly projected state, so the
 residual error measures genuine higher-order coupling effects.  The leading
-correction is quadratic in the pointer expansion parameter lambda, with a
-prefactor that grows with the weak value itself in strongly post-selected
-(anomalously amplified) scenarios; :func:`extraction_tolerance` encodes
-that error model.
+correction is quadratic in the pointer expansion parameter lambda, and for
+Fock pointers it is known exactly: expanding
+``<F| exp(sum_j lambda_j A_j (a_j^dag - a_j)) |I> |0>`` to second order gives
+
+    c2 = sum_j lambda_j^2 / 2 [W(2e_j) W(1) - 2 |W(e_j)|^2 W(1)
+                                + 2 conj(W(e_j)) W(1 + e_j) - W(1 + 2e_j)],
+
+where ``W(k)`` is the symmetrized weak value of the multiset that uses
+``A_i`` ``k_i`` times and ``1 = (1, ..., 1)``.  The terms ``W(1 + e_j)`` are
+weak values of partial products with one factor repeated; they grow like
+``1/|<F|I>|`` even when the joint value ``W(1)`` stays small.  The formula
+holds for non-commuting observables.  :func:`second_order_error` evaluates
+it, and :func:`extraction_tolerance` is the coarse model that bounds the
+error for every pointer kind.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from functools import reduce
 
 import numpy as np
@@ -42,7 +53,9 @@ from .pointers import FockPointerSpec, SpinPointerSpec, fock_operators, spin_ope
 from .scenario import OVERLAP_FLOOR, Scenario
 from .tensor import Operator, StateVector, expectation, identity, kron
 
-#: Explicit permutation enumeration is capped at this many operators (N! terms).
+#: Symmetrized weak values take at most this many observables.  The word-sum
+#: recursion visits 2^N multisets for the joint value and (N + 1) 2^N for the
+#: second-order term, whose words are N + 2 operators long.
 SYMMETRIZATION_CAP = 8
 
 #: Mapping of signature letters to quadrature choices in correlator tables.
@@ -67,6 +80,53 @@ def analytic_weak_value(
     return complex(numer / denom)
 
 
+def _symmetrized_values(
+    observables: Sequence[Operator],
+    pre: StateVector,
+    post: StateVector,
+    multisets: Iterable[tuple[int, ...]],
+    overlap_floor: float = OVERLAP_FLOOR,
+) -> dict[tuple[int, ...], complex]:
+    """Symmetrized weak values ``W(k) = <F|T_k|I> / (<F|I> m! / prod_i k_i!)``.
+
+    ``T_k`` sums the distinct words that use observable i ``k_i`` times
+    (``m = sum_i k_i``), so ``W(k)`` averages the weak values of those words.
+    ``T_k |I>`` comes from the recursion ``T_k = sum_{j: k_j > 0} A_j T_{k - e_j}``
+    with ``T_0 = 1``, memoized over the multisets below each requested k.
+    """
+    n = len(observables)
+    if n < 1:
+        raise ValueError("at least one observable is required")
+    if n > SYMMETRIZATION_CAP:
+        raise CapacityError(
+            f"symmetrization over {n} observables exceeds the cap N <= {SYMMETRIZATION_CAP}"
+        )
+    denom = post.inner(pre)
+    if abs(denom) <= overlap_floor:
+        raise DivergentWeakValueError(
+            f"pre/post overlap {abs(denom):.3e} at or below the floor {overlap_floor:.0e}"
+        )
+    matrices = [op.matrix for op in observables]
+    vectors = {(0,) * n: pre.amps}
+
+    def word_sum(k: tuple[int, ...]) -> np.ndarray:
+        vec = vectors.get(k)
+        if vec is None:
+            vec = sum(
+                matrices[j] @ word_sum(k[:j] + (kj - 1,) + k[j + 1 :])
+                for j, kj in enumerate(k)
+                if kj
+            )
+            vectors[k] = vec
+        return vec
+
+    values = {}
+    for k in multisets:
+        words = math.factorial(sum(k)) // math.prod(math.factorial(kj) for kj in k)
+        values[k] = complex(np.vdot(post.amps, word_sum(k)) / (words * denom))
+    return values
+
+
 def symmetrized_joint_weak_value(
     observables: list[Operator] | tuple[Operator, ...],
     pre: StateVector,
@@ -77,28 +137,13 @@ def symmetrized_joint_weak_value(
 
     ``P{A}`` sums the product over all N! orderings, which is what the
     simultaneous coupling of N pointers actually probes; for pairwise
-    commuting observables it reduces to the plain product.  Orderings are
-    enumerated explicitly, so N is capped at :data:`SYMMETRIZATION_CAP`.
+    commuting observables it reduces to the plain product.  The sum is built
+    by the recursion ``T_k = sum_j A_j T_{k - e_j}`` over the 2^N subsets of
+    the observables, in N 2^(N-1) matrix-vector products; N is capped at
+    :data:`SYMMETRIZATION_CAP`.
     """
-    n = len(observables)
-    if n < 1:
-        raise ValueError("at least one observable is required")
-    if n > SYMMETRIZATION_CAP:
-        raise CapacityError(
-            f"symmetrization over {n}! orderings exceeds the cap N <= {SYMMETRIZATION_CAP}"
-        )
-    denom = post.inner(pre)
-    if abs(denom) <= overlap_floor:
-        raise DivergentWeakValueError(
-            f"pre/post overlap {abs(denom):.3e} at or below the floor {overlap_floor:.0e}"
-        )
-    acc = np.zeros_like(pre.amps)
-    for ordering in itertools.permutations(observables):
-        vec = pre.amps
-        for op in reversed(ordering):
-            vec = op.matrix @ vec
-        acc = acc + vec
-    value = complex(np.vdot(post.amps, acc) / (math.factorial(n) * denom))
+    ones = (1,) * len(observables)
+    value = _symmetrized_values(observables, pre, post, [ones], overlap_floor)[ones]
 
     if _all_commute(observables):
         product = reduce(lambda a, b: a @ b, observables)
@@ -249,6 +294,40 @@ def analytic_oracle(scenario: Scenario) -> complex:
     )
 
 
+def second_order_error(scenario: Scenario) -> complex:
+    """Exact lambda^2 term ``c2`` of the Fock lowering route minus the oracle.
+
+    The lowering route reads ``analytic_oracle(scenario) + c2 + O(lambda^4)``
+    up to Fock truncation, with ``c2`` the sum given in the module docstring.
+    Its symmetrized weak values come from one word-sum recursion over the
+    embedded observables.
+    """
+    _require_all_fock(scenario)
+    observables = scenario.embedded_observables()
+    n = len(observables)
+    ones = (1,) * n
+
+    def bumped(base: tuple[int, ...], j: int, by: int) -> tuple[int, ...]:
+        return base[:j] + (base[j] + by,) + base[j + 1 :]
+
+    zero = (0,) * n
+    multisets = [ones] + [
+        bumped(base, j, by) for j in range(n) for base in (zero, ones) for by in (1, 2)
+    ]
+    w = _symmetrized_values(observables, scenario.pre, scenario.post, multisets)
+    joint = w[ones]
+    c2 = 0j
+    for j, lam in enumerate(scenario.lambdas):
+        single = w[bumped(zero, j, 1)]
+        c2 += 0.5 * lam**2 * (
+            w[bumped(zero, j, 2)] * joint
+            - 2.0 * abs(single) ** 2 * joint
+            + 2.0 * single.conjugate() * w[bumped(ones, j, 1)]
+            - w[bumped(ones, j, 2)]
+        )
+    return complex(c2)
+
+
 def extraction_tolerance(
     lambda_max: float, analytic: complex, coefficient: float = 3.0, floor: float = 1e-9
 ) -> float:
@@ -262,5 +341,11 @@ def extraction_tolerance(
     that growth uniformly, and the coefficient covers the factor-2
     transition-pair correction plus truncation residue.  The floor absorbs
     double-precision noise on near-exact scenarios.
+
+    The model sees only the joint value ``A_w``.  Joint extractions also
+    carry the weak values of partial products, which the exact lambda^2 term
+    of :func:`second_order_error` contains, so for Fock pointers
+    :func:`~weakmeas.harness.run_scenario` uses the larger of this tolerance
+    and twice ``|c2|``.
     """
     return coefficient * lambda_max**2 * (1.0 + abs(analytic)) ** 3 + floor
