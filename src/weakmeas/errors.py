@@ -12,7 +12,7 @@ class LayoutError(WeakMeasurementError):
 
 
 class CapacityError(WeakMeasurementError):
-    """A requested object exceeds the configured size limits."""
+    """A requested object exceeds a fixed size limit."""
 
 
 class HermiticityError(WeakMeasurementError):
@@ -48,7 +48,7 @@ class TruncationLeakageError(WeakMeasurementError):
 
 
 class PostSelectionFailureError(WeakMeasurementError):
-    """Post-selection probability fell below the configured floor."""
+    """Post-selection probability fell below the fixed floor."""
 
 
 class DivergentWeakValueError(WeakMeasurementError):

@@ -211,10 +211,10 @@ def top_level_leakage(composite: CompositeState, scenario: Scenario) -> list[flo
     return out
 
 
-def _check_leakage(composite: CompositeState, scenario: Scenario, guard: float) -> None:
+def _check_leakage(composite: CompositeState, scenario: Scenario) -> None:
     for j, leak in enumerate(top_level_leakage(composite, scenario)):
-        if leak > guard:
-            raise TruncationLeakageError(j, leak, scenario.pointers[j].dim, guard)
+        if leak > LEAKAGE_GUARD:
+            raise TruncationLeakageError(j, leak, scenario.pointers[j].dim, LEAKAGE_GUARD)
 
 
 def _coupling_frame(scenario: Scenario) -> _CouplingFrame:
@@ -291,7 +291,7 @@ def evolve_exact(scenario: Scenario) -> CompositeState:
         tensor = _apply(vectors, np.moveaxis(np.exp(-1j * values), -1, 0) * coeffs)
         tensor = frame.rotate(tensor, pointer_axes, back=True)
     evolved = _with_amplitudes(composite, frame.rotate(tensor, [0], back=True))
-    _check_leakage(evolved, scenario, LEAKAGE_GUARD)
+    _check_leakage(evolved, scenario)
     return evolved
 
 

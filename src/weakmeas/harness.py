@@ -45,6 +45,10 @@ SAMPLING_GRID_POINTS = 2**12
 #: Fock dimension the sweep escalates to when the leakage guard trips.
 SWEEP_ESCALATED_DIM = 16
 
+#: The lowering and correlator routes are one identity, so a run fails unless they
+#: agree to this multiple of ``1 + |A_w|``; the test suite's Fock runs reach 3.5e-16.
+ROUTE_IDENTITY_TOL = 1e-12
+
 #: Fock runs pass within this multiple of the exact second-order error
 #: ``|c2|`` when that exceeds the coarse tolerance model; the margin absorbs
 #: the order-lambda^4 remainder and truncation residue.
@@ -119,7 +123,11 @@ class SampleSet:
 def run_scenario(
     scenario: Scenario, tolerance: float | None = None, label: str | None = None
 ) -> WeakValueReport:
-    """Evolve, post-select, and extract along every applicable route."""
+    """Evolve, post-select, and extract along every applicable route.
+
+    Raises :class:`WeakMeasurementError` when the lowering and correlator
+    routes break their identity (:data:`ROUTE_IDENTITY_TOL`).
+    """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     ensure_valid(scenario)
@@ -132,6 +140,12 @@ def run_scenario(
     if fock:
         extracted_lowering = extract_joint_fock(result, scenario)
         _, extracted_correlators = correlator_decomposition(result, scenario)
+        gap = abs(extracted_lowering - extracted_correlators)
+        if gap > ROUTE_IDENTITY_TOL * (1.0 + abs(analytic)):
+            raise WeakMeasurementError(
+                f"lowering and correlator routes differ by {gap:.3e}, beyond the "
+                f"route identity {ROUTE_IDENTITY_TOL:.0e} (1 + |A_w|)"
+            )
         if scenario.n_pointers == 1:
             xp_shift = pointer_shift_check(result, scenario)
     else:
@@ -193,8 +207,14 @@ def run_experiment(
         raise
 
 
-def _sweep_error(scenario: Scenario) -> float:
-    report = run_scenario(scenario)
+def _sweep_error(scenario: Scenario, lam: float) -> float:
+    """Extraction error at one grid point; a leakage error is tagged with ``lam``."""
+    try:
+        report = run_scenario(scenario.with_lambda(lam))
+    except TruncationLeakageError as exc:
+        raise TruncationLeakageError(
+            exc.pointer_index, exc.leakage, exc.dim, exc.guard, lam=lam
+        ) from None
     route = "spin" if report.extracted_spin is not None else "lowering"
     return report.abs_errors[route]
 
@@ -224,24 +244,13 @@ def sweep_lambda(
         scenario = scenario.with_fock_dim(dim)
 
     try:
-        errors = [_sweep_error(scenario.with_lambda(grid[0]))]
+        first = _sweep_error(scenario, grid[0])
     except TruncationLeakageError:
         scenario = scenario.with_fock_dim(
             max([SWEEP_ESCALATED_DIM] + [p.dim for p in scenario.pointers])
         )
-        try:
-            errors = [_sweep_error(scenario.with_lambda(grid[0]))]
-        except TruncationLeakageError as exc:
-            raise TruncationLeakageError(
-                exc.pointer_index, exc.leakage, exc.dim, exc.guard, lam=grid[0]
-            ) from None
-    for lam in grid[1:]:
-        try:
-            errors.append(_sweep_error(scenario.with_lambda(lam)))
-        except TruncationLeakageError as exc:
-            raise TruncationLeakageError(
-                exc.pointer_index, exc.leakage, exc.dim, exc.guard, lam=lam
-            ) from None
+        first = _sweep_error(scenario, grid[0])
+    errors = [first] + [_sweep_error(scenario, lam) for lam in grid[1:]]
 
     log_lam = np.log(np.asarray(grid))
     log_err = np.log(np.maximum(np.asarray(errors), 1e-300))

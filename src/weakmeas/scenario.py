@@ -35,10 +35,21 @@ LAMBDA_HARD_LIMIT = 0.5
 #: Couplings above this trigger a weak-regime warning.
 LAMBDA_WARN_LIMIT = 0.2
 
-#: Pre/post overlaps below this floor make the weak value numerically divergent.
+#: Pre/post overlaps at or below this floor make the weak value numerically divergent.
 OVERLAP_FLOOR = 1e-10
 
 ENV_CATALOG = "WEAKMEAS_CATALOG"
+
+
+def weak_value_denominator(pre: StateVector, post: StateVector) -> complex:
+    """The overlap ``<F|I>``, or :class:`DivergentWeakValueError` at or below the floor."""
+    overlap = post.inner(pre)
+    if abs(overlap) <= OVERLAP_FLOOR:
+        raise DivergentWeakValueError(
+            f"pre/post: overlap {abs(overlap):.3e} at or below the floor "
+            f"{OVERLAP_FLOOR:.0e}; the weak-value denominator diverges"
+        )
+    return overlap
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +195,7 @@ class Scenario:
         )
 
 
-def validate(scenario: Scenario, overlap_floor: float = OVERLAP_FLOOR) -> list[str]:
+def validate(scenario: Scenario) -> list[str]:
     """Check every scenario invariant; an empty list means the scenario is valid.
 
     Never raises on a structurally well-formed scenario: each problem is
@@ -248,18 +259,16 @@ def validate(scenario: Scenario, overlap_floor: float = OVERLAP_FLOOR) -> list[s
             v.append(f"{label}: state not normalized (norm = {state.norm():.12g})")
 
     if scenario.pre.layout == scenario.post.layout:
-        overlap = abs(scenario.post.inner(scenario.pre))
-        if overlap <= overlap_floor:
-            v.append(
-                f"pre/post: overlap {overlap:.3e} at or below the floor "
-                f"{overlap_floor:.0e}; the weak-value denominator diverges"
-            )
+        try:
+            weak_value_denominator(scenario.pre, scenario.post)
+        except DivergentWeakValueError as exc:
+            v.append(str(exc))
     return v
 
 
-def ensure_valid(scenario: Scenario, overlap_floor: float = OVERLAP_FLOOR) -> Scenario:
+def ensure_valid(scenario: Scenario) -> Scenario:
     """Raise on any validation violation; returns the scenario for chaining."""
-    violations = validate(scenario, overlap_floor=overlap_floor)
+    violations = validate(scenario)
     if any("denominator diverges" in s for s in violations):
         raise DivergentWeakValueError("; ".join(violations))
     if violations:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +23,9 @@ MAX_TOTAL_DIM = 2**20
 
 #: Relative tolerance of the Hermiticity check max|M - M^dag| <= tol * max|M|.
 HERMITIAN_TOL = 1e-12
+
+#: Absolute tolerance of the normalization check | ||psi|| - 1 | <= tol.
+NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,14 +104,17 @@ class Operator:
         """Hermitian adjoint."""
         return Operator(self.layout, self.matrix.conj().T)
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        scale = np.abs(self.matrix).max()
-        defect = np.abs(self.matrix - self.matrix.conj().T).max()
-        return defect <= tol * scale
+    def is_hermitian(self) -> bool:
+        try:
+            self.require_hermitian()
+        except HermiticityError:
+            return False
+        return True
 
-    def require_hermitian(self, tol: float = HERMITIAN_TOL) -> "Operator":
-        if not self.is_hermitian(tol):
-            defect = np.abs(self.matrix - self.matrix.conj().T).max()
+    def require_hermitian(self) -> "Operator":
+        """Return ``self``, or raise unless max|M - M^dag| <= HERMITIAN_TOL * max|M|."""
+        defect = np.abs(self.matrix - self.matrix.conj().T).max()
+        if defect > HERMITIAN_TOL * np.abs(self.matrix).max():
             raise HermiticityError(
                 f"operator fails the Hermiticity check (max|M - M^dag| = {defect:.3e})"
             )
@@ -169,8 +176,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= NORMALIZATION_TOL
 
     def normalized(self) -> "StateVector":
         n = self.norm()
@@ -196,52 +203,36 @@ def identity(layout: FactorLayout | int) -> Operator:
     return Operator(layout, np.eye(layout.dim, dtype=np.complex128))
 
 
-def _check_capacity(total: int, max_dim: int | None) -> None:
-    cap = MAX_TOTAL_DIM if max_dim is None else max_dim
-    if total > cap:
-        raise CapacityError(f"total dimension {total} exceeds the configured cap {cap}")
+def _check_capacity(total: int) -> None:
+    if total > MAX_TOTAL_DIM:
+        raise CapacityError(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
 
 
-def kron(factors: Sequence[Operator], max_dim: int | None = None) -> Operator:
+def _product(factors: Sequence, arrays: list, name: str) -> tuple[FactorLayout, np.ndarray]:
+    """Concatenated layout of the factors and the Kronecker product of their arrays."""
+    if not factors:
+        raise LayoutError(f"{name} needs at least one factor")
+    layout = FactorLayout(tuple(d for f in factors for d in f.layout.dims))
+    _check_capacity(layout.dim)
+    return layout, reduce(np.kron, arrays)
+
+
+def kron(factors: Sequence[Operator]) -> Operator:
     """Kronecker product of operators, in the declared factor order.
 
     The result layout is the concatenation of the factor layouts.  Raises
-    :class:`CapacityError` when the product dimension exceeds ``max_dim``
-    (default :data:`MAX_TOTAL_DIM`).
+    :class:`CapacityError` when the product dimension exceeds
+    :data:`MAX_TOTAL_DIM`.
     """
-    if not factors:
-        raise LayoutError("kron needs at least one factor")
-    dims: tuple[int, ...] = ()
-    total = 1
-    for op in factors:
-        dims = dims + op.layout.dims
-        total *= op.dim
-    _check_capacity(total, max_dim)
-    matrix = factors[0].matrix
-    for op in factors[1:]:
-        matrix = np.kron(matrix, op.matrix)
-    return Operator(FactorLayout(dims), matrix)
+    return Operator(*_product(factors, [op.matrix for op in factors], "kron"))
 
 
-def kron_state(factors: Sequence[StateVector], max_dim: int | None = None) -> StateVector:
+def kron_state(factors: Sequence[StateVector]) -> StateVector:
     """Tensor product of state vectors, in the declared factor order."""
-    if not factors:
-        raise LayoutError("kron_state needs at least one factor")
-    dims: tuple[int, ...] = ()
-    total = 1
-    for s in factors:
-        dims = dims + s.layout.dims
-        total *= s.dim
-    _check_capacity(total, max_dim)
-    amps = factors[0].amps
-    for s in factors[1:]:
-        amps = np.kron(amps, s.amps)
-    return StateVector(FactorLayout(dims), amps)
+    return StateVector(*_product(factors, [s.amps for s in factors], "kron_state"))
 
 
-def embed_factors(
-    op: Operator, slots: Iterable[int], layout: FactorLayout, max_dim: int | None = None
-) -> Operator:
+def embed_factors(op: Operator, slots: Iterable[int], layout: FactorLayout) -> Operator:
     """Embed an operator acting on the given factor slots into a larger layout.
 
     ``op`` must be laid out over exactly the factors named by ``slots`` (in
@@ -255,7 +246,8 @@ def embed_factors(
         Distinct factor indices of ``layout``, in the order matching
         ``op.layout``.
     layout : FactorLayout
-        Layout of the enclosing space.
+        Layout of the enclosing space; its dimension may not exceed
+        :data:`MAX_TOTAL_DIM`.
     """
     slots = tuple(int(s) for s in slots)
     k = len(layout)
@@ -270,7 +262,7 @@ def embed_factors(
         raise LayoutError(
             f"operator dims {op.layout.dims} do not match target factor dims {expected}"
         )
-    _check_capacity(layout.dim, max_dim)
+    _check_capacity(layout.dim)
 
     rest = tuple(i for i in range(k) if i not in slots)
     rest_dim = math.prod(layout.dims[i] for i in rest) if rest else 1
@@ -287,16 +279,9 @@ def embed_factors(
     return Operator(layout, np.ascontiguousarray(tensor.reshape(layout.dim, layout.dim)))
 
 
-def embed(op: Operator, slot: int, layout: FactorLayout, max_dim: int | None = None) -> Operator:
+def embed(op: Operator, slot: int, layout: FactorLayout) -> Operator:
     """Embed a single-factor operator at ``slot``, identity elsewhere."""
-    if slot < 0 or slot >= len(layout):
-        raise LayoutError(f"slot {slot} out of range for a {len(layout)}-factor layout")
-    if op.dim != layout.dims[slot]:
-        raise LayoutError(
-            f"operator dimension {op.dim} does not match factor {slot} "
-            f"dimension {layout.dims[slot]}"
-        )
-    return embed_factors(op, (slot,), layout, max_dim=max_dim)
+    return embed_factors(op, (slot,), layout)
 
 
 def hermitian_propagator(hamiltonian: Operator, tau: float) -> Operator:

@@ -43,15 +43,14 @@ import numpy as np
 
 from .errors import (
     CapacityError,
-    DivergentWeakValueError,
     UnsupportedScenarioError,
     WeakMeasurementError,
     ZeroCouplingError,
 )
-from .evolution import PostSelectionResult, evolve_exact
+from .evolution import PostSelectionResult, _rotate, evolve_exact
 from .pointers import FockPointerSpec, SpinPointerSpec, fock_operators, spin_operators
-from .scenario import OVERLAP_FLOOR, Scenario
-from .tensor import Operator, StateVector, expectation, identity, kron
+from .scenario import Scenario, weak_value_denominator
+from .tensor import Operator, StateVector, expectation, kron
 
 #: Symmetrized weak values take at most this many observables.  The word-sum
 #: recursion visits 2^N multisets for the joint value and (N + 1) 2^N for the
@@ -61,21 +60,16 @@ SYMMETRIZATION_CAP = 8
 #: Mapping of signature letters to quadrature choices in correlator tables.
 QUADRATURE_LETTERS = ("X", "P")
 
+#: Coefficient and floor of :func:`extraction_tolerance`.
+TOLERANCE_COEFFICIENT = 3.0
+TOLERANCE_FLOOR = 1e-9
+
 CorrelatorTable = dict[str, float]
 
 
-def analytic_weak_value(
-    observable: Operator,
-    pre: StateVector,
-    post: StateVector,
-    overlap_floor: float = OVERLAP_FLOOR,
-) -> complex:
+def analytic_weak_value(observable: Operator, pre: StateVector, post: StateVector) -> complex:
     """Exact weak value ``<F|A|I> / <F|I>``; no weak-coupling approximation."""
-    denom = post.inner(pre)
-    if abs(denom) <= overlap_floor:
-        raise DivergentWeakValueError(
-            f"pre/post overlap {abs(denom):.3e} at or below the floor {overlap_floor:.0e}"
-        )
+    denom = weak_value_denominator(pre, post)
     numer = np.vdot(post.amps, observable.matrix @ pre.amps)
     return complex(numer / denom)
 
@@ -85,7 +79,6 @@ def _symmetrized_values(
     pre: StateVector,
     post: StateVector,
     multisets: Iterable[tuple[int, ...]],
-    overlap_floor: float = OVERLAP_FLOOR,
 ) -> dict[tuple[int, ...], complex]:
     """Symmetrized weak values ``W(k) = <F|T_k|I> / (<F|I> m! / prod_i k_i!)``.
 
@@ -101,11 +94,7 @@ def _symmetrized_values(
         raise CapacityError(
             f"symmetrization over {n} observables exceeds the cap N <= {SYMMETRIZATION_CAP}"
         )
-    denom = post.inner(pre)
-    if abs(denom) <= overlap_floor:
-        raise DivergentWeakValueError(
-            f"pre/post overlap {abs(denom):.3e} at or below the floor {overlap_floor:.0e}"
-        )
+    denom = weak_value_denominator(pre, post)
     matrices = [op.matrix for op in observables]
     vectors = {(0,) * n: pre.amps}
 
@@ -131,7 +120,6 @@ def symmetrized_joint_weak_value(
     observables: list[Operator] | tuple[Operator, ...],
     pre: StateVector,
     post: StateVector,
-    overlap_floor: float = OVERLAP_FLOOR,
 ) -> complex:
     """Weak value of the symmetrized product, ``<F|P{A}|I> / (N! <F|I>)``.
 
@@ -143,11 +131,11 @@ def symmetrized_joint_weak_value(
     :data:`SYMMETRIZATION_CAP`.
     """
     ones = (1,) * len(observables)
-    value = _symmetrized_values(observables, pre, post, [ones], overlap_floor)[ones]
+    value = _symmetrized_values(observables, pre, post, [ones])[ones]
 
     if _all_commute(observables):
         product = reduce(lambda a, b: a @ b, observables)
-        direct = analytic_weak_value(product, pre, post, overlap_floor=overlap_floor)
+        direct = analytic_weak_value(product, pre, post)
         if abs(value - direct) > 1e-12 * (1.0 + abs(direct)):
             raise WeakMeasurementError(
                 f"symmetrized value {value} does not reduce to the plain-product "
@@ -270,7 +258,9 @@ def strong_position_estimate(scenario: Scenario) -> complex:
 
     For commuting observables and independent zero-mean pointers the position
     correlation of the evolved (un-projected) state equals
-    ``<I|prod_j A_j|I>`` exactly, up to truncation leakage.
+    ``<I|prod_j A_j|I>`` exactly, up to truncation leakage.  Each ``X_j`` acts
+    on its own axis of the ``(S, d_1, ..., d_N)`` amplitudes, so no full-space
+    operator is formed.
     """
     _require_all_fock(scenario)
     _require_finite_couplings(scenario)
@@ -279,10 +269,11 @@ def strong_position_estimate(scenario: Scenario) -> complex:
             "the strong-measurement analog requires commuting observables"
         )
     evolved = evolve_exact(scenario)
-    factors = [identity(scenario.system_layout)] + [
-        fock_operators(p).x for p in scenario.pointers
-    ]
-    value = expectation(evolved.state, kron(factors))
+    tensor = evolved.state.amps.reshape((evolved.system_dim,) + evolved.pointer_dims)
+    moved = tensor
+    for axis, pointer in enumerate(scenario.pointers, start=1):
+        moved = _rotate(fock_operators(pointer).x.matrix, moved, axis)
+    value = np.vdot(tensor, moved) / np.vdot(tensor, tensor).real
     scale = math.prod(1.0 / c.gt for c in scenario.couplings)
     return complex(value * scale)
 
@@ -328,9 +319,7 @@ def second_order_error(scenario: Scenario) -> complex:
     return complex(c2)
 
 
-def extraction_tolerance(
-    lambda_max: float, analytic: complex, coefficient: float = 3.0, floor: float = 1e-9
-) -> float:
+def extraction_tolerance(lambda_max: float, analytic: complex) -> float:
     """Absolute tolerance for comparing an extracted value with the oracle.
 
     The next-to-leading term in the extracted value is quadratic in the
@@ -338,9 +327,10 @@ def extraction_tolerance(
     ratios of matrix elements that grow with the weak value (for one
     two-level observable the relative error is exactly
     ``lambda^2 |1 - A_w^2|``).  The cubic factor ``(1 + |A_w|)^3`` bounds
-    that growth uniformly, and the coefficient covers the factor-2
-    transition-pair correction plus truncation residue.  The floor absorbs
-    double-precision noise on near-exact scenarios.
+    that growth uniformly, and :data:`TOLERANCE_COEFFICIENT` covers the
+    factor-2 transition-pair correction plus truncation residue.
+    :data:`TOLERANCE_FLOOR` absorbs double-precision noise on near-exact
+    scenarios.
 
     The model sees only the joint value ``A_w``.  Joint extractions also
     carry the weak values of partial products, which the exact lambda^2 term
@@ -348,4 +338,4 @@ def extraction_tolerance(
     :func:`~weakmeas.harness.run_scenario` uses the larger of this tolerance
     and twice ``|c2|``.
     """
-    return coefficient * lambda_max**2 * (1.0 + abs(analytic)) ** 3 + floor
+    return TOLERANCE_COEFFICIENT * lambda_max**2 * (1.0 + abs(analytic)) ** 3 + TOLERANCE_FLOOR

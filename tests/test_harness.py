@@ -1,6 +1,7 @@
 """Runs, sweeps, sampling, report emission, and the command-line front end."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,19 @@ class TestRunExperiment:
         assert set(r.abs_errors) == {"spin"}
         assert r.xp_shift is None
 
+    def test_route_identity_enforced(self, monkeypatch, capsys):
+        recombine = wm.harness.correlator_decomposition
+
+        def shifted(result, scenario):
+            table, value = recombine(result, scenario)
+            return table, value + 1e-9
+
+        monkeypatch.setattr(wm.harness, "correlator_decomposition", shifted)
+        with pytest.raises(wm.WeakMeasurementError, match="route identity"):
+            wm.run_experiment("aav_qubit")
+        assert cli.main(["run", "aav_qubit"]) == 2
+        assert "route identity" in capsys.readouterr().err
+
     def test_errors_carry_scenario_context(self, tmp_path):
         s = wm.resolve_scenario("aav_qubit")
         broken = wm.Scenario(
@@ -171,6 +185,18 @@ class TestSweep:
         # d=4 leaks at lambda 0.2; the sweep must escalate to d=16 and finish
         result = wm.sweep_lambda("aav_qubit", [0.2, 0.1, 0.05, 0.025], dim=4)
         assert result.fitted_slope == pytest.approx(2.0, abs=0.3)
+
+    def test_leakage_after_escalation_names_lambda(self, tmp_path):
+        # eigenvalues +-20 displace the pointer to a coherent amplitude of 4 at
+        # lambda 0.2 (mean level 16), so even the escalated d=16 leaks
+        s = wm.resolve_scenario("aav_qubit")
+        obs = s.observables[0]
+        wide = wm.ObservableSpec(obs.name, 20.0 * obs.matrix, obs.target)
+        path = tmp_path / "wide.json"
+        path.write_text(wm.dump_scenario(replace(s, observables=(wide,))))
+        with pytest.raises(wm.TruncationLeakageError, match="at lambda = 0.2;") as excinfo:
+            wm.sweep_lambda(path, [0.2, 0.1, 0.05, 0.025])
+        assert (excinfo.value.lam, excinfo.value.dim) == (0.2, wm.harness.SWEEP_ESCALATED_DIM)
 
 
 class TestSampling:

@@ -46,10 +46,6 @@ class TestKron:
         with pytest.raises(wm.CapacityError):
             wm.kron(factors)
 
-    def test_explicit_cap_override(self):
-        with pytest.raises(wm.CapacityError):
-            wm.kron([wm.identity(4), wm.identity(4)], max_dim=8)
-
 
 class TestEmbed:
     def test_first_slot(self):

@@ -329,7 +329,25 @@ class TestSpinExtraction:
             wm.extract_joint_spin(result, s)
 
 
+def dense_strong_position_estimate(scenario):
+    """Reference: <I_S (x) X_1 (x) ... (x) X_N> as one full-space operator."""
+    evolved = wm.evolve_exact(scenario)
+    factors = [wm.identity(scenario.system_layout)] + [
+        wm.fock_operators(p).x for p in scenario.pointers
+    ]
+    value = wm.expectation(evolved.state, wm.kron(factors))
+    return value * math.prod(1.0 / c.gt for c in scenario.couplings)
+
+
 class TestStrongEstimate:
+    @pytest.mark.parametrize(
+        "name", ["strong_single", "strong_pair_product", "strong_pair_entangled"]
+    )
+    def test_matches_dense_reference(self, name):
+        s = wm.resolve_scenario(name)
+        reference = dense_strong_position_estimate(s)
+        assert abs(wm.strong_position_estimate(s) - reference) <= 1e-12 * abs(reference)
+
     def test_eigenstate(self):
         value = wm.strong_position_estimate(wm.resolve_scenario("strong_single"))
         assert value.real == pytest.approx(1.0, abs=1e-8)
