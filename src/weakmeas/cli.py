@@ -10,7 +10,7 @@ Subcommands::
 Scenarios are referenced by catalog name or file path; the catalog directory
 can be overridden with the WEAKMEAS_CATALOG environment variable.  The exit
 status is 0 only when every run passes its tolerance (sweeps pass when the
-fitted slope is within 2 +/- 0.3).
+fitted slope is within 2 +/- ``harness.SLOPE_WINDOW`` = 0.3).
 """
 
 from __future__ import annotations

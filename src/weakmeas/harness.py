@@ -5,6 +5,9 @@ fits the pointer kind, and compares each against the analytic oracle under
 the quadratic tolerance model.  A sweep reruns a scenario over a grid of
 expansion parameters and fits the log-log slope of the extraction error,
 which should be 2 (the next-order correction is quadratic in the coupling).
+It validates, evolves and post-selects every grid point and checks the
+route identity at each, but builds each dense extraction product once and
+applies it to all points, since those operators do not depend on lambda.
 Sampling draws pointer positions from the conditioned marginal density by
 inverse-CDF lookup, reproducing the statistics an ensemble would record.
 """
@@ -21,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    CapacityError,
     GridError,
     TruncationLeakageError,
     UnsupportedScenarioError,
@@ -28,19 +32,32 @@ from .errors import (
 )
 from .evolution import PostSelectionResult, evolve_exact, post_select
 from .pointers import FockPointerSpec, position_wavefunctions
-from .scenario import Scenario, ensure_valid, resolve_scenario
+from .scenario import LAMBDA_WARN_LIMIT, Scenario, ensure_valid, resolve_scenario
 from .weak_values import (
+    ConditionedPoint,
     analytic_oracle,
     correlator_decomposition,
+    correlator_route,
     extract_joint_fock,
     extract_joint_spin,
     extraction_tolerance,
+    lowering_route,
     pointer_shift_check,
     second_order_error,
+    spin_route,
 )
 
 #: Number of grid points used for position densities and inverse-CDF sampling.
 SAMPLING_GRID_POINTS = 2**12
+
+#: Largest shot count one sample set draws; 2^24 float64 positions take 128 MiB.
+MAX_SHOTS = 2**24
+
+#: Probability mass a position density may leave off its grid.
+DENSITY_MASS_TOL = 1e-9
+
+#: A sweep passes when its fitted log-log slope is within this of 2.
+SLOPE_WINDOW = 0.3
 
 #: Fock dimension the sweep escalates to when the leakage guard trips.
 SWEEP_ESCALATED_DIM = 16
@@ -107,7 +124,7 @@ class SweepResult:
 
     @property
     def passed(self) -> bool:
-        return abs(self.fitted_slope - 2.0) <= 0.3
+        return abs(self.fitted_slope - 2.0) <= SLOPE_WINDOW
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,16 @@ class SampleSet:
     positions: np.ndarray
     n_shots: int
     seed: int
+
+
+def _check_route_identity(lowering: complex, correlators: complex, analytic: complex) -> None:
+    """Raise unless the lowering and correlator routes agree (:data:`ROUTE_IDENTITY_TOL`)."""
+    gap = abs(lowering - correlators)
+    if gap > ROUTE_IDENTITY_TOL * (1.0 + abs(analytic)):
+        raise WeakMeasurementError(
+            f"lowering and correlator routes differ by {gap:.3e}, beyond the "
+            f"route identity {ROUTE_IDENTITY_TOL:.0e} (1 + |A_w|)"
+        )
 
 
 def run_scenario(
@@ -140,12 +167,7 @@ def run_scenario(
     if fock:
         extracted_lowering = extract_joint_fock(result, scenario)
         _, extracted_correlators = correlator_decomposition(result, scenario)
-        gap = abs(extracted_lowering - extracted_correlators)
-        if gap > ROUTE_IDENTITY_TOL * (1.0 + abs(analytic)):
-            raise WeakMeasurementError(
-                f"lowering and correlator routes differ by {gap:.3e}, beyond the "
-                f"route identity {ROUTE_IDENTITY_TOL:.0e} (1 + |A_w|)"
-            )
+        _check_route_identity(extracted_lowering, extracted_correlators, analytic)
         if scenario.n_pointers == 1:
             xp_shift = pointer_shift_check(result, scenario)
     else:
@@ -207,16 +229,15 @@ def run_experiment(
         raise
 
 
-def _sweep_error(scenario: Scenario, lam: float) -> float:
-    """Extraction error at one grid point; a leakage error is tagged with ``lam``."""
+def _conditioned_point(scenario: Scenario, lam: float) -> ConditionedPoint:
+    """Validate, evolve and post-select at one grid point; leakage is tagged with ``lam``."""
+    point = ensure_valid(scenario.with_lambda(lam))
     try:
-        report = run_scenario(scenario.with_lambda(lam))
+        return post_select(evolve_exact(point), point), point
     except TruncationLeakageError as exc:
         raise TruncationLeakageError(
             exc.pointer_index, exc.leakage, exc.dim, exc.guard, lam=lam
         ) from None
-    route = "spin" if report.extracted_spin is not None else "lowering"
-    return report.abs_errors[route]
 
 
 def sweep_lambda(
@@ -227,16 +248,23 @@ def sweep_lambda(
     Couplings are rescaled to realize each grid value while pointer widths
     and truncations stay fixed; if the largest grid point trips the
     truncation guard, every Fock pointer is escalated to
-    :data:`SWEEP_ESCALATED_DIM` levels before giving up.
+    :data:`SWEEP_ESCALATED_DIM` levels before any other point is evolved.
+    Every grid point is validated, checked for leakage and post-selected on
+    its own.  The extraction operators depend only on the pointers, so each
+    dense product is built once and applied to every grid point, and the
+    route identity is checked at every point.  The error at each point
+    equals that of :func:`run_scenario` at the same lambda.
     """
     grid = [float(g) for g in grid]
     if len(grid) < 4:
         raise ValueError(f"a sweep needs at least 4 grid points, got {len(grid)}")
     if len(set(grid)) != len(grid):
         raise ValueError("sweep grid contains duplicate values")
-    bad = [g for g in grid if not 0.0 < g <= 0.2]
+    bad = [g for g in grid if not 0.0 < g <= LAMBDA_WARN_LIMIT]
     if bad:
-        raise ValueError(f"sweep grid values must be finite and lie in (0, 0.2], got {bad}")
+        raise ValueError(
+            f"sweep grid values must be finite and lie in (0, {LAMBDA_WARN_LIMIT}], got {bad}"
+        )
     grid = sorted(grid, reverse=True)
 
     scenario = resolve_scenario(scenario_ref)
@@ -244,13 +272,22 @@ def sweep_lambda(
         scenario = scenario.with_fock_dim(dim)
 
     try:
-        first = _sweep_error(scenario, grid[0])
+        first = _conditioned_point(scenario, grid[0])
     except TruncationLeakageError:
         scenario = scenario.with_fock_dim(
             max([SWEEP_ESCALATED_DIM] + [p.dim for p in scenario.pointers])
         )
-        first = _sweep_error(scenario, grid[0])
-    errors = [first] + [_sweep_error(scenario, lam) for lam in grid[1:]]
+        first = _conditioned_point(scenario, grid[0])
+    points = [first] + [_conditioned_point(scenario, lam) for lam in grid[1:]]
+
+    analytic = analytic_oracle(scenario)
+    if all(isinstance(p, FockPointerSpec) for p in scenario.pointers):
+        extracted = lowering_route(points)
+        for lowering, (_, correlators) in zip(extracted, correlator_route(points)):
+            _check_route_identity(lowering, correlators, analytic)
+    else:
+        extracted = spin_route(points)
+    errors = [abs(value - analytic) for value in extracted]
 
     log_lam = np.log(np.asarray(grid))
     log_err = np.log(np.maximum(np.asarray(errors), 1e-300))
@@ -284,8 +321,8 @@ def position_density(
     """Marginal position density of one conditioned pointer on a grid.
 
     Synthesizes the reduced density matrix of the chosen pointer in the
-    oscillator eigenbasis.  Raises :class:`GridError` if more than 1e-9 of
-    the probability mass falls off the grid.
+    oscillator eigenbasis.  Raises :class:`GridError` if more than
+    :data:`DENSITY_MASS_TOL` of the probability mass falls off the grid.
     """
     if not 0 <= pointer_index < scenario.n_pointers:
         raise UnsupportedScenarioError(
@@ -304,7 +341,7 @@ def position_density(
     basis = position_wavefunctions(spec, grid)
     density = np.einsum("mx,mn,nx->x", basis, reduced, basis).real
     mass = float(np.trapezoid(density, grid))
-    if abs(1.0 - mass) > 1e-9:
+    if abs(1.0 - mass) > DENSITY_MASS_TOL:
         raise GridError(
             f"density mass off the sampling grid: 1 - integral = {1.0 - mass:.3e}"
         )
@@ -321,8 +358,11 @@ def sample_positions(
     """Draw position measurements of one pointer by inverse-CDF sampling.
 
     Uses the counter-based Philox generator keyed on ``seed``, so sample
-    sets are bitwise reproducible.
+    sets are bitwise reproducible.  More than :data:`MAX_SHOTS` shots raise
+    :class:`CapacityError` before anything is allocated.
     """
+    if n_shots > MAX_SHOTS:
+        raise CapacityError(f"{n_shots} shots exceed the cap {MAX_SHOTS}")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
     grid, density = position_density(result, scenario, pointer_index)

@@ -203,7 +203,13 @@ def validate(scenario: Scenario) -> list[str]:
     field.  Couplings in the warning band (lambda above 0.2 but within the
     hard limit) emit a :class:`WeakRegimeWarning` instead of a violation.
     """
+    return _violations(scenario)[0]
+
+
+def _violations(scenario: Scenario) -> tuple[list[str], bool]:
+    """Violation strings, and whether :func:`weak_value_denominator` found a divergence."""
     v: list[str] = []
+    divergent = False
     n = len(scenario.observables)
     if n < 1:
         v.append("observables: N >= 1 required")
@@ -246,7 +252,7 @@ def validate(scenario: Scenario) -> list[str]:
                 f"couplings[{i}]: lambda = {lam:.3g} is outside the weak regime "
                 f"(> {LAMBDA_WARN_LIMIT}); quadratic error estimates may be optimistic",
                 WeakRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     for label, state in (("pre", scenario.pre), ("post", scenario.post)):
@@ -263,13 +269,19 @@ def validate(scenario: Scenario) -> list[str]:
             weak_value_denominator(scenario.pre, scenario.post)
         except DivergentWeakValueError as exc:
             v.append(str(exc))
-    return v
+            divergent = True
+    return v, divergent
 
 
 def ensure_valid(scenario: Scenario) -> Scenario:
-    """Raise on any validation violation; returns the scenario for chaining."""
-    violations = validate(scenario)
-    if any("denominator diverges" in s for s in violations):
+    """Raise on any validation violation; returns the scenario for chaining.
+
+    A divergent weak-value denominator raises :class:`DivergentWeakValueError`
+    (listing every violation); any other violation raises
+    :class:`ScenarioValidationError`.
+    """
+    violations, divergent = _violations(scenario)
+    if divergent:
         raise DivergentWeakValueError("; ".join(violations))
     if violations:
         raise ScenarioValidationError(violations)

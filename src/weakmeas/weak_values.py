@@ -14,6 +14,13 @@ routes recover it from simulated pointer states:
   same operator algebra), and that forced equality is a standing self-test;
 * the spin route, ``prod_j 1/(gt_j s_j) <prod_j S-_j>`` for spin pointers.
 
+Each route is one function over a sequence of (conditioned result, scenario)
+points that share their pointers (:func:`lowering_route`,
+:func:`correlator_route`, :func:`spin_route`): the pointer-space products
+depend only on each pointer's width and truncation, so each is built once and
+applied to every point.  The single-point forms :func:`extract_joint_fock`,
+:func:`correlator_decomposition` and :func:`extract_joint_spin` call them.
+
 Extraction always uses the exactly evolved, exactly projected state, so the
 residual error measures genuine higher-order coupling effects.  The leading
 correction is quadratic in the pointer expansion parameter lambda, and for
@@ -65,6 +72,9 @@ TOLERANCE_COEFFICIENT = 3.0
 TOLERANCE_FLOOR = 1e-9
 
 CorrelatorTable = dict[str, float]
+
+#: A conditioned state and the scenario it was evolved from.
+ConditionedPoint = tuple[PostSelectionResult, Scenario]
 
 
 def analytic_weak_value(observable: Operator, pre: StateVector, post: StateVector) -> complex:
@@ -166,6 +176,56 @@ def _require_finite_couplings(scenario: Scenario) -> None:
         )
 
 
+def _shared_pointers(points: Sequence[ConditionedPoint]) -> tuple:
+    if not points:
+        raise ValueError("extraction needs at least one conditioned state")
+    pointers = points[0][1].pointers
+    if any(scenario.pointers != pointers for _, scenario in points[1:]):
+        raise ValueError("batched extraction needs every scenario to share its pointers")
+    return pointers
+
+
+def _expectations(points: Sequence[ConditionedPoint], operator: Operator) -> list[complex]:
+    """``expectation`` of one operator on every conditioned state.
+
+    The routes pass each product straight from ``kron``, so it is freed when
+    this returns and at most one dense product is alive at a time.
+    """
+    return [expectation(result.conditioned, operator) for result, _ in points]
+
+
+def _fock_scale(scenario: Scenario) -> float:
+    return math.prod(
+        2.0 * p.sigma / c.gt for p, c in zip(scenario.pointers, scenario.couplings)
+    )
+
+
+def _spin_scale(scenario: Scenario) -> float:
+    return math.prod(
+        1.0 / (c.gt * p.s) for p, c in zip(scenario.pointers, scenario.couplings)
+    )
+
+
+def _fock_pointers(points: Sequence[ConditionedPoint]) -> tuple:
+    for _, scenario in points:
+        _require_all_fock(scenario)
+        _require_finite_couplings(scenario)
+    return _shared_pointers(points)
+
+
+def lowering_route(points: Sequence[ConditionedPoint]) -> list[complex]:
+    """Lowering-route values of several conditioned states that share their pointers.
+
+    The product ``prod_j a_j`` depends only on each pointer's sigma and
+    truncation, so it is built once and applied to every state; a coupling
+    sweep passes all its grid points here.
+    """
+    values = _expectations(
+        points, kron([fock_operators(p).lowering for p in _fock_pointers(points)])
+    )
+    return [complex(value * _fock_scale(s)) for value, (_, s) in zip(values, points)]
+
+
 def extract_joint_fock(result: PostSelectionResult, scenario: Scenario) -> complex:
     """Joint weak value from the product of pointer lowering operators.
 
@@ -173,14 +233,40 @@ def extract_joint_fock(result: PostSelectionResult, scenario: Scenario) -> compl
     operators isolate the component displaced by the interaction) and
     rescales by ``prod_j (2 sigma_j / gt_j)``.
     """
-    _require_all_fock(scenario)
-    _require_finite_couplings(scenario)
-    product = kron([fock_operators(p).lowering for p in scenario.pointers])
-    value = expectation(result.conditioned, product)
-    scale = math.prod(
-        2.0 * p.sigma / c.gt for p, c in zip(scenario.pointers, scenario.couplings)
-    )
-    return complex(value * scale)
+    return lowering_route([(result, scenario)])[0]
+
+
+def correlator_route(
+    points: Sequence[ConditionedPoint],
+) -> list[tuple[CorrelatorTable, complex]]:
+    """Correlator tables and recombined values of several conditioned states.
+
+    The states must share their pointers.  Each of the 2^N quadrature
+    products is built once, applied to every state, and freed before the
+    next one is built, so one dense product is alive at a time.
+    """
+    pointers = _fock_pointers(points)
+    pointer_ops = [fock_operators(p) for p in pointers]
+    tables: list[CorrelatorTable] = [{} for _ in points]
+    recombined = [0.0 + 0.0j for _ in points]
+    for signature in itertools.product(QUADRATURE_LETTERS, repeat=len(pointers)):
+        factors = []
+        weight = 1.0 + 0.0j
+        for letter, ops, spec in zip(signature, pointer_ops, pointers):
+            if letter == "X":
+                factors.append(ops.x)
+                weight *= 1.0 / (2.0 * spec.sigma)
+            else:
+                factors.append(ops.p)
+                weight *= 1j * spec.sigma
+        key = "".join(signature)
+        for i, value in enumerate(_expectations(points, kron(factors))):
+            tables[i][key] = float(value.real)
+            recombined[i] += weight * value
+    return [
+        (table, complex(value * _fock_scale(scenario)))
+        for table, value, (_, scenario) in zip(tables, recombined, points)
+    ]
 
 
 def correlator_decomposition(
@@ -195,28 +281,7 @@ def correlator_decomposition(
     for P, times the ``2 sigma_j / gt_j`` scale, reproduces the lowering
     route exactly; the recombined value is returned alongside the table.
     """
-    _require_all_fock(scenario)
-    _require_finite_couplings(scenario)
-    pointer_ops = [fock_operators(p) for p in scenario.pointers]
-    table: CorrelatorTable = {}
-    recombined = 0.0 + 0.0j
-    for signature in itertools.product(QUADRATURE_LETTERS, repeat=scenario.n_pointers):
-        factors = []
-        weight = 1.0 + 0.0j
-        for letter, ops, spec in zip(signature, pointer_ops, scenario.pointers):
-            if letter == "X":
-                factors.append(ops.x)
-                weight *= 1.0 / (2.0 * spec.sigma)
-            else:
-                factors.append(ops.p)
-                weight *= 1j * spec.sigma
-        value = expectation(result.conditioned, kron(factors))
-        table["".join(signature)] = float(value.real)
-        recombined += weight * value
-    scale = math.prod(
-        2.0 * p.sigma / c.gt for p, c in zip(scenario.pointers, scenario.couplings)
-    )
-    return table, complex(recombined * scale)
+    return correlator_route([(result, scenario)])[0]
 
 
 def pointer_shift_check(
@@ -237,20 +302,27 @@ def pointer_shift_check(
     return float(x_mean), float(p_mean)
 
 
+def spin_route(points: Sequence[ConditionedPoint]) -> list[complex]:
+    """Spin-route values of several conditioned states that share their pointers.
+
+    The product ``prod_j S-_j`` is built once and applied to every state.
+    """
+    for _, scenario in points:
+        if not all(isinstance(p, SpinPointerSpec) for p in scenario.pointers):
+            raise UnsupportedScenarioError(
+                "the spin route requires spin pointers throughout (mixed pointer "
+                "kinds are unsupported)"
+            )
+        _require_finite_couplings(scenario)
+    values = _expectations(
+        points, kron([spin_operators(p).lowering for p in _shared_pointers(points)])
+    )
+    return [complex(value * _spin_scale(s)) for value, (_, s) in zip(values, points)]
+
+
 def extract_joint_spin(result: PostSelectionResult, scenario: Scenario) -> complex:
     """Joint weak value from spin pointers: ``prod_j 1/(gt_j s_j) <prod_j S-_j>``."""
-    if not all(isinstance(p, SpinPointerSpec) for p in scenario.pointers):
-        raise UnsupportedScenarioError(
-            "the spin route requires spin pointers throughout (mixed pointer "
-            "kinds are unsupported)"
-        )
-    _require_finite_couplings(scenario)
-    product = kron([spin_operators(p).lowering for p in scenario.pointers])
-    value = expectation(result.conditioned, product)
-    scale = math.prod(
-        1.0 / (c.gt * p.s) for p, c in zip(scenario.pointers, scenario.couplings)
-    )
-    return complex(value * scale)
+    return spin_route([(result, scenario)])[0]
 
 
 def strong_position_estimate(scenario: Scenario) -> complex:

@@ -199,6 +199,71 @@ class TestSweep:
         assert (excinfo.value.lam, excinfo.value.dim) == (0.2, wm.harness.SWEEP_ESCALATED_DIM)
 
 
+    SWEPT = [
+        ("aav_qubit", None, (0.16, 0.08, 0.04, 0.02)),
+        ("aav_imaginary", None, (0.16, 0.08, 0.04, 0.02)),
+        ("aav_qubit_spinptr", None, (0.16, 0.08, 0.04, 0.02)),
+        ("joint_pair", None, (0.16, 0.08, 0.04, 0.02)),
+        ("joint_pair_spinptr", None, (0.16, 0.08, 0.04, 0.02)),
+        ("triple_ghz_mix", None, (0.16, 0.08, 0.04, 0.02)),
+        ("aav_qubit", 4, (0.2, 0.1, 0.05, 0.025)),  # escalates to d=16
+    ]
+
+    @pytest.mark.parametrize("name,dim,grid", SWEPT)
+    def test_errors_equal_single_runs(self, name, dim, grid):
+        result = wm.sweep_lambda(name, grid, dim=dim)
+        s = wm.resolve_scenario(name)
+        if dim is not None:
+            s = s.with_fock_dim(wm.harness.SWEEP_ESCALATED_DIM)
+        for lam, error in zip(result.lambda_grid, result.errors):
+            report = wm.run_scenario(s.with_lambda(lam))
+            route = "spin" if report.extracted_spin is not None else "lowering"
+            assert error == report.abs_errors[route]
+
+    @pytest.mark.parametrize(
+        "name,products", [("aav_qubit", 2 + 1), ("joint_pair", 4 + 1), ("joint_pair_spinptr", 1)]
+    )
+    @pytest.mark.parametrize(
+        "grid", [(0.16, 0.08, 0.04, 0.02), (0.16, 0.12, 0.08, 0.04, 0.02, 0.01)]
+    )
+    def test_each_product_is_built_once_per_sweep(self, monkeypatch, name, products, grid):
+        calls = []
+        kron = wm.weak_values.kron
+
+        def counted(factors):
+            calls.append(len(factors))
+            return kron(factors)
+
+        monkeypatch.setattr(wm.weak_values, "kron", counted)
+        wm.sweep_lambda(name, grid)
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("shifted_point", range(4))
+    def test_route_identity_enforced_at_every_point(self, monkeypatch, capsys, shifted_point):
+        route = wm.harness.correlator_route
+
+        def shifted(points):
+            values = route(points)
+            table, value = values[shifted_point]
+            values[shifted_point] = (table, value + 1e-9)
+            return values
+
+        monkeypatch.setattr(wm.harness, "correlator_route", shifted)
+        assert cli.main(["sweep", "aav_qubit", "--grid", "0.16,0.08,0.04,0.02"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "route identity" in captured.err
+
+    def test_routes_need_shared_pointers(self):
+        s = wm.resolve_scenario("aav_qubit")
+        wider = s.with_fock_dim(8)
+        points = [(wm.post_select(wm.evolve_exact(x), x), x) for x in (s, wider)]
+        with pytest.raises(ValueError, match="share its pointers"):
+            wm.weak_values.lowering_route(points)
+        with pytest.raises(ValueError, match="at least one"):
+            wm.weak_values.correlator_route([])
+
+
 class TestSampling:
     def test_symmetric_density_mean_near_zero(self):
         s = wm.resolve_scenario("aav_qubit").with_lambda(1e-6)
@@ -358,6 +423,14 @@ class TestCli:
             f"error: pointer index {pointer} is out of range for a scenario with "
             "1 pointer(s)\n"
         )
+
+    def test_sample_shot_cap_errors(self, capsys):
+        shots = wm.harness.MAX_SHOTS + 1
+        args = ["sample", "aav_qubit", "--shots", str(shots), "--seed", "1"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {shots} shots exceed the cap {wm.harness.MAX_SHOTS}\n"
 
     def test_run_non_finite_tolerance_errors(self, capsys):
         assert cli.main(["run", "aav_qubit", "--tolerance", "nan"]) == 2

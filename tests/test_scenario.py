@@ -48,6 +48,20 @@ class TestValidate:
         with pytest.raises(wm.DivergentWeakValueError):
             wm.ensure_valid(s)
 
+    def test_divergence_is_typed_by_the_exception_not_its_wording(self, monkeypatch):
+        def reworded(pre, post):
+            raise wm.DivergentWeakValueError("reworded")
+
+        monkeypatch.setattr(wm.scenario, "weak_value_denominator", reworded)
+        assert wm.validate(qubit_scenario()) == ["reworded"]
+        with pytest.raises(wm.DivergentWeakValueError, match="reworded"):
+            wm.ensure_valid(qubit_scenario())
+
+    def test_weak_regime_warning_names_the_caller(self):
+        with pytest.warns(wm.WeakRegimeWarning) as record:
+            wm.validate(qubit_scenario(gt=0.6))
+        assert record[0].filename == __file__
+
     def test_unnormalized_state(self):
         violations = wm.validate(qubit_scenario(pre=state([1.0, 1.0])))
         assert any("not normalized" in v for v in violations)
