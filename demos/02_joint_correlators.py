@@ -30,7 +30,7 @@ if __name__ == "__main__":
     print(f"analytic joint weak value: {report.analytic:+.6f}")
     print(f"lowering route:            {report.extracted_lowering:+.6f}")
 
-    table, recombined = wm.correlator_decomposition(result, scenario)
+    [(table, recombined)] = wm.correlator_decomposition([(result, scenario)])
     print("\nthe 2^N = 4 measurable quadrature correlators:")
     for signature, value in table.items():
         print(f"   <{signature[0]}_1 {signature[1]}_2> = {value:+.6e}")

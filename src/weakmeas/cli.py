@@ -102,6 +102,7 @@ def _cmd_sample(args) -> int:
     if args.dim is not None:
         scenario = scenario.with_fock_dim(args.dim)
     scen.ensure_valid(scenario)
+    harness.check_sample_request(scenario, args.pointer, args.shots)
     result = post_select(evolve_exact(scenario), scenario)
     samples = harness.sample_positions(
         result, scenario, args.pointer, args.shots, args.seed

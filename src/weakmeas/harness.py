@@ -5,9 +5,11 @@ fits the pointer kind, and compares each against the analytic oracle under
 the quadratic tolerance model.  A sweep reruns a scenario over a grid of
 expansion parameters and fits the log-log slope of the extraction error,
 which should be 2 (the next-order correction is quadratic in the coupling).
-It validates, evolves and post-selects every grid point and checks the
-route identity at each, but builds each dense extraction product once and
-applies it to all points, since those operators do not depend on lambda.
+It validates, evolves and post-selects every grid point on its own.  Runs
+and sweeps share one extraction step over a list of conditioned points: it
+applies every route that fits the pointer kind, builds each dense product
+once for all points (those operators do not depend on lambda), and checks
+the route identity at each point.
 Sampling draws pointer positions from the conditioned marginal density by
 inverse-CDF lookup, reproducing the statistics an ensemble would record.
 """
@@ -37,14 +39,11 @@ from .weak_values import (
     ConditionedPoint,
     analytic_oracle,
     correlator_decomposition,
-    correlator_route,
     extract_joint_fock,
     extract_joint_spin,
     extraction_tolerance,
-    lowering_route,
     pointer_shift_check,
     second_order_error,
-    spin_route,
 )
 
 #: Number of grid points used for position densities and inverse-CDF sampling.
@@ -137,14 +136,28 @@ class SampleSet:
     seed: int
 
 
-def _check_route_identity(lowering: complex, correlators: complex, analytic: complex) -> None:
-    """Raise unless the lowering and correlator routes agree (:data:`ROUTE_IDENTITY_TOL`)."""
-    gap = abs(lowering - correlators)
-    if gap > ROUTE_IDENTITY_TOL * (1.0 + abs(analytic)):
-        raise WeakMeasurementError(
-            f"lowering and correlator routes differ by {gap:.3e}, beyond the "
-            f"route identity {ROUTE_IDENTITY_TOL:.0e} (1 + |A_w|)"
-        )
+def _extract(points: list[ConditionedPoint], analytic: complex) -> list[dict[str, complex]]:
+    """Every extraction route that fits the pointer kind, at every point.
+
+    The points share their pointers.  Fock pointers take the lowering and
+    correlator routes, and a point whose two values differ by more than
+    :data:`ROUTE_IDENTITY_TOL` ``(1 + |A_w|)`` raises
+    :class:`WeakMeasurementError`; spin pointers take the spin route.  Each
+    point's values are keyed by method, the lowering or spin route first.
+    """
+    if not all(isinstance(p, FockPointerSpec) for p in points[0][1].pointers):
+        return [{"spin": value} for value in extract_joint_spin(points)]
+    lowering = extract_joint_fock(points)
+    extracted = []
+    for value, (_, correlators) in zip(lowering, correlator_decomposition(points)):
+        gap = abs(value - correlators)
+        if gap > ROUTE_IDENTITY_TOL * (1.0 + abs(analytic)):
+            raise WeakMeasurementError(
+                f"lowering and correlator routes differ by {gap:.3e}, beyond the "
+                f"route identity {ROUTE_IDENTITY_TOL:.0e} (1 + |A_w|)"
+            )
+        extracted.append({"lowering": value, "correlators": correlators})
+    return extracted
 
 
 def run_scenario(
@@ -161,17 +174,11 @@ def run_scenario(
     analytic = analytic_oracle(scenario)
     result = post_select(evolve_exact(scenario), scenario)
 
-    fock = all(isinstance(p, FockPointerSpec) for p in scenario.pointers)
-    extracted_lowering = extracted_correlators = extracted_spin = None
+    [extracted] = _extract([(result, scenario)], analytic)
+    fock = "lowering" in extracted
     xp_shift = None
-    if fock:
-        extracted_lowering = extract_joint_fock(result, scenario)
-        _, extracted_correlators = correlator_decomposition(result, scenario)
-        _check_route_identity(extracted_lowering, extracted_correlators, analytic)
-        if scenario.n_pointers == 1:
-            xp_shift = pointer_shift_check(result, scenario)
-    else:
-        extracted_spin = extract_joint_spin(result, scenario)
+    if fock and scenario.n_pointers == 1:
+        xp_shift = pointer_shift_check(result, scenario)
 
     lambda_max = scenario.lambda_max
     if tolerance is not None:
@@ -180,23 +187,16 @@ def run_scenario(
         tol = extraction_tolerance(lambda_max, analytic)
         if fock:
             tol = max(tol, SECOND_ORDER_MARGIN * abs(second_order_error(scenario)))
-    errors: dict[str, float] = {}
-    for method, value in (
-        ("lowering", extracted_lowering),
-        ("correlators", extracted_correlators),
-        ("spin", extracted_spin),
-    ):
-        if value is not None:
-            errors[method] = abs(value - analytic)
+    errors = {method: abs(value - analytic) for method, value in extracted.items()}
     return WeakValueReport(
         scenario=label or scenario.name or "scenario",
         analytic=analytic,
         prob_success=result.prob_success,
         lambda_max=lambda_max,
         tolerance=tol,
-        extracted_lowering=extracted_lowering,
-        extracted_correlators=extracted_correlators,
-        extracted_spin=extracted_spin,
+        extracted_lowering=extracted.get("lowering"),
+        extracted_correlators=extracted.get("correlators"),
+        extracted_spin=extracted.get("spin"),
         xp_shift=xp_shift,
         abs_errors=errors,
         passed=all(e <= tol for e in errors.values()),
@@ -250,10 +250,11 @@ def sweep_lambda(
     truncation guard, every Fock pointer is escalated to
     :data:`SWEEP_ESCALATED_DIM` levels before any other point is evolved.
     Every grid point is validated, checked for leakage and post-selected on
-    its own.  The extraction operators depend only on the pointers, so each
-    dense product is built once and applied to every grid point, and the
-    route identity is checked at every point.  The error at each point
-    equals that of :func:`run_scenario` at the same lambda.
+    its own; then the whole grid goes through the extraction step of
+    :func:`run_scenario`, which builds each dense product once and checks
+    the route identity at every point.  The error at each point is that of
+    the lowering route (the spin route for spin pointers) and equals that
+    of :func:`run_scenario` at the same lambda.
     """
     grid = [float(g) for g in grid]
     if len(grid) < 4:
@@ -281,13 +282,9 @@ def sweep_lambda(
     points = [first] + [_conditioned_point(scenario, lam) for lam in grid[1:]]
 
     analytic = analytic_oracle(scenario)
-    if all(isinstance(p, FockPointerSpec) for p in scenario.pointers):
-        extracted = lowering_route(points)
-        for lowering, (_, correlators) in zip(extracted, correlator_route(points)):
-            _check_route_identity(lowering, correlators, analytic)
-    else:
-        extracted = spin_route(points)
-    errors = [abs(value - analytic) for value in extracted]
+    errors = [
+        abs(next(iter(routes.values())) - analytic) for routes in _extract(points, analytic)
+    ]
 
     log_lam = np.log(np.asarray(grid))
     log_err = np.log(np.maximum(np.asarray(errors), 1e-300))
@@ -312,6 +309,33 @@ def sampling_grid(spec: FockPointerSpec) -> np.ndarray:
     return np.linspace(-half, half, SAMPLING_GRID_POINTS)
 
 
+def _sampled_pointer(scenario: Scenario, pointer_index: int) -> FockPointerSpec:
+    """The pointer a density is taken of; raises unless it exists and is a Fock pointer."""
+    if not 0 <= pointer_index < scenario.n_pointers:
+        raise UnsupportedScenarioError(
+            f"pointer index {pointer_index} is out of range for a scenario with "
+            f"{scenario.n_pointers} pointer(s)"
+        )
+    spec = scenario.pointers[pointer_index]
+    if not isinstance(spec, FockPointerSpec):
+        raise UnsupportedScenarioError("position sampling requires a Fock pointer")
+    return spec
+
+
+def check_sample_request(scenario: Scenario, pointer_index: int, n_shots: int) -> None:
+    """Raise unless ``n_shots`` positions of the given pointer can be drawn.
+
+    Needs only the scenario, so a caller can refuse a bad request before it
+    evolves anything.  More than :data:`MAX_SHOTS` shots raise
+    :class:`CapacityError`.
+    """
+    if n_shots > MAX_SHOTS:
+        raise CapacityError(f"{n_shots} shots exceed the cap {MAX_SHOTS}")
+    if n_shots < 1:
+        raise ValueError("n_shots must be positive")
+    _sampled_pointer(scenario, pointer_index)
+
+
 def position_density(
     result: PostSelectionResult,
     scenario: Scenario,
@@ -324,14 +348,7 @@ def position_density(
     oscillator eigenbasis.  Raises :class:`GridError` if more than
     :data:`DENSITY_MASS_TOL` of the probability mass falls off the grid.
     """
-    if not 0 <= pointer_index < scenario.n_pointers:
-        raise UnsupportedScenarioError(
-            f"pointer index {pointer_index} is out of range for a scenario with "
-            f"{scenario.n_pointers} pointer(s)"
-        )
-    spec = scenario.pointers[pointer_index]
-    if not isinstance(spec, FockPointerSpec):
-        raise UnsupportedScenarioError("position sampling requires a Fock pointer")
+    spec = _sampled_pointer(scenario, pointer_index)
     if grid is None:
         grid = sampling_grid(spec)
     dims = result.conditioned.layout.dims
@@ -358,13 +375,10 @@ def sample_positions(
     """Draw position measurements of one pointer by inverse-CDF sampling.
 
     Uses the counter-based Philox generator keyed on ``seed``, so sample
-    sets are bitwise reproducible.  More than :data:`MAX_SHOTS` shots raise
-    :class:`CapacityError` before anything is allocated.
+    sets are bitwise reproducible.  :func:`check_sample_request` refuses a
+    bad request before anything is allocated.
     """
-    if n_shots > MAX_SHOTS:
-        raise CapacityError(f"{n_shots} shots exceed the cap {MAX_SHOTS}")
-    if n_shots < 1:
-        raise ValueError("n_shots must be positive")
+    check_sample_request(scenario, pointer_index, n_shots)
     grid, density = position_density(result, scenario, pointer_index)
     steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(steps)])

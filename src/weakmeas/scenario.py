@@ -52,7 +52,7 @@ def weak_value_denominator(pre: StateVector, post: StateVector) -> complex:
     return overlap
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ObservableSpec:
     """System observable coupled to one pointer.
 
@@ -66,15 +66,6 @@ class ObservableSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "target", tuple(int(t) for t in self.target))
-
-    def __eq__(self, other):
-        if not isinstance(other, ObservableSpec):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
 
 
 @dataclass(frozen=True)
@@ -105,7 +96,7 @@ def coupling_for_lambda(lam: float, pointer: PointerSpec) -> CouplingSpec:
     return CouplingSpec(gt=2.0 * lam / math.sqrt(2.0 * pointer.s))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scenario:
     """Full experiment description; immutable once constructed."""
 
@@ -178,21 +169,6 @@ class Scenario:
             )
             object.__setattr__(self, "_embedded", embedded)
         return embedded
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.system_dims == other.system_dims
-            and self.observables == other.observables
-            and self.pointers == other.pointers
-            and self.couplings == other.couplings
-            and self.pre == other.pre
-            and self.post == other.post
-            and self.name == other.name
-            and self.description == other.description
-            and self.expected == other.expected
-        )
 
 
 def validate(scenario: Scenario) -> list[str]:

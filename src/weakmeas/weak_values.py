@@ -15,11 +15,11 @@ routes recover it from simulated pointer states:
 * the spin route, ``prod_j 1/(gt_j s_j) <prod_j S-_j>`` for spin pointers.
 
 Each route is one function over a sequence of (conditioned result, scenario)
-points that share their pointers (:func:`lowering_route`,
-:func:`correlator_route`, :func:`spin_route`): the pointer-space products
-depend only on each pointer's width and truncation, so each is built once and
-applied to every point.  The single-point forms :func:`extract_joint_fock`,
-:func:`correlator_decomposition` and :func:`extract_joint_spin` call them.
+points that share their pointers (:func:`extract_joint_fock`,
+:func:`correlator_decomposition`, :func:`extract_joint_spin`), returning one
+value per point: the pointer-space products depend only on each pointer's
+width and truncation, so each is built once and applied to every point.  A
+run passes its one point, a coupling sweep all its grid points.
 
 Extraction always uses the exactly evolved, exactly projected state, so the
 residual error measures genuine higher-order coupling effects.  The leading
@@ -54,7 +54,7 @@ from .errors import (
     WeakMeasurementError,
     ZeroCouplingError,
 )
-from .evolution import PostSelectionResult, _rotate, evolve_exact
+from .evolution import DIAGONAL_TOL, PostSelectionResult, _rotate, evolve_exact
 from .pointers import FockPointerSpec, SpinPointerSpec, fock_operators, spin_operators
 from .scenario import Scenario, weak_value_denominator
 from .tensor import Operator, StateVector, expectation, kron
@@ -155,10 +155,18 @@ def symmetrized_joint_weak_value(
 
 
 def _all_commute(observables) -> bool:
+    """Whether the observables commute pairwise to rounding.
+
+    A pair counts as commuting when ``max|A_i A_j - A_j A_i|`` is at most
+    :data:`~weakmeas.evolution.DIAGONAL_TOL` ``max|A_i| max|A_j|``, the
+    threshold the propagator uses to treat rotated observables as diagonal.
+    """
     mats = [op.matrix for op in observables]
+    scales = [np.abs(m).max() for m in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if np.any(mats[i] @ mats[j] != mats[j] @ mats[i]):
+            commutator = mats[i] @ mats[j] - mats[j] @ mats[i]
+            if np.abs(commutator).max() > DIAGONAL_TOL * scales[i] * scales[j]:
                 return False
     return True
 
@@ -213,12 +221,14 @@ def _fock_pointers(points: Sequence[ConditionedPoint]) -> tuple:
     return _shared_pointers(points)
 
 
-def lowering_route(points: Sequence[ConditionedPoint]) -> list[complex]:
-    """Lowering-route values of several conditioned states that share their pointers.
+def extract_joint_fock(points: Sequence[ConditionedPoint]) -> list[complex]:
+    """Joint weak values from the product of pointer lowering operators.
 
-    The product ``prod_j a_j`` depends only on each pointer's sigma and
-    truncation, so it is built once and applied to every state; a coupling
-    sweep passes all its grid points here.
+    Evaluates ``<prod_j a_j>`` on each conditioned pointer state (the lowering
+    operators isolate the component displaced by the interaction) and
+    rescales by ``prod_j (2 sigma_j / gt_j)``.  The product depends only on
+    each pointer's sigma and truncation, so it is built once and applied to
+    every point.
     """
     values = _expectations(
         points, kron([fock_operators(p).lowering for p in _fock_pointers(points)])
@@ -226,24 +236,20 @@ def lowering_route(points: Sequence[ConditionedPoint]) -> list[complex]:
     return [complex(value * _fock_scale(s)) for value, (_, s) in zip(values, points)]
 
 
-def extract_joint_fock(result: PostSelectionResult, scenario: Scenario) -> complex:
-    """Joint weak value from the product of pointer lowering operators.
-
-    Evaluates ``<prod_j a_j>`` on the conditioned pointer state (the lowering
-    operators isolate the component displaced by the interaction) and
-    rescales by ``prod_j (2 sigma_j / gt_j)``.
-    """
-    return lowering_route([(result, scenario)])[0]
-
-
-def correlator_route(
+def correlator_decomposition(
     points: Sequence[ConditionedPoint],
 ) -> list[tuple[CorrelatorTable, complex]]:
-    """Correlator tables and recombined values of several conditioned states.
+    """All 2^N quadrature correlators of each conditioned state, plus their recombination.
 
-    The states must share their pointers.  Each of the 2^N quadrature
-    products is built once, applied to every state, and freed before the
-    next one is built, so one dense product is alive at a time.
+    Each table entry keys a signature string (one letter per pointer, ``X``
+    or ``P``) to the real expectation value of the corresponding Hermitian
+    product, the quantities measurable on identically prepared ensembles.
+    Recombining them with weights ``1/(2 sigma_j)`` for X and ``i sigma_j``
+    for P, times the ``2 sigma_j / gt_j`` scale, reproduces the lowering
+    route exactly; the recombined value is returned alongside the table.
+    Each of the 2^N products is built once, applied to every state, and
+    freed before the next one is built, so one dense product is alive at a
+    time.
     """
     pointers = _fock_pointers(points)
     pointer_ops = [fock_operators(p) for p in pointers]
@@ -269,21 +275,6 @@ def correlator_route(
     ]
 
 
-def correlator_decomposition(
-    result: PostSelectionResult, scenario: Scenario
-) -> tuple[CorrelatorTable, complex]:
-    """All 2^N quadrature correlators of the conditioned state, plus their recombination.
-
-    Each table entry keys a signature string (one letter per pointer, ``X``
-    or ``P``) to the real expectation value of the corresponding Hermitian
-    product, the quantities measurable on identically prepared ensembles.
-    Recombining them with weights ``1/(2 sigma_j)`` for X and ``i sigma_j``
-    for P, times the ``2 sigma_j / gt_j`` scale, reproduces the lowering
-    route exactly; the recombined value is returned alongside the table.
-    """
-    return correlator_route([(result, scenario)])[0]
-
-
 def pointer_shift_check(
     result: PostSelectionResult, scenario: Scenario
 ) -> tuple[float, float]:
@@ -302,8 +293,8 @@ def pointer_shift_check(
     return float(x_mean), float(p_mean)
 
 
-def spin_route(points: Sequence[ConditionedPoint]) -> list[complex]:
-    """Spin-route values of several conditioned states that share their pointers.
+def extract_joint_spin(points: Sequence[ConditionedPoint]) -> list[complex]:
+    """Joint weak values from spin pointers: ``prod_j 1/(gt_j s_j) <prod_j S-_j>``.
 
     The product ``prod_j S-_j`` is built once and applied to every state.
     """
@@ -318,11 +309,6 @@ def spin_route(points: Sequence[ConditionedPoint]) -> list[complex]:
         points, kron([spin_operators(p).lowering for p in _shared_pointers(points)])
     )
     return [complex(value * _spin_scale(s)) for value, (_, s) in zip(values, points)]
-
-
-def extract_joint_spin(result: PostSelectionResult, scenario: Scenario) -> complex:
-    """Joint weak value from spin pointers: ``prod_j 1/(gt_j s_j) <prod_j S-_j>``."""
-    return spin_route([(result, scenario)])[0]
 
 
 def strong_position_estimate(scenario: Scenario) -> complex:

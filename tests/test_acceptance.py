@@ -147,8 +147,8 @@ def test_c09_route_identity():
         if not all(isinstance(p, wm.FockPointerSpec) for p in scenario.pointers):
             continue
         result = wm.post_select(wm.evolve_exact(scenario), scenario)
-        _, recombined = wm.correlator_decomposition(result, scenario)
-        direct = wm.extract_joint_fock(result, scenario)
+        [(_, recombined)] = wm.correlator_decomposition([(result, scenario)])
+        [direct] = wm.extract_joint_fock([(result, scenario)])
         gap = abs(recombined - direct)
         assert gap <= 1e-12, name
         worst = max(worst, gap)

@@ -123,9 +123,8 @@ class TestRunExperiment:
     def test_route_identity_enforced(self, monkeypatch, capsys):
         recombine = wm.harness.correlator_decomposition
 
-        def shifted(result, scenario):
-            table, value = recombine(result, scenario)
-            return table, value + 1e-9
+        def shifted(points):
+            return [(table, value + 1e-9) for table, value in recombine(points)]
 
         monkeypatch.setattr(wm.harness, "correlator_decomposition", shifted)
         with pytest.raises(wm.WeakMeasurementError, match="route identity"):
@@ -240,7 +239,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("shifted_point", range(4))
     def test_route_identity_enforced_at_every_point(self, monkeypatch, capsys, shifted_point):
-        route = wm.harness.correlator_route
+        route = wm.harness.correlator_decomposition
 
         def shifted(points):
             values = route(points)
@@ -248,7 +247,7 @@ class TestSweep:
             values[shifted_point] = (table, value + 1e-9)
             return values
 
-        monkeypatch.setattr(wm.harness, "correlator_route", shifted)
+        monkeypatch.setattr(wm.harness, "correlator_decomposition", shifted)
         assert cli.main(["sweep", "aav_qubit", "--grid", "0.16,0.08,0.04,0.02"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -259,9 +258,9 @@ class TestSweep:
         wider = s.with_fock_dim(8)
         points = [(wm.post_select(wm.evolve_exact(x), x), x) for x in (s, wider)]
         with pytest.raises(ValueError, match="share its pointers"):
-            wm.weak_values.lowering_route(points)
+            wm.weak_values.extract_joint_fock(points)
         with pytest.raises(ValueError, match="at least one"):
-            wm.weak_values.correlator_route([])
+            wm.weak_values.correlator_decomposition([])
 
 
 class TestSampling:
@@ -431,6 +430,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {shots} shots exceed the cap {wm.harness.MAX_SHOTS}\n"
+
+    @pytest.mark.parametrize(
+        "sample_args, err",
+        [
+            ("aav_qubit --shots 0", "n_shots must be positive"),
+            ("aav_qubit --shots 16777217", "16777217 shots exceed the cap 16777216"),
+            ("aav_qubit --shots 10 --pointer 5",
+             "pointer index 5 is out of range for a scenario with 1 pointer(s)"),
+            ("aav_qubit --shots 10 --pointer -1",
+             "pointer index -1 is out of range for a scenario with 1 pointer(s)"),
+            ("aav_qubit_spinptr --shots 10 --pointer 0",
+             "position sampling requires a Fock pointer"),
+        ],
+    )
+    def test_sample_refuses_before_evolving(self, monkeypatch, capsys, sample_args, err):
+        evolutions = []
+        evolve = cli.evolve_exact
+
+        def counted(scenario):
+            evolutions.append(scenario)
+            return evolve(scenario)
+
+        monkeypatch.setattr(cli, "evolve_exact", counted)
+        args = ["sample", *sample_args.split(), "--seed", "1"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+        assert evolutions == []
 
     def test_run_non_finite_tolerance_errors(self, capsys):
         assert cli.main(["run", "aav_qubit", "--tolerance", "nan"]) == 2

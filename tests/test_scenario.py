@@ -1,6 +1,7 @@
 """Scenario validation, file ingestion, and catalog round-trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,8 @@ class TestSerialization:
         s = qubit_scenario()
         text = wm.dump_scenario(s)
         assert wm.load_scenario(text) == s
+        for changed in (replace(s, description="other"), replace(s, expected={"weak_value": 1.0})):
+            assert wm.load_scenario(text) != changed
 
     def test_all_catalog_files_round_trip(self):
         for name in wm.catalog_names():

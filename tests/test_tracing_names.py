@@ -1,4 +1,5 @@
-"""The traced benchmark run wraps functions by name; every name must resolve."""
+"""The traced benchmark run wraps functions by name; every name must resolve,
+and each extraction route must be traced in runs and in sweeps alike."""
 
 import importlib
 import importlib.util
@@ -25,3 +26,37 @@ def test_every_traced_name_is_a_distinct_function_of_its_module():
         assert fn.__module__ == module.__name__, f"{name} is defined in {fn.__module__}"
         functions.append(fn)
     assert len(set(functions)) == len(functions), "two traced names share one function"
+
+
+ROUTES = (
+    "weak_values.extract_joint_fock",
+    "weak_values.correlator_decomposition",
+    "weak_values.extract_joint_spin",
+)
+
+
+def traced_names(tracing, argv):
+    """Names of the traced functions that one CLI command calls."""
+    from weakmeas import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return {span[0] for span in tracer.spans}
+
+
+def test_every_route_is_traced_by_a_run_and_by_a_sweep(capsys):
+    tracing = load_tracing()
+    grid = "0.16,0.08,0.04,0.02"
+    runs = traced_names(tracing, ["run", "aav_qubit"]) | traced_names(
+        tracing, ["run", "aav_qubit_spinptr"]
+    )
+    sweeps = traced_names(tracing, ["sweep", "joint_pair", "--grid", grid]) | traced_names(
+        tracing, ["sweep", "aav_qubit_spinptr", "--grid", grid]
+    )
+    for route in ROUTES:
+        assert route in runs, f"no run calls {route}"
+        assert route in sweeps, f"no sweep calls {route}"

@@ -59,6 +59,16 @@ def overlapping_states(rng, dim, floor=0.3):
             return pre, post
 
 
+def matrix_and_square(rng):
+    """A random qutrit observable A and A^2: they commute, but their products
+    in the two orders differ by rounding."""
+    a = random_hermitian(rng, 3)
+    a = a / np.linalg.norm(a, 2)
+    a2 = a @ a
+    assert np.any(a @ a2 != a2 @ a)
+    return a, a2
+
+
 def conditioned(name_or_scenario):
     s = (
         wm.resolve_scenario(name_or_scenario)
@@ -146,6 +156,16 @@ class TestSymmetrizedJointWeakValue:
         with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
             wm.symmetrized_joint_weak_value(ops, pre, post)
 
+    def test_reduction_is_checked_for_commuting_to_rounding(self, monkeypatch, rng):
+        a, a2 = matrix_and_square(rng)
+        pre, post = overlapping_states(rng, 3)
+        exact = wm.weak_values.analytic_weak_value
+        monkeypatch.setattr(
+            wm.weak_values, "analytic_weak_value", lambda *a, **k: exact(*a, **k) + 1e-6
+        )
+        with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
+            wm.symmetrized_joint_weak_value([op(a), op(a2)], state(pre), state(post))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_recursion_matches_permutation_reference(self, rng, n):
         pool = [random_hermitian(rng, 3) for _ in range(n)]
@@ -186,7 +206,8 @@ class TestSecondOrderError:
     )
     def test_predicts_the_lowering_route_error(self, ref):
         result, s = conditioned(wm.resolve_scenario(ref))
-        error = wm.extract_joint_fock(result, s) - wm.analytic_oracle(s)
+        [extracted] = wm.extract_joint_fock([(result, s)])
+        error = extracted - wm.analytic_oracle(s)
         c2 = wm.second_order_error(s)
         # c2 = 0 (exact scenarios) leaves only double-precision noise
         assert abs(error - c2) <= 1e-2 * abs(c2) + 1e-12
@@ -207,19 +228,20 @@ class TestSecondOrderError:
 class TestFockExtraction:
     def test_aav_qubit_route(self):
         result, s = conditioned("aav_qubit")
-        extracted = wm.extract_joint_fock(result, s)
+        [extracted] = wm.extract_joint_fock([(result, s)])
         analytic = 1.0 - np.sqrt(2.0)
         lam = s.lambda_max
         assert abs(extracted - analytic) / abs(analytic) <= 3 * lam**2
 
     def test_entangled_pair_route(self):
         result, s = conditioned("joint_pair_entangled")
-        extracted = wm.extract_joint_fock(result, s)
+        [extracted] = wm.extract_joint_fock([(result, s)])
         assert abs(extracted - (-1.0)) <= 5e-4
 
     def test_anticommuting_pair_residual(self):
         result, s = conditioned("pair_anticommuting")
-        assert abs(wm.extract_joint_fock(result, s)) <= 1e-2
+        [extracted] = wm.extract_joint_fock([(result, s)])
+        assert abs(extracted) <= 1e-2
 
     def test_zero_coupling_rejected(self):
         s = wm.resolve_scenario("aav_qubit")
@@ -233,18 +255,18 @@ class TestFockExtraction:
         )
         result, _ = conditioned(frozen)
         with pytest.raises(wm.ZeroCouplingError):
-            wm.extract_joint_fock(result, frozen)
+            wm.extract_joint_fock([(result, frozen)])
 
     def test_spin_scenario_rejected(self):
         result, s = conditioned("aav_qubit_spinptr")
         with pytest.raises(wm.UnsupportedScenarioError):
-            wm.extract_joint_fock(result, s)
+            wm.extract_joint_fock([(result, s)])
 
 
 class TestCorrelatorDecomposition:
     def test_single_pointer_table_and_recombination(self):
         result, s = conditioned("aav_qubit")
-        table, recombined = wm.correlator_decomposition(result, s)
+        [(table, recombined)] = wm.correlator_decomposition([(result, s)])
         assert set(table) == {"X", "P"}
         sigma, gt = s.pointers[0].sigma, s.couplings[0].gt
         manual = (2 * sigma / gt) * (
@@ -256,7 +278,7 @@ class TestCorrelatorDecomposition:
         # Re = (1/gt)^2 (<X1X2> - 4 sigma^4 <P1P2>),
         # Im = 2 sigma^2 (1/gt)^2 (<X1P2> + <P1X2>)
         result, s = conditioned("joint_pair")
-        table, recombined = wm.correlator_decomposition(result, s)
+        [(table, recombined)] = wm.correlator_decomposition([(result, s)])
         assert set(table) == {"XX", "XP", "PX", "PP"}
         sigma = s.pointers[0].sigma
         gt = s.couplings[0].gt
@@ -267,7 +289,7 @@ class TestCorrelatorDecomposition:
 
     def test_entries_are_real_hermitian_correlators(self):
         result, s = conditioned("triple_ghz_mix")
-        table, _ = wm.correlator_decomposition(result, s)
+        [(table, _)] = wm.correlator_decomposition([(result, s)])
         assert len(table) == 8
         assert all(isinstance(v, float) for v in table.values())
 
@@ -279,8 +301,8 @@ class TestCorrelatorDecomposition:
     def test_route_identity(self, name):
         # pure operator algebra on the same state: the routes must agree
         result, s = conditioned(name)
-        _, recombined = wm.correlator_decomposition(result, s)
-        direct = wm.extract_joint_fock(result, s)
+        [(_, recombined)] = wm.correlator_decomposition([(result, s)])
+        [direct] = wm.extract_joint_fock([(result, s)])
         assert abs(recombined - direct) <= 1e-12
 
 
@@ -312,21 +334,21 @@ class TestPointerShifts:
 class TestSpinExtraction:
     def test_aav_spin_route(self):
         result, s = conditioned("aav_qubit_spinptr")
-        extracted = wm.extract_joint_spin(result, s)
+        [extracted] = wm.extract_joint_spin([(result, s)])
         analytic = 1.0 - np.sqrt(2.0)
         gt = s.couplings[0].gt
         assert abs(extracted - analytic) / abs(analytic) <= 3 * gt**2
 
     def test_entangled_spin_pair(self):
         result, s = conditioned("joint_pair_spinptr")
-        extracted = wm.extract_joint_spin(result, s)
+        [extracted] = wm.extract_joint_spin([(result, s)])
         gt = s.couplings[0].gt
         assert abs(extracted - (-1.0)) <= 3 * gt**2
 
     def test_fock_scenario_rejected(self):
         result, s = conditioned("aav_qubit")
         with pytest.raises(wm.UnsupportedScenarioError):
-            wm.extract_joint_spin(result, s)
+            wm.extract_joint_spin([(result, s)])
 
 
 def dense_strong_position_estimate(scenario):
@@ -374,6 +396,24 @@ class TestStrongEstimate:
         assert value == pytest.approx(oracle, abs=1e-8)
         assert value.real == pytest.approx(-1.0, abs=1e-8)
 
+    def test_commuting_to_rounding_against_expectation(self, rng):
+        # A and A^2 commute, so the estimate is <I|A A^2|I>
+        a, a2 = matrix_and_square(rng)
+        pre, post = overlapping_states(rng, 3)
+        s = Scenario(
+            system_dims=(3,),
+            observables=(
+                ObservableSpec(name="a", matrix=op(a), target=(0,)),
+                ObservableSpec(name="a2", matrix=op(a2), target=(0,)),
+            ),
+            pointers=(FockPointerSpec(sigma=1.0, dim=8),) * 2,
+            couplings=(CouplingSpec(gt=0.02),) * 2,
+            pre=state(pre),
+            post=state(post),
+        )
+        expected = np.vdot(pre, a @ a2 @ pre)
+        assert abs(wm.strong_position_estimate(s) - expected) <= 1e-12 * (1 + abs(expected))
+
     def test_noncommuting_rejected(self):
         s = wm.resolve_scenario("pair_anticommuting")
         with pytest.raises(wm.UnsupportedScenarioError):
@@ -403,7 +443,7 @@ class TestMultiFactorObservable:
         analytic = wm.analytic_oracle(s)
         assert analytic == pytest.approx(-1.0 / 3.0, abs=1e-12)
         result, _ = conditioned(s)
-        extracted = wm.extract_joint_fock(result, s)
+        [extracted] = wm.extract_joint_fock([(result, s)])
         lam = s.lambda_max
         assert abs(extracted - analytic) <= 3 * lam**2 * (1 + abs(analytic))
 
@@ -422,7 +462,7 @@ class TestWeakLimitProperties:
             post=state(pre),
         )
         result, _ = conditioned(s)
-        extracted = wm.extract_joint_fock(result, s)
+        [extracted] = wm.extract_joint_fock([(result, s)])
         expectation_value = np.cos(theta) ** 2 - np.sin(theta) ** 2
         assert extracted.real == pytest.approx(expectation_value, abs=1e-5)
         assert abs(extracted.imag) <= 1e-10
