@@ -25,13 +25,9 @@ from .errors import (
 )
 from .evolution import (
     LEAKAGE_GUARD,
-    CompositeState,
     PostSelectionResult,
     build_hamiltonian,
     evolve_exact,
-    evolve_taylor,
-    initial_composite,
-    pointer_level_populations,
     post_select,
     top_level_leakage,
 )
@@ -74,7 +70,6 @@ from .tensor import (
     FactorLayout,
     Operator,
     StateVector,
-    embed,
     embed_factors,
     expectation,
     hermitian_propagator,

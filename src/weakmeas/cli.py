@@ -102,7 +102,7 @@ def _cmd_sample(args) -> int:
     if args.dim is not None:
         scenario = scenario.with_fock_dim(args.dim)
     scen.ensure_valid(scenario)
-    harness.check_sample_request(scenario, args.pointer, args.shots)
+    harness.check_sample_request(scenario, args.pointer, args.shots, args.seed)
     result = post_select(evolve_exact(scenario), scenario)
     samples = harness.sample_positions(
         result, scenario, args.pointer, args.shots, args.seed
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (WeakMeasurementError, FileNotFoundError, ValueError) as exc:
+    except (WeakMeasurementError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

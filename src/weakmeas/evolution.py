@@ -15,9 +15,11 @@ The state is rotated into that frame, each block is exponentiated (an
 elementwise phase when the rotated observables are all diagonal, a batched
 ``eigh`` otherwise), and the result is rotated back.  No full-space matrix
 is formed; :func:`build_hamiltonian` assembles the dense H only as a
-reference.  Truncation is monitored by a leakage guard: after evolution
-the population of the top two levels of every Fock pointer must stay below
-:data:`LEAKAGE_GUARD`.
+reference.  The evolved state is a plain :class:`StateVector` on the
+scenario's full layout; :func:`post_select` and :func:`top_level_leakage`
+take its system/pointer split from the scenario.  Truncation is monitored
+by a leakage guard: after evolution the population of the top two levels
+of every Fock pointer must stay below :data:`LEAKAGE_GUARD`.
 """
 
 from __future__ import annotations
@@ -27,15 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PostSelectionFailureError, TruncationLeakageError
+from .errors import LayoutError, PostSelectionFailureError, TruncationLeakageError
 from .pointers import FockPointerSpec, initial_state, pointer_operators
 from .scenario import Scenario
-from .tensor import (
-    FactorLayout,
-    Operator,
-    StateVector,
-    kron_state,
-)
+from .tensor import Operator, StateVector, kron_state
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
 LEAKAGE_GUARD = 1e-8
@@ -59,22 +56,6 @@ FRAME_WEIGHT_RATIO = 1.0 / math.pi
 #: in norm (S the system dimension), which is below 3e-13 on every shipped
 #: catalog scenario.
 DIAGONAL_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class CompositeState:
-    """Joint system-pointer state on the layout [system factors, pointers]."""
-
-    state: StateVector
-    n_system_factors: int
-
-    @property
-    def system_dim(self) -> int:
-        return math.prod(self.state.layout.dims[: self.n_system_factors])
-
-    @property
-    def pointer_dims(self) -> tuple[int, ...]:
-        return self.state.layout.dims[self.n_system_factors :]
 
 
 @dataclass(frozen=True)
@@ -135,15 +116,14 @@ def _apply(blocks: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     return np.moveaxis((blocks @ vectors)[..., 0], -1, 0)
 
 
-def _amplitude_tensor(composite: CompositeState) -> np.ndarray:
-    return composite.state.amps.reshape((composite.system_dim,) + composite.pointer_dims)
-
-
-def _with_amplitudes(composite: CompositeState, tensor: np.ndarray) -> CompositeState:
-    return CompositeState(
-        state=StateVector(composite.state.layout, tensor.reshape(-1)),
-        n_system_factors=composite.n_system_factors,
-    )
+def _system_pointer_tensor(state: StateVector, scenario: Scenario) -> np.ndarray:
+    """A full-layout state's amplitudes as an ``(S, d_1, ..., d_N)`` tensor."""
+    if state.layout != scenario.full_layout:
+        raise LayoutError(
+            f"state layout {state.layout.dims} is not the scenario's full layout "
+            f"{scenario.full_layout.dims}"
+        )
+    return state.amps.reshape((scenario.system_layout.dim,) + scenario.pointer_layout.dims)
 
 
 def coupling_operator(pointer) -> Operator:
@@ -182,37 +162,22 @@ def _pointer_block(scenario: Scenario, j: int) -> np.ndarray:
     return block
 
 
-def initial_composite(scenario: Scenario) -> CompositeState:
-    """Pre-selected system state joined with every pointer's starting state."""
-    state = kron_state(
-        [scenario.pre] + [initial_state(p) for p in scenario.pointers]
-    )
-    return CompositeState(state=state, n_system_factors=len(scenario.system_dims))
-
-
-def pointer_level_populations(composite: CompositeState, pointer_index: int) -> np.ndarray:
-    """Marginal level populations of one pointer in the composite state."""
-    dims = composite.state.layout.dims
-    axis = composite.n_system_factors + pointer_index
-    tensor = composite.state.amps.reshape(dims)
-    moved = np.moveaxis(tensor, axis, 0).reshape(dims[axis], -1)
-    return np.sum(np.abs(moved) ** 2, axis=1)
-
-
-def top_level_leakage(composite: CompositeState, scenario: Scenario) -> list[float]:
+def top_level_leakage(state: StateVector, scenario: Scenario) -> list[float]:
     """Population in the top two levels of each Fock pointer (0.0 for spin)."""
+    tensor = _system_pointer_tensor(state, scenario)
     out = []
-    for j, pointer in enumerate(scenario.pointers):
+    for axis, pointer in enumerate(scenario.pointers, start=1):
         if isinstance(pointer, FockPointerSpec):
-            pops = pointer_level_populations(composite, j)
+            moved = np.moveaxis(tensor, axis, 0).reshape(pointer.dim, -1)
+            pops = np.sum(np.abs(moved) ** 2, axis=1)
             out.append(float(pops[-2:].sum()))
         else:
             out.append(0.0)
     return out
 
 
-def _check_leakage(composite: CompositeState, scenario: Scenario) -> None:
-    for j, leak in enumerate(top_level_leakage(composite, scenario)):
+def _check_leakage(state: StateVector, scenario: Scenario) -> None:
+    for j, leak in enumerate(top_level_leakage(state, scenario)):
         if leak > LEAKAGE_GUARD:
             raise TruncationLeakageError(j, leak, scenario.pointers[j].dim, LEAKAGE_GUARD)
 
@@ -247,8 +212,11 @@ def _coupling_frame(scenario: Scenario) -> _CouplingFrame:
     )
 
 
-def evolve_exact(scenario: Scenario) -> CompositeState:
+def evolve_exact(scenario: Scenario) -> StateVector:
     """Propagate the pre-selected joint state by ``exp(-i H)``, exactly.
+
+    The initial state is the pre-selection joined with every pointer's
+    starting state, and the result lies on ``scenario.full_layout``.
 
     The state is moved into the coupling eigenbasis frame, where H splits
     into one system-sized block per pointer eigenvector tuple, and each
@@ -265,10 +233,10 @@ def evolve_exact(scenario: Scenario) -> CompositeState:
         If any Fock pointer ends with more than :data:`LEAKAGE_GUARD`
         population in its top two levels.
     """
-    composite = initial_composite(scenario)
+    initial = kron_state([scenario.pre] + [initial_state(p) for p in scenario.pointers])
     frame = _coupling_frame(scenario)
     pointer_axes = range(1, len(frame.bases))
-    tensor = frame.rotate(_amplitude_tensor(composite), [0])
+    tensor = frame.rotate(_system_pointer_tensor(initial, scenario), [0])
     if frame.diagonal:
         # The phase exp(-i sum_j gt_j c_{j,k_j} b_{j,s}) is a product over
         # pointers.  Applying each factor inside its own pointer's frame, one
@@ -290,47 +258,23 @@ def evolve_exact(scenario: Scenario) -> CompositeState:
         coeffs = _apply(vectors.conj().swapaxes(-1, -2), tensor)
         tensor = _apply(vectors, np.moveaxis(np.exp(-1j * values), -1, 0) * coeffs)
         tensor = frame.rotate(tensor, pointer_axes, back=True)
-    evolved = _with_amplitudes(composite, frame.rotate(tensor, [0], back=True))
+    evolved = StateVector(scenario.full_layout, frame.rotate(tensor, [0], back=True).reshape(-1))
     _check_leakage(evolved, scenario)
     return evolved
 
 
-def evolve_taylor(scenario: Scenario, order: int) -> CompositeState:
-    """Series-truncated state ``sum_{k<=order} (-i H)^k / k! |initial>``.
-
-    H is applied block by block in the same eigenbasis frame as
-    :func:`evolve_exact`.  Deliberately unnormalized: this is a structural
-    diagnostic for the order-by-order composition of the evolved state,
-    never an extraction path.
-    """
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
-    composite = initial_composite(scenario)
-    frame = _coupling_frame(scenario)
-    axes = range(len(frame.bases))
-    blocks = frame.blocks()
-    term = frame.rotate(_amplitude_tensor(composite), axes)
-    total = term.copy()
-    for k in range(1, order + 1):
-        term = (-1j / k) * _apply(blocks, term)
-        total += term
-    return _with_amplitudes(composite, frame.rotate(total, reversed(axes), back=True))
-
-
-def post_select(composite: CompositeState, scenario: Scenario) -> PostSelectionResult:
-    """Project the system factors onto the post-selection state.
+def post_select(state: StateVector, scenario: Scenario) -> PostSelectionResult:
+    """Project the system factors of a full-layout state onto the post-selection state.
 
     Returns the unit-normalized conditioned pointer state together with the
     success probability (squared norm of the raw projection).
     """
-    sys_dim = composite.system_dim
-    ptr_dims = composite.pointer_dims
-    matrix = composite.state.amps.reshape(sys_dim, -1)
+    matrix = _system_pointer_tensor(state, scenario).reshape(scenario.system_layout.dim, -1)
     projected = scenario.post.amps.conj() @ matrix
     prob = float(np.vdot(projected, projected).real)
     if prob < PROB_FLOOR:
         raise PostSelectionFailureError(
             f"post-selection probability {prob:.3e} below the floor {PROB_FLOOR:.0e}"
         )
-    conditioned = StateVector(FactorLayout(ptr_dims), projected / math.sqrt(prob))
+    conditioned = StateVector(scenario.pointer_layout, projected / math.sqrt(prob))
     return PostSelectionResult(conditioned=conditioned, prob_success=prob)

@@ -322,8 +322,10 @@ def _sampled_pointer(scenario: Scenario, pointer_index: int) -> FockPointerSpec:
     return spec
 
 
-def check_sample_request(scenario: Scenario, pointer_index: int, n_shots: int) -> None:
-    """Raise unless ``n_shots`` positions of the given pointer can be drawn.
+def check_sample_request(
+    scenario: Scenario, pointer_index: int, n_shots: int, seed: int
+) -> None:
+    """Raise unless ``n_shots`` positions of the given pointer can be drawn with ``seed``.
 
     Needs only the scenario, so a caller can refuse a bad request before it
     evolves anything.  More than :data:`MAX_SHOTS` shots raise
@@ -333,24 +335,23 @@ def check_sample_request(scenario: Scenario, pointer_index: int, n_shots: int) -
         raise CapacityError(f"{n_shots} shots exceed the cap {MAX_SHOTS}")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _sampled_pointer(scenario, pointer_index)
 
 
 def position_density(
-    result: PostSelectionResult,
-    scenario: Scenario,
-    pointer_index: int,
-    grid: np.ndarray | None = None,
+    result: PostSelectionResult, scenario: Scenario, pointer_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal position density of one conditioned pointer on a grid.
+    """Marginal position density of one conditioned pointer on its sampling grid.
 
     Synthesizes the reduced density matrix of the chosen pointer in the
-    oscillator eigenbasis.  Raises :class:`GridError` if more than
-    :data:`DENSITY_MASS_TOL` of the probability mass falls off the grid.
+    oscillator eigenbasis on :func:`sampling_grid`.  Raises
+    :class:`GridError` if more than :data:`DENSITY_MASS_TOL` of the
+    probability mass falls off the grid.
     """
     spec = _sampled_pointer(scenario, pointer_index)
-    if grid is None:
-        grid = sampling_grid(spec)
+    grid = sampling_grid(spec)
     dims = result.conditioned.layout.dims
     tensor = result.conditioned.amps.reshape(dims)
     moved = np.moveaxis(tensor, pointer_index, 0).reshape(dims[pointer_index], -1)
@@ -378,7 +379,7 @@ def sample_positions(
     sets are bitwise reproducible.  :func:`check_sample_request` refuses a
     bad request before anything is allocated.
     """
-    check_sample_request(scenario, pointer_index, n_shots)
+    check_sample_request(scenario, pointer_index, n_shots, seed)
     grid, density = position_density(result, scenario, pointer_index)
     steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
@@ -491,7 +492,7 @@ def sweep_json(result: SweepResult) -> dict:
     }
 
 
-def emit_report(results, fmt: str = "csv", destination=None) -> str:
+def emit_report(results, fmt: str = "csv") -> str:
     """Render run reports and sweep results as CSV or JSON.
 
     Parameters
@@ -501,8 +502,6 @@ def emit_report(results, fmt: str = "csv", destination=None) -> str:
     fmt : {"csv", "json"}
         Output format.  CSV prints 12 significant digits; JSON keeps full
         precision so parsed values equal the originals.
-    destination : path or file-like, optional
-        Where to write; the rendered text is also returned.
     """
     if isinstance(results, (WeakValueReport, SweepResult)):
         results = [results]
@@ -527,10 +526,4 @@ def emit_report(results, fmt: str = "csv", destination=None) -> str:
         text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-    if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            Path(destination).write_text(text, encoding="utf-8")
     return text

@@ -50,11 +50,6 @@ class FockPointerSpec:
         object.__setattr__(self, "dim", dim)
 
     @property
-    def mass_frequency(self) -> float:
-        """Implied oscillator m*omega, fixed by sigma = sqrt(1 / (2 m omega))."""
-        return 1.0 / (2.0 * self.sigma**2)
-
-    @property
     def layout(self) -> FactorLayout:
         return FactorLayout((self.dim,))
 

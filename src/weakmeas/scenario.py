@@ -416,7 +416,7 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def dump_scenario(scenario: Scenario, indent: int | None = 2) -> str:
+def dump_scenario(scenario: Scenario) -> str:
     """Serialize a scenario to its JSON document form (round-trip stable)."""
     doc: dict = {}
     if scenario.name is not None:
@@ -443,7 +443,7 @@ def dump_scenario(scenario: Scenario, indent: int | None = 2) -> str:
     doc["post"] = [_pair(z) for z in scenario.post.amps]
     if scenario.expected is not None:
         doc["expected"] = scenario.expected
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +452,16 @@ def dump_scenario(scenario: Scenario, indent: int | None = 2) -> str:
 
 
 def catalog_dir() -> Path:
-    """Directory holding the scenario catalog (env override, else packaged)."""
+    """Directory holding the scenario catalog (env override, else packaged).
+
+    Raises :class:`FileNotFoundError` when the override names no directory.
+    """
     override = os.environ.get(ENV_CATALOG)
     if override:
-        return Path(override)
+        path = Path(override)
+        if not path.is_dir():
+            raise FileNotFoundError(f"{ENV_CATALOG}={override}: no such catalog directory")
+        return path
     return Path(resources.files(__package__) / "catalog")
 
 

@@ -279,11 +279,6 @@ def embed_factors(op: Operator, slots: Iterable[int], layout: FactorLayout) -> O
     return Operator(layout, np.ascontiguousarray(tensor.reshape(layout.dim, layout.dim)))
 
 
-def embed(op: Operator, slot: int, layout: FactorLayout) -> Operator:
-    """Embed a single-factor operator at ``slot``, identity elsewhere."""
-    return embed_factors(op, (slot,), layout)
-
-
 def hermitian_propagator(hamiltonian: Operator, tau: float) -> Operator:
     """Unitary ``exp(-i tau H)`` of a Hermitian operator, by spectral decomposition.
 

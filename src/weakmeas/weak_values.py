@@ -54,7 +54,13 @@ from .errors import (
     WeakMeasurementError,
     ZeroCouplingError,
 )
-from .evolution import DIAGONAL_TOL, PostSelectionResult, _rotate, evolve_exact
+from .evolution import (
+    DIAGONAL_TOL,
+    PostSelectionResult,
+    _rotate,
+    _system_pointer_tensor,
+    evolve_exact,
+)
 from .pointers import FockPointerSpec, SpinPointerSpec, fock_operators, spin_operators
 from .scenario import Scenario, weak_value_denominator
 from .tensor import Operator, StateVector, expectation, kron
@@ -326,8 +332,7 @@ def strong_position_estimate(scenario: Scenario) -> complex:
         raise UnsupportedScenarioError(
             "the strong-measurement analog requires commuting observables"
         )
-    evolved = evolve_exact(scenario)
-    tensor = evolved.state.amps.reshape((evolved.system_dim,) + evolved.pointer_dims)
+    tensor = _system_pointer_tensor(evolve_exact(scenario), scenario)
     moved = tensor
     for axis, pointer in enumerate(scenario.pointers, start=1):
         moved = _rotate(fock_operators(pointer).x.matrix, moved, axis)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weakmeas import FactorLayout, Operator, StateVector
+from weakmeas import FactorLayout, Operator, StateVector, initial_state, kron_state
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -24,6 +24,11 @@ def state(amps, *dims):
     if not dims:
         dims = (amps.size,)
     return StateVector(FactorLayout(tuple(dims)), amps)
+
+
+def initial_joint_state(scenario):
+    """Pre-selected system state joined with every pointer's starting state."""
+    return kron_state([scenario.pre] + [initial_state(p) for p in scenario.pointers])
 
 
 def random_hermitian(rng, dim):

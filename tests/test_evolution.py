@@ -1,4 +1,9 @@
-"""Hamiltonian assembly, exact and series propagation, post-selection."""
+"""Hamiltonian assembly, exact propagation, post-selection.
+
+The dense references live here: the full-space spectral propagator of the
+assembled H, and its Taylor series, whose order-by-order terms show how the
+coupling builds up the joint pointer amplitudes.
+"""
 
 import numpy as np
 import pytest
@@ -15,7 +20,16 @@ from weakmeas import (
 from weakmeas import evolution
 from weakmeas.evolution import _coupling_frame as coupling_frame
 
-from conftest import SX, SY, SZ, coherent_amplitudes, op, random_state, state
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    coherent_amplitudes,
+    initial_joint_state,
+    op,
+    random_state,
+    state,
+)
 
 R2 = 1.0 / np.sqrt(2.0)
 
@@ -28,7 +42,18 @@ DENSE_REFERENCE_MAX_DIM = 1024
 def dense_evolved(s):
     """Reference amplitudes: the dense full-space propagator exp(-i H) on |initial>."""
     propagator = wm.hermitian_propagator(wm.build_hamiltonian(s), 1.0)
-    return (propagator @ wm.initial_composite(s).state).amps
+    return (propagator @ initial_joint_state(s)).amps
+
+
+def dense_series(s, order):
+    """Unnormalized series sum_{k<=order} (-i H)^k / k! |initial> of the dense H."""
+    h = wm.build_hamiltonian(s).matrix
+    term = initial_joint_state(s).amps
+    total = term.copy()
+    for k in range(1, order + 1):
+        term = (-1j / k) * (h @ term)
+        total = total + term
+    return total
 
 
 def single_scenario(gt, *, dim=12, sigma=1.0, pre=(R2, R2), post=None, kind="fock"):
@@ -104,9 +129,7 @@ class TestEvolveExact:
     def test_zero_coupling_is_identity(self):
         s = single_scenario(gt=0.0)
         evolved = wm.evolve_exact(s)
-        np.testing.assert_allclose(
-            evolved.state.amps, wm.initial_composite(s).state.amps, atol=1e-15
-        )
+        np.testing.assert_allclose(evolved.amps, initial_joint_state(s).amps, atol=1e-15)
 
     def test_eigenstate_displaces_pointer(self):
         # +1 eigenstate input: the pointer becomes a coherent state of
@@ -114,7 +137,7 @@ class TestEvolveExact:
         gt, sigma = 0.1, 1.0
         s = single_scenario(gt, pre=(1.0, 0.0))
         evolved = wm.evolve_exact(s)
-        amps = evolved.state.amps.reshape(2, 12)
+        amps = evolved.amps.reshape(2, 12)
         np.testing.assert_allclose(amps[1], 0.0, atol=1e-15)
         oracle = coherent_amplitudes(gt / (2 * sigma), 12)
         np.testing.assert_allclose(amps[0], oracle, atol=1e-8)
@@ -127,7 +150,7 @@ class TestEvolveExact:
     )
     def test_norm_preserved(self, name):
         evolved = wm.evolve_exact(wm.resolve_scenario(name))
-        assert evolved.state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert evolved.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_propagator_on_every_catalog_scenario(self):
         for name in wm.catalog_names():
@@ -135,7 +158,7 @@ class TestEvolveExact:
             if s.full_layout.dim > DENSE_REFERENCE_MAX_DIM:
                 s = s.with_fock_dim(5)
             np.testing.assert_allclose(
-                wm.evolve_exact(s).state.amps, dense_evolved(s), rtol=0, atol=1e-12, err_msg=name
+                wm.evolve_exact(s).amps, dense_evolved(s), rtol=0, atol=1e-12, err_msg=name
             )
 
     def test_matches_dense_propagator_off_the_phase_shortcut(self):
@@ -155,7 +178,7 @@ class TestEvolveExact:
         for s in (pair_scenario(gt=0.08, dim=8, same_qubit=True), spin_pair):
             assert not coupling_frame(s).diagonal
             np.testing.assert_allclose(
-                wm.evolve_exact(s).state.amps, dense_evolved(s), rtol=0, atol=1e-12
+                wm.evolve_exact(s).amps, dense_evolved(s), rtol=0, atol=1e-12
             )
 
     def test_degenerate_weight_combination_falls_back_exactly(self, monkeypatch):
@@ -179,10 +202,10 @@ class TestEvolveExact:
             post=state(post, 2, 2, 2),
         )
         assert coupling_frame(s).diagonal
-        shortcut = wm.evolve_exact(s).state.amps
+        shortcut = wm.evolve_exact(s).amps
         monkeypatch.setattr(evolution, "FRAME_WEIGHT_RATIO", (np.sqrt(5.0) - 1.0) / 2.0)
         assert not coupling_frame(s).diagonal
-        fallback = wm.evolve_exact(s).state.amps
+        fallback = wm.evolve_exact(s).amps
         reference = dense_evolved(s)
         np.testing.assert_allclose(fallback, reference, rtol=0, atol=1e-12)
         np.testing.assert_allclose(shortcut, reference, rtol=0, atol=1e-12)
@@ -203,7 +226,7 @@ class TestEvolveExact:
             pre=wm.StateVector(layout, np.eye(8)[0]),
             post=wm.StateVector(layout, np.full(8, 1.0 / np.sqrt(8.0))),
         )
-        amps = wm.evolve_exact(s).state.amps.reshape(8, 8, 8, 8)
+        amps = wm.evolve_exact(s).amps.reshape(8, 8, 8, 8)
         p = wm.fock_operators(s.pointers[0]).p
         single = (wm.hermitian_propagator(p, 0.02) @ wm.initial_state(s.pointers[0])).amps
         product = np.einsum("a,b,c->abc", single[:2], single[:2], single[:2])
@@ -221,18 +244,18 @@ class TestEvolveExact:
         tops = []
         for dim in (8, 12, 16):
             s = single_scenario(gt=0.6, dim=dim)  # lambda = 0.3
-            evolved = wm.evolve_exact(s)
-            tops.append(wm.pointer_level_populations(evolved, 0)[-1])
+            tops.append(wm.top_level_leakage(wm.evolve_exact(s), s)[0])
         assert tops[0] >= tops[1] >= tops[2]
 
 
 class TestEvolveTaylor:
+    """Order-by-order terms of the dense series of H (``dense_series``)."""
+
     def test_first_order_displaces_one_pointer_at_a_time(self):
         # order-1 pointer sector |1 0| carries lambda_1 * A_1 |I>; |1 1| is empty
         s = pair_scenario(gt=0.04, dim=6)
         lam = 0.02
-        truncated = wm.evolve_taylor(s, order=1)
-        amps = truncated.state.amps.reshape(4, 6, 6)
+        amps = dense_series(s, order=1).reshape(4, 6, 6)
         a1_pre = np.kron(SZ, np.eye(2)) @ s.pre.amps
         a2_pre = np.kron(np.eye(2), SZ) @ s.pre.amps
         np.testing.assert_allclose(amps[:, 1, 0], lam * a1_pre, atol=1e-15)
@@ -241,16 +264,14 @@ class TestEvolveTaylor:
 
     def test_below_order_n_no_joint_transfer(self):
         s = pair_scenario(gt=0.04, dim=6)
-        truncated = wm.evolve_taylor(s, order=1)
-        amps = truncated.state.amps.reshape(4, 6, 6)
+        amps = dense_series(s, order=1).reshape(4, 6, 6)
         np.testing.assert_allclose(amps[:, 1, 1], 0.0, atol=1e-16)
 
     def test_order_n_joint_amplitude_for_commuting_pair(self):
         # hand-multiplied second-order coefficient: lambda^2 A1 A2 |I>
         s = pair_scenario(gt=0.04, dim=6)
         lam = 0.02
-        truncated = wm.evolve_taylor(s, order=2)
-        amps = truncated.state.amps.reshape(4, 6, 6)
+        amps = dense_series(s, order=2).reshape(4, 6, 6)
         a1 = np.kron(SZ, np.eye(2))
         a2 = np.kron(np.eye(2), SZ)
         oracle = lam**2 * (a1 @ (a2 @ s.pre.amps))
@@ -260,26 +281,10 @@ class TestEvolveTaylor:
         for name in wm.catalog_names():
             s = wm.resolve_scenario(name)
             assert s.lambda_max <= 0.1, name
-            exact = wm.evolve_exact(s)
-            series = wm.evolve_taylor(s, order=12)
-            assert np.linalg.norm(exact.state.amps - series.state.amps) <= 1e-10, name
-
-    def test_matches_dense_series(self):
-        # a truncated, unconverged series: checks the order-by-order terms
-        s = pair_scenario(gt=0.3, dim=5, same_qubit=True)
-        h = wm.build_hamiltonian(s).matrix
-        term = wm.initial_composite(s).state.amps
-        total = term.copy()
-        for k in range(1, 5):
-            term = (-1j / k) * (h @ term)
-            total = total + term
-        np.testing.assert_allclose(
-            wm.evolve_taylor(s, order=4).state.amps, total, rtol=0, atol=1e-12
-        )
-
-    def test_order_must_be_positive(self):
-        with pytest.raises(ValueError):
-            wm.evolve_taylor(single_scenario(gt=0.02), order=0)
+            if s.full_layout.dim > DENSE_REFERENCE_MAX_DIM:
+                s = s.with_fock_dim(5)
+            exact = wm.evolve_exact(s).amps
+            assert np.linalg.norm(exact - dense_series(s, order=12)) <= 1e-10, name
 
 
 class TestPostSelect:
@@ -330,6 +335,15 @@ class TestPostSelect:
         evolved = wm.evolve_exact(s)
         with pytest.raises(wm.PostSelectionFailureError):
             wm.post_select(evolved, s)
+
+    def test_state_off_the_scenario_layout_rejected(self):
+        s = wm.resolve_scenario("aav_qubit")
+        evolved = wm.evolve_exact(s)
+        other = s.with_fock_dim(8)
+        with pytest.raises(wm.LayoutError):
+            wm.post_select(evolved, other)
+        with pytest.raises(wm.LayoutError):
+            wm.top_level_leakage(evolved, other)
 
     def test_conditioned_state_is_unit_normalized(self):
         s = wm.resolve_scenario("aav_qubit")

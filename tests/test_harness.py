@@ -297,11 +297,12 @@ class TestSampling:
         with pytest.raises(wm.UnsupportedScenarioError, match="out of range"):
             wm.position_density(result, s, index)
 
-    def test_undersized_grid_rejected(self, conditioned_aav):
+    def test_undersized_grid_rejected(self, conditioned_aav, monkeypatch):
         result, s = conditioned_aav
         tiny = np.linspace(-0.5, 0.5, 64)
+        monkeypatch.setattr(wm.harness, "sampling_grid", lambda spec: tiny)
         with pytest.raises(wm.GridError):
-            wm.position_density(result, s, 0, grid=tiny)
+            wm.position_density(result, s, 0)
 
 
 class TestEmitReport:
@@ -341,15 +342,6 @@ class TestEmitReport:
         ):
             assert key in doc
 
-    def test_write_to_path(self, aav_report, tmp_path):
-        out = tmp_path / "report.csv"
-        wm.emit_report(aav_report, fmt="csv", destination=out)
-        assert out.read_text().startswith("scenario,")
-
-    def test_unwritable_destination(self, aav_report, tmp_path):
-        with pytest.raises(OSError):
-            wm.emit_report(aav_report, fmt="csv", destination=tmp_path / "no" / "x.csv")
-
     def test_determinism_bitwise(self):
         first = wm.emit_report(wm.run_experiment("aav_qubit"), fmt="json")
         second = wm.emit_report(wm.run_experiment("aav_qubit"), fmt="json")
@@ -374,6 +366,24 @@ class TestCli:
         out = tmp_path / "r.csv"
         assert cli.main(["run", "aav_qubit", "--format", "csv", "--out", str(out)]) == 0
         assert out.read_text().startswith("scenario,")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "DIR"],
+            ["run", "aav_qubit", "--out", "DIR"],
+            ["sweep", "aav_qubit", "--grid", "0.16,0.08,0.04,0.02", "--out", "DIR"],
+            ["sample", "aav_qubit", "--shots", "10", "--seed", "1", "--out", "DIR"],
+        ],
+        ids=["run", "run-out", "sweep-out", "sample-out"],
+    )
+    def test_directory_path_errors(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert str(tmp_path) in err
 
     def test_run_nonzero_exit_on_failure(self, capsys):
         assert cli.main(["run", "aav_qubit", "--tolerance", "1e-30"]) == 1
@@ -442,6 +452,7 @@ class TestCli:
              "pointer index -1 is out of range for a scenario with 1 pointer(s)"),
             ("aav_qubit_spinptr --shots 10 --pointer 0",
              "position sampling requires a Fock pointer"),
+            ("aav_qubit --shots 10 --seed -1", "seed must be non-negative, got -1"),
         ],
     )
     def test_sample_refuses_before_evolving(self, monkeypatch, capsys, sample_args, err):
@@ -453,7 +464,7 @@ class TestCli:
             return evolve(scenario)
 
         monkeypatch.setattr(cli, "evolve_exact", counted)
-        args = ["sample", *sample_args.split(), "--seed", "1"]
+        args = ["sample", "--seed", "1", *sample_args.split()]
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -479,6 +490,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "aav_qubit" in out
         assert "joint_pair_entangled" in out
+
+    def test_catalog_list_missing_directory_errors(self, capsys, tmp_path, monkeypatch):
+        missing = tmp_path / "absent"
+        monkeypatch.setenv("WEAKMEAS_CATALOG", str(missing))
+        assert cli.main(["catalog", "list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: WEAKMEAS_CATALOG={missing}: no such catalog directory\n"
+        )
 
     def test_dim_override_flows_through(self, capsys):
         assert cli.main(["run", "aav_qubit", "--dim", "8"]) == 0

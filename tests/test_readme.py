@@ -1,0 +1,37 @@
+"""The README names the functions that check each fixed limit; every name must resolve."""
+
+import importlib
+import re
+from pathlib import Path
+
+import weakmeas
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def fixed_limit_checks():
+    """Backticked dotted names in the "checked by" column, per "Fixed limits" row."""
+    section = README.read_text(encoding="utf-8").split("## Fixed limits", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0].split("|")[3].strip() == "checked by"
+    return {row: re.findall(r"`(\w+\.\w+)`", row.split(" | ")[-1]) for row in rows[1:]}
+
+
+def resolve(name):
+    """``module.name`` under the package, or ``Class.attr`` of a package export."""
+    owner, attr = name.split(".")
+    try:
+        scope = importlib.import_module(f"weakmeas.{owner}")
+    except ModuleNotFoundError:
+        scope = getattr(weakmeas, owner)
+    return getattr(scope, attr)
+
+
+def test_every_fixed_limit_names_a_check_that_resolves():
+    checks = fixed_limit_checks()
+    assert checks
+    for row, names in checks.items():
+        assert names, f"no check named in {row}"
+        for name in names:
+            resolve(name)  # AttributeError names the missing attribute

@@ -50,14 +50,14 @@ class TestKron:
 class TestEmbed:
     def test_first_slot(self):
         layout = FactorLayout((2, 2))
-        embedded = wm.embed(op(SZ), 0, layout)
+        embedded = wm.embed_factors(op(SZ), (0,), layout)
         np.testing.assert_array_equal(embedded.matrix, np.kron(SZ, np.eye(2)))
 
     def test_lowering_acts_on_its_factor(self):
         # a on the second factor maps |psi>|1> to |psi>|0> with unit amplitude
         layout = FactorLayout((2, 3))
         lower = np.diag(np.sqrt([1.0, 2.0]), 1)
-        embedded = wm.embed(op(lower), 1, layout)
+        embedded = wm.embed_factors(op(lower), (1,), layout)
         psi = np.array([0.6, 0.8], dtype=complex)
         ket1 = np.zeros(3, dtype=complex)
         ket1[1] = 1.0
@@ -69,7 +69,7 @@ class TestEmbed:
     def test_identity_embeds_to_identity(self):
         layout = FactorLayout((2, 3, 2))
         for slot, d in enumerate(layout.dims):
-            embedded = wm.embed(wm.identity(d), slot, layout)
+            embedded = wm.embed_factors(wm.identity(d), (slot,), layout)
             np.testing.assert_array_equal(embedded.matrix, np.eye(12))
 
     @settings(max_examples=25, deadline=None)
@@ -77,8 +77,8 @@ class TestEmbed:
     def test_disjoint_factors_commute(self, seed):
         rng = np.random.default_rng(seed)
         layout = FactorLayout((2, 3))
-        a = wm.embed(op(random_hermitian(rng, 2)), 0, layout)
-        b = wm.embed(op(random_hermitian(rng, 3)), 1, layout)
+        a = wm.embed_factors(op(random_hermitian(rng, 2)), (0,), layout)
+        b = wm.embed_factors(op(random_hermitian(rng, 3)), (1,), layout)
         np.testing.assert_allclose((a @ b).matrix, (b @ a).matrix, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -88,8 +88,8 @@ class TestEmbed:
         layout = FactorLayout((3, 2, 2))
         a = op(random_hermitian(rng, 3))
         b = op(random_hermitian(rng, 3))
-        left = wm.embed(a @ b, 0, layout)
-        right = wm.embed(a, 0, layout) @ wm.embed(b, 0, layout)
+        left = wm.embed_factors(a @ b, (0,), layout)
+        right = wm.embed_factors(a, (0,), layout) @ wm.embed_factors(b, (0,), layout)
         np.testing.assert_allclose(left.matrix, right.matrix, atol=1e-12)
 
     def test_multi_factor_embedding_matches_manual_kron(self, rng):
@@ -114,11 +114,11 @@ class TestEmbed:
 
     def test_slot_out_of_range(self):
         with pytest.raises(wm.LayoutError):
-            wm.embed(op(SZ), 2, FactorLayout((2, 2)))
+            wm.embed_factors(op(SZ), (2,), FactorLayout((2, 2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(wm.LayoutError):
-            wm.embed(op(SZ), 0, FactorLayout((3, 2)))
+            wm.embed_factors(op(SZ), (0,), FactorLayout((3, 2)))
 
 
 class TestPropagator:

@@ -21,6 +21,7 @@ from conftest import (
     SY,
     SZ,
     coherent_amplitudes,
+    initial_joint_state,
     op,
     random_hermitian,
     random_state,
@@ -113,8 +114,8 @@ class TestAnalyticWeakValue:
 class TestSymmetrizedJointWeakValue:
     def test_joint_eigenstate(self):
         layout = FactorLayout((2, 2))
-        a1 = wm.embed(op(SZ), 0, layout)
-        a2 = wm.embed(op(SZ), 1, layout)
+        a1 = wm.embed_factors(op(SZ), (0,), layout)
+        a2 = wm.embed_factors(op(SZ), (1,), layout)
         pre = state([0.0, R2, R2, 0.0], 2, 2)
         post = state([0.5, 0.5, 0.5, 0.5], 2, 2)
         assert wm.symmetrized_joint_weak_value([a1, a2], pre, post) == pytest.approx(-1.0)
@@ -131,7 +132,7 @@ class TestSymmetrizedJointWeakValue:
 
     def test_commuting_triple_reduces_to_product(self, rng):
         layout = FactorLayout((2, 2, 2))
-        ops = [wm.embed(op(SZ), k, layout) for k in range(3)]
+        ops = [wm.embed_factors(op(SZ), (k,), layout) for k in range(3)]
         product = ops[0] @ ops[1] @ ops[2]
         for _ in range(5):
             pre = state(random_state(rng, 8), 2, 2, 2)
@@ -146,7 +147,7 @@ class TestSymmetrizedJointWeakValue:
         # a plain-product value that disagrees with the symmetrized sum must
         # raise a typed error, which (unlike an assert) survives python -O
         layout = FactorLayout((2, 2))
-        ops = [wm.embed(op(SZ), k, layout) for k in range(2)]
+        ops = [wm.embed_factors(op(SZ), (k,), layout) for k in range(2)]
         exact = wm.weak_values.analytic_weak_value
         monkeypatch.setattr(
             wm.weak_values, "analytic_weak_value", lambda *a, **k: exact(*a, **k) + 1e-6
@@ -357,7 +358,7 @@ def dense_strong_position_estimate(scenario):
     factors = [wm.identity(scenario.system_layout)] + [
         wm.fock_operators(p).x for p in scenario.pointers
     ]
-    value = wm.expectation(evolved.state, wm.kron(factors))
+    value = wm.expectation(evolved, wm.kron(factors))
     return value * math.prod(1.0 / c.gt for c in scenario.couplings)
 
 
@@ -388,9 +389,9 @@ class TestStrongEstimate:
         shifted = []
         for j, obs in enumerate(s.embedded_observables()):
             a_full = wm.embed_factors(obs, tuple(range(len(s.system_dims))), layout)
-            x_full = wm.embed(x_ops[j], len(s.system_dims) + j, layout)
+            x_full = wm.embed_factors(x_ops[j], (len(s.system_dims) + j,), layout)
             shifted.append(x_full + gt * a_full)
-        initial = wm.initial_composite(s).state
+        initial = initial_joint_state(s)
         oracle = wm.expectation(initial, shifted[0] @ shifted[1]) / gt**2
         value = wm.strong_position_estimate(s)
         assert value == pytest.approx(oracle, abs=1e-8)
