@@ -48,7 +48,6 @@ from .pointers import (
     SpinPointerSpec,
     fock_operators,
     initial_state,
-    pointer_operators,
     position_wavefunctions,
     spin_operators,
 )

@@ -118,13 +118,13 @@ def _cmd_sample(args) -> int:
         "std": std,
         "stderr": std / np.sqrt(samples.n_shots),
     }
-    print(json.dumps(summary, indent=2))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("position\n")
             for start in range(0, samples.n_shots, SAMPLE_WRITE_CHUNK):
                 chunk = samples.positions[start : start + SAMPLE_WRITE_CHUNK].tolist()
                 fh.write(("%.12g\n" * len(chunk)) % tuple(chunk))
+    print(json.dumps(summary, indent=2))
     return 0
 
 

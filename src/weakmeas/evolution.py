@@ -8,18 +8,24 @@ hbar = 1.
 
 Propagation is by spectral decomposition, never by a truncated series, so
 quadratic-in-coupling effects are exact up to Fock truncation.  There is
-one route: each coupling operator acts on its own pointer, so in the
-eigenbasis of every pointer's coupling operator H splits into
-``prod_j d_j`` system-sized blocks, whether or not the observables commute.
-The state is rotated into that frame, each block is exponentiated (an
-elementwise phase when the rotated observables are all diagonal, a batched
-``eigh`` otherwise), and the result is rotated back.  No full-space matrix
-is formed; :func:`build_hamiltonian` assembles the dense H only as a
-reference.  The evolved state is a plain :class:`StateVector` on the
-scenario's full layout; :func:`post_select` and :func:`top_level_leakage`
-take its system/pointer split from the scenario.  Truncation is monitored
-by a leakage guard: after evolution the population of the top two levels
-of every Fock pointer must stay below :data:`LEAKAGE_GUARD`.
+one route, through the coupling frame.  Each pointer j is rotated into the
+eigenbasis ``V_j`` of its coupling operator ``C_j`` (eigenvalues ``c_j``),
+and the system into the eigenbasis ``W`` of ``sum_j r_j A_j`` with
+``r_j = FRAME_WEIGHT_RATIO**j``.  The C_j act on different factors, so in
+this frame H is block-diagonal, with one system-sized block
+``sum_j gt_j c_{j,k_j} W^dag A_j W`` per pointer eigenvector tuple
+``(k_1, ..., k_N)``, whether or not the A_j commute.  When every
+``W^dag A_j W`` is diagonal (to :data:`DIAGONAL_TOL`), as for commuting
+observables, the exponential is an elementwise phase; otherwise one batched
+``eigh`` diagonalizes all blocks.  No full-space matrix is formed, and the
+result equals the dense spectral propagator to rounding;
+:func:`build_hamiltonian` assembles the dense H only as a reference.
+
+The evolved state is a plain :class:`StateVector` on the scenario's full
+layout; :func:`post_select` and :func:`top_level_leakage` take its
+system/pointer split from the scenario.  Truncation is monitored by a
+leakage guard: after evolution the population of the top two levels of
+every Fock pointer must stay below :data:`LEAKAGE_GUARD`.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError, PostSelectionFailureError, TruncationLeakageError
-from .pointers import FockPointerSpec, initial_state, pointer_operators
+from .pointers import FockPointerSpec, PointerSpec, fock_operators, initial_state, spin_operators
 from .scenario import Scenario
-from .tensor import Operator, StateVector, kron_state
+from .tensor import Operator, StateVector, embed_factors, kron_state
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
 LEAKAGE_GUARD = 1e-8
@@ -72,39 +78,6 @@ class PostSelectionResult:
     prob_success: float
 
 
-@dataclass(frozen=True)
-class _CouplingFrame:
-    """Eigenbasis frame of the coupling Hamiltonian, from :func:`_coupling_frame`.
-
-    ``bases`` holds one unitary per axis of the ``(S, d_1, ..., d_N)``
-    amplitude tensor: W for the system, then V_1 .. V_N.  ``scaled_levels``
-    holds ``gt_j c_j`` per pointer, ``rotated`` the matrices ``W^dag A_j W``,
-    and ``diagonal`` is True when every one of them is diagonal.
-    """
-
-    bases: tuple[np.ndarray, ...]
-    scaled_levels: tuple[np.ndarray, ...]
-    rotated: np.ndarray
-    diagonal: bool
-
-    def rotate(self, tensor: np.ndarray, axes, back: bool = False) -> np.ndarray:
-        """Rotate the given tensor axes into the frame, or ``back`` out of it."""
-        for axis in axes:
-            basis = self.bases[axis]
-            tensor = _rotate(basis if back else basis.conj().T, tensor, axis)
-        return tensor
-
-    def blocks(self) -> np.ndarray:
-        """``sum_j gt_j c_{j,k_j} W^dag A_j W``, shaped ``(d_1, ..., d_N, S, S)``."""
-        n = len(self.scaled_levels)
-        blocks = 0.0
-        for j, levels in enumerate(self.scaled_levels):
-            shape = [1] * (n + 2)
-            shape[j] = levels.size
-            blocks = blocks + levels.reshape(shape) * self.rotated[j]
-        return blocks
-
-
 def _rotate(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
     """Apply ``matrix`` to one axis of ``tensor``."""
     return np.moveaxis(np.tensordot(matrix, tensor, axes=(1, axis)), 0, axis)
@@ -126,12 +99,11 @@ def _system_pointer_tensor(state: StateVector, scenario: Scenario) -> np.ndarray
     return state.amps.reshape((scenario.system_layout.dim,) + scenario.pointer_layout.dims)
 
 
-def coupling_operator(pointer) -> Operator:
+def coupling_operator(pointer: PointerSpec) -> Operator:
     """Pointer operator entering the interaction: P for Fock, -S_y for spin."""
-    ops = pointer_operators(pointer)
-    if ops.p is not None:
-        return ops.p
-    return -ops.sy
+    if isinstance(pointer, FockPointerSpec):
+        return fock_operators(pointer).p
+    return -spin_operators(pointer).sy
 
 
 def build_hamiltonian(scenario: Scenario) -> Operator:
@@ -139,27 +111,14 @@ def build_hamiltonian(scenario: Scenario) -> Operator:
 
     A dense reference only: propagation never forms the full-space matrix.
     """
-    layout = scenario.full_layout
     terms = None
-    for j, (obs_full, coupling) in enumerate(
-        zip(scenario.embedded_observables(), scenario.couplings)
+    for j, (obs_full, coupling, pointer) in enumerate(
+        zip(scenario.embedded_observables(), scenario.couplings, scenario.pointers)
     ):
-        term = coupling.gt * np.kron(obs_full.matrix, _pointer_block(scenario, j))
+        block = embed_factors(coupling_operator(pointer), (j,), scenario.pointer_layout)
+        term = coupling.gt * np.kron(obs_full.matrix, block.matrix)
         terms = term if terms is None else terms + term
-    return Operator(layout, terms).require_hermitian()
-
-
-def _pointer_block(scenario: Scenario, j: int) -> np.ndarray:
-    """Kron over all pointers with the coupling operator at position j."""
-    block = None
-    for k, pointer in enumerate(scenario.pointers):
-        mat = (
-            coupling_operator(pointer).matrix
-            if k == j
-            else np.eye(pointer.dim, dtype=np.complex128)
-        )
-        block = mat if block is None else np.kron(block, mat)
-    return block
+    return Operator(scenario.full_layout, terms).require_hermitian()
 
 
 def top_level_leakage(state: StateVector, scenario: Scenario) -> list[float]:
@@ -182,50 +141,24 @@ def _check_leakage(state: StateVector, scenario: Scenario) -> None:
             raise TruncationLeakageError(j, leak, scenario.pointers[j].dim, LEAKAGE_GUARD)
 
 
-def _coupling_frame(scenario: Scenario) -> _CouplingFrame:
-    """Bring ``H = sum_j gt_j A_j (x) C_j`` into its eigenbasis frame.
-
-    Each pointer is rotated into the eigenbasis ``V_j`` of its coupling
-    operator (eigenvalues ``c_j``), and the system into the eigenbasis ``W``
-    of ``sum_j r_j A_j`` with ``r_j = FRAME_WEIGHT_RATIO**j``.  The C_j act
-    on different factors, so in this frame H is block-diagonal with one
-    system-sized block ``sum_j gt_j c_{j,k_j} W^dag A_j W`` per pointer
-    eigenvector tuple ``(k_1, ..., k_N)``, whether or not the A_j commute.
-    """
-    observables = np.stack([o.matrix for o in scenario.embedded_observables()])
-    weights = FRAME_WEIGHT_RATIO ** np.arange(len(observables))
-    _, system_basis = np.linalg.eigh(np.tensordot(weights, observables, axes=1))
-    rotated = system_basis.conj().T @ observables @ system_basis
-    off_diagonal = np.abs(rotated * (1.0 - np.eye(len(system_basis)))).max(axis=(1, 2))
-    scale = np.abs(observables).max(axis=(1, 2))
-    diagonal = bool(np.all(off_diagonal <= DIAGONAL_TOL * scale))
-    pointer_bases, scaled_levels = [], []
-    for pointer, coupling in zip(scenario.pointers, scenario.couplings):
-        levels, basis = np.linalg.eigh(coupling_operator(pointer).matrix)
-        pointer_bases.append(basis)
-        scaled_levels.append(coupling.gt * levels)
-    return _CouplingFrame(
-        bases=(system_basis, *pointer_bases),
-        scaled_levels=tuple(scaled_levels),
-        rotated=rotated,
-        diagonal=diagonal,
-    )
+def _system_frame(observables) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The system frame ``W``, the stacked ``W^dag A_j W``, and whether all are diagonal."""
+    matrices = np.stack([o.matrix for o in observables])
+    weights = FRAME_WEIGHT_RATIO ** np.arange(len(matrices))
+    _, basis = np.linalg.eigh(np.tensordot(weights, matrices, axes=1))
+    rotated = basis.conj().T @ matrices @ basis
+    off_diagonal = np.abs(rotated * (1.0 - np.eye(len(basis)))).max(axis=(1, 2))
+    scale = np.abs(matrices).max(axis=(1, 2))
+    return basis, rotated, bool(np.all(off_diagonal <= DIAGONAL_TOL * scale))
 
 
 def evolve_exact(scenario: Scenario) -> StateVector:
     """Propagate the pre-selected joint state by ``exp(-i H)``, exactly.
 
     The initial state is the pre-selection joined with every pointer's
-    starting state, and the result lies on ``scenario.full_layout``.
-
-    The state is moved into the coupling eigenbasis frame, where H splits
-    into one system-sized block per pointer eigenvector tuple, and each
-    block is exponentiated spectrally.  When every rotated observable is
-    diagonal (to :data:`DIAGONAL_TOL`), as for commuting observables, the
-    blocks are diagonal and the exponential is an elementwise phase;
-    otherwise one batched ``eigh`` diagonalizes all blocks.  Either way no
-    full-space matrix is built, and the result equals the dense spectral
-    propagator to rounding.
+    starting state, and the result lies on ``scenario.full_layout``.  The
+    state is propagated in the coupling frame described in the module
+    docstring.
 
     Raises
     ------
@@ -234,31 +167,41 @@ def evolve_exact(scenario: Scenario) -> StateVector:
         population in its top two levels.
     """
     initial = kron_state([scenario.pre] + [initial_state(p) for p in scenario.pointers])
-    frame = _coupling_frame(scenario)
-    pointer_axes = range(1, len(frame.bases))
-    tensor = frame.rotate(_system_pointer_tensor(initial, scenario), [0])
-    if frame.diagonal:
+    system_basis, rotated, diagonal = _system_frame(scenario.embedded_observables())
+    pointer_frames = []
+    for axis, (pointer, coupling) in enumerate(
+        zip(scenario.pointers, scenario.couplings), start=1
+    ):
+        levels, basis = np.linalg.eigh(coupling_operator(pointer).matrix)
+        pointer_frames.append((axis, coupling.gt * levels, basis))
+    tensor = _rotate(system_basis.conj().T, _system_pointer_tensor(initial, scenario), 0)
+    if diagonal:
         # The phase exp(-i sum_j gt_j c_{j,k_j} b_{j,s}) is a product over
         # pointers.  Applying each factor inside its own pointer's frame, one
         # pointer at a time, keeps the displaced amplitudes (of order
         # lambda^n) accurate relative to their own size; a single phase over
         # the joint frame would leave absolute errors of order 1e-16 in them.
-        system_levels = np.diagonal(frame.rotated, axis1=1, axis2=2).real
-        for axis in pointer_axes:
-            phase = np.exp(
-                -1j * np.outer(system_levels[axis - 1], frame.scaled_levels[axis - 1])
-            )
+        system_levels = np.diagonal(rotated, axis1=1, axis2=2).real
+        for axis, scaled_levels, basis in pointer_frames:
+            phase = np.exp(-1j * np.outer(system_levels[axis - 1], scaled_levels))
             shape = [1] * tensor.ndim
             shape[0], shape[axis] = phase.shape
-            rotated = frame.rotate(tensor, [axis])
-            tensor = frame.rotate(phase.reshape(shape) * rotated, [axis], back=True)
+            in_frame = _rotate(basis.conj().T, tensor, axis)
+            tensor = _rotate(basis, phase.reshape(shape) * in_frame, axis)
     else:
-        tensor = frame.rotate(tensor, pointer_axes)
-        values, vectors = np.linalg.eigh(frame.blocks())
+        # blocks[k_1, ..., k_N] = sum_j gt_j c_{j,k_j} W^dag A_j W
+        blocks = 0.0
+        for axis, scaled_levels, basis in pointer_frames:
+            tensor = _rotate(basis.conj().T, tensor, axis)
+            shape = [1] * (tensor.ndim + 1)
+            shape[axis - 1] = scaled_levels.size
+            blocks = blocks + scaled_levels.reshape(shape) * rotated[axis - 1]
+        values, vectors = np.linalg.eigh(blocks)
         coeffs = _apply(vectors.conj().swapaxes(-1, -2), tensor)
         tensor = _apply(vectors, np.moveaxis(np.exp(-1j * values), -1, 0) * coeffs)
-        tensor = frame.rotate(tensor, pointer_axes, back=True)
-    evolved = StateVector(scenario.full_layout, frame.rotate(tensor, [0], back=True).reshape(-1))
+        for axis, _, basis in pointer_frames:
+            tensor = _rotate(basis, tensor, axis)
+    evolved = StateVector(scenario.full_layout, _rotate(system_basis, tensor, 0).reshape(-1))
     _check_leakage(evolved, scenario)
     return evolved
 

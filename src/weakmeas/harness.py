@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -433,13 +433,7 @@ def sweep_rows(result: SweepResult) -> list[dict[str, str]]:
             "scenario": result.scenario,
             "method": "error",
             "lambda": _sig(lam),
-            "re_extracted": "",
-            "im_extracted": "",
-            "re_analytic": "",
-            "im_analytic": "",
             "abs_error": _sig(err),
-            "prob_success": "",
-            "pass": "",
         }
         for lam, err in zip(result.lambda_grid, result.errors)
     ]
@@ -447,13 +441,8 @@ def sweep_rows(result: SweepResult) -> list[dict[str, str]]:
         {
             "scenario": result.scenario,
             "method": "slope",
-            "lambda": "",
             "re_extracted": _sig(result.fitted_slope),
             "im_extracted": _sig(result.fitted_intercept),
-            "re_analytic": "",
-            "im_analytic": "",
-            "abs_error": "",
-            "prob_success": "",
             "pass": str(result.passed).lower(),
         }
     )
@@ -482,14 +471,7 @@ def report_json(report: WeakValueReport) -> dict:
 
 
 def sweep_json(result: SweepResult) -> dict:
-    return {
-        "scenario": result.scenario,
-        "lambda_grid": list(result.lambda_grid),
-        "errors": list(result.errors),
-        "fitted_slope": result.fitted_slope,
-        "fitted_intercept": result.fitted_intercept,
-        "passed": result.passed,
-    }
+    return {**asdict(result), "passed": result.passed}
 
 
 def emit_report(results, fmt: str = "csv") -> str:
@@ -514,7 +496,9 @@ def emit_report(results, fmt: str = "csv") -> str:
         for item in results:
             rows.extend(report_rows(item) if isinstance(item, WeakValueReport) else sweep_rows(item))
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(
+            buffer, fieldnames=_CSV_COLUMNS, restval="", lineterminator="\n"
+        )
         writer.writeheader()
         writer.writerows(rows)
         text = buffer.getvalue()

@@ -115,14 +115,6 @@ def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
     return PointerOperators(lowering=lowering, raising=raising, sy=sy)
 
 
-def pointer_operators(spec: PointerSpec) -> PointerOperators:
-    if isinstance(spec, FockPointerSpec):
-        return fock_operators(spec)
-    if isinstance(spec, SpinPointerSpec):
-        return spin_operators(spec)
-    raise TypeError(f"unknown pointer spec {type(spec).__name__}")
-
-
 def initial_state(spec: PointerSpec) -> StateVector:
     """Starting state: Fock ground state |0>, or the lowest S_z eigenstate |m=-s>."""
     amps = np.zeros(spec.dim, dtype=np.complex128)

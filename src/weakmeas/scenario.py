@@ -269,11 +269,24 @@ def ensure_valid(scenario: Scenario) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """Whether ``value`` is a JSON number of ``kind``; ``true`` and ``false`` are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number(value, field: str, kind=(int, float)):
+    """``value`` if it passes :func:`_is_number`, else :class:`SchemaError` naming ``field``."""
+    if not _is_number(value, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise SchemaError(f"{field}: expected {noun}, got {value!r}")
+    return value
+
+
 def _complex_pair(value) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+        or not all(_is_number(x) for x in value)
     ):
         raise SchemaError(f"expected a [re, im] pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))
@@ -304,12 +317,15 @@ def _parse_pointer(raw, field: str) -> PointerSpec:
     kind = raw.get("kind")
     try:
         if kind == "fock":
-            return FockPointerSpec(sigma=raw["sigma"], dim=raw.get("dim", 12))
+            return FockPointerSpec(
+                sigma=_number(raw["sigma"], f"{field}.sigma"),
+                dim=_number(raw.get("dim", 12), f"{field}.dim", int),
+            )
         if kind == "spin":
-            return SpinPointerSpec(s=raw["s"])
+            return SpinPointerSpec(s=_number(raw["s"], f"{field}.s"))
     except KeyError as exc:
         raise SchemaError(f"{field}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{field}: {exc}") from None
     raise SchemaError(f"{field}.kind: unknown pointer kind {kind!r}")
 
@@ -332,7 +348,7 @@ def load_scenario(text: str) -> Scenario:
     if (
         not isinstance(system_dims, list)
         or not system_dims
-        or not all(isinstance(d, int) and d >= 2 for d in system_dims)
+        or not all(_is_number(d, int) and d >= 2 for d in system_dims)
     ):
         raise SchemaError("system_dims: expected a non-empty list of integers >= 2")
     system_dims = tuple(system_dims)
@@ -349,7 +365,7 @@ def load_scenario(text: str) -> Scenario:
         if (
             not isinstance(target, list)
             or not target
-            or not all(isinstance(t, int) for t in target)
+            or not all(_is_number(t, int) for t in target)
         ):
             raise SchemaError(f"{field}.target: expected a list of factor indices")
         if any(t < 0 or t >= len(system_dims) for t in target):
@@ -380,9 +396,9 @@ def load_scenario(text: str) -> Scenario:
         raise SchemaError("couplings: expected one entry per observable")
     couplings = []
     for i, raw in enumerate(raw_cpl):
-        if not isinstance(raw, dict) or not isinstance(raw.get("gt"), (int, float)):
-            raise SchemaError(f"couplings[{i}]: expected an object with numeric gt")
-        couplings.append(CouplingSpec(gt=float(raw["gt"])))
+        if not isinstance(raw, dict):
+            raise SchemaError(f"couplings[{i}]: expected an object")
+        couplings.append(CouplingSpec(gt=_number(raw.get("gt"), f"couplings[{i}].gt")))
 
     sys_layout = FactorLayout(system_dims)
     states = {}

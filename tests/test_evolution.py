@@ -18,7 +18,7 @@ from weakmeas import (
 )
 
 from weakmeas import evolution
-from weakmeas.evolution import _coupling_frame as coupling_frame
+from weakmeas.evolution import _system_frame
 
 from conftest import (
     SX,
@@ -176,7 +176,7 @@ class TestEvolveExact:
             post=state([R2, R2]),
         )
         for s in (pair_scenario(gt=0.08, dim=8, same_qubit=True), spin_pair):
-            assert not coupling_frame(s).diagonal
+            assert not _system_frame(s.embedded_observables())[2]
             np.testing.assert_allclose(
                 wm.evolve_exact(s).amps, dense_evolved(s), rtol=0, atol=1e-12
             )
@@ -201,10 +201,10 @@ class TestEvolveExact:
             pre=state(pre, 2, 2, 2),
             post=state(post, 2, 2, 2),
         )
-        assert coupling_frame(s).diagonal
+        assert _system_frame(s.embedded_observables())[2]
         shortcut = wm.evolve_exact(s).amps
         monkeypatch.setattr(evolution, "FRAME_WEIGHT_RATIO", (np.sqrt(5.0) - 1.0) / 2.0)
-        assert not coupling_frame(s).diagonal
+        assert not _system_frame(s.embedded_observables())[2]
         fallback = wm.evolve_exact(s).amps
         reference = dense_evolved(s)
         np.testing.assert_allclose(fallback, reference, rtol=0, atol=1e-12)

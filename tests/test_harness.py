@@ -380,7 +380,9 @@ class TestCli:
     def test_directory_path_errors(self, capsys, tmp_path, argv):
         argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
         assert cli.main(argv) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert str(tmp_path) in err

@@ -98,7 +98,8 @@ class TestInitialStates:
         "spec", [FockPointerSpec(sigma=1.0, dim=6), SpinPointerSpec(s=1.0)]
     )
     def test_lowering_annihilates_bottom_state(self, spec):
-        ops = wm.pointer_operators(spec)
+        factory = wm.fock_operators if isinstance(spec, FockPointerSpec) else wm.spin_operators
+        ops = factory(spec)
         assert wm.expectation(wm.initial_state(spec), ops.lowering) == 0.0
 
 

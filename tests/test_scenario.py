@@ -1,6 +1,7 @@
 """Scenario validation, file ingestion, and catalog round-trips."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,26 @@ class TestLoadErrors:
         doc = self.base_doc()
         doc["post"][0] = [1.0]
         with pytest.raises(wm.SchemaError, match="post"):
+            wm.load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [
+            ("aav_qubit", ("couplings", 0, "gt"), True),
+            ("joint_pair", ("observables", 1, "target"), [True]),
+            ("aav_qubit", ("pointers", 0, "dim"), 7.9),
+            ("aav_qubit", ("pointers", 0, "dim"), "9"),
+            ("aav_qubit", ("pointers", 0, "sigma"), "1.0"),
+            ("aav_qubit_spinptr", ("pointers", 0, "s"), True),
+        ],
+        ids=["gt-bool", "target-bool", "dim-float", "dim-string", "sigma-string", "s-bool"],
+    )
+    def test_wrong_types_rejected(self, name, path, value):
+        # each value is read silently as a valid one unless its type is checked
+        doc = json.loads((catalog_dir() / f"{name}.json").read_text())
+        group, index, key = path
+        doc[group][index][key] = value
+        with pytest.raises(wm.SchemaError, match=re.escape(f"{group}[{index}].{key}")):
             wm.load_scenario(json.dumps(doc))
 
 
