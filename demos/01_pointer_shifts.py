@@ -17,7 +17,7 @@ import weakmeas as wm
 def show(name):
     scenario = wm.resolve_scenario(name)
     report = wm.run_experiment(name)
-    gt = scenario.couplings[0].gt
+    gt = scenario.couplings[0]
     sigma = scenario.pointers[0].sigma
     x_mean, p_mean = report.xp_shift
 
@@ -28,7 +28,7 @@ def show(name):
     print(f"    analytic weak value  A_w = {report.analytic:+.6f}")
     print(f"    <X>/gt               = {x_mean / gt:+.6f}   (tracks Re A_w)")
     print(f"    (2 sigma^2/gt) <P>   = {2 * sigma**2 / gt * p_mean:+.6f}   (tracks Im A_w)")
-    print(f"    lowering-operator route: (2 sigma/gt) <a> = {report.extracted_lowering:+.6f}")
+    print(f"    lowering-operator route: (2 sigma/gt) <a> = {report.extracted['lowering']:+.6f}")
     print(f"    |extracted - analytic| = {report.abs_errors['lowering']:.2e}"
           f"  (quadratic in the coupling)")
     print()

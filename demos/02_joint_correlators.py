@@ -28,25 +28,25 @@ if __name__ == "__main__":
     result = wm.post_select(wm.evolve_exact(scenario), scenario)
     report = wm.run_experiment("joint_pair_entangled")
     print(f"analytic joint weak value: {report.analytic:+.6f}")
-    print(f"lowering route:            {report.extracted_lowering:+.6f}")
+    print(f"lowering route:            {report.extracted['lowering']:+.6f}")
 
     [(table, recombined)] = wm.correlator_decomposition([(result, scenario)])
     print("\nthe 2^N = 4 measurable quadrature correlators:")
     for signature, value in table.items():
         print(f"   <{signature[0]}_1 {signature[1]}_2> = {value:+.6e}")
     print(f"recombined:                {recombined:+.6f}")
-    print(f"|recombined - lowering| =  {abs(recombined - report.extracted_lowering):.1e}"
+    print(f"|recombined - lowering| =  {abs(recombined - report.extracted['lowering']):.1e}"
           "  (identical by operator algebra)")
 
     banner("Same qubit, anticommuting pair sigma_x, sigma_y")
     report = wm.run_experiment("pair_anticommuting")
     print("the symmetrized product (sx sy + sy sx)/2 vanishes identically,")
     print("so the joint weak value must be zero no matter the states:")
-    print(f"extracted: {abs(report.extracted_lowering):.2e}   oracle: 0")
+    print(f"extracted: {abs(report.extracted['lowering']):.2e}   oracle: 0")
 
     banner("Three qubits, GHZ-like pre-selection")
     report = wm.run_experiment("triple_ghz_mix")
     print(f"analytic (permutation-symmetrized oracle): {report.analytic:+.6f}")
-    print(f"third-order lowering route:                {report.extracted_lowering:+.6f}")
+    print(f"third-order lowering route:                {report.extracted['lowering']:+.6f}")
     print(f"absolute error {report.abs_errors['lowering']:.2e} at lambda = "
           f"{report.lambda_max}")

@@ -23,10 +23,10 @@ if __name__ == "__main__":
         spin = wm.run_experiment(spin_name)
         print(f"{fock_name}  vs  {spin_name}")
         print(f"   analytic weak value:   {fock.analytic:+.6f}")
-        print(f"   Fock lowering route:   {fock.extracted_lowering:+.6f}")
-        print(f"   spin S- ladder route:  {spin.extracted_spin:+.6f}")
+        print(f"   Fock lowering route:   {fock.extracted['lowering']:+.6f}")
+        print(f"   spin S- ladder route:  {spin.extracted['spin']:+.6f}")
         print(f"   route difference:      "
-              f"{abs(fock.extracted_lowering - spin.extracted_spin):.2e}")
+              f"{abs(fock.extracted['lowering'] - spin.extracted['spin']):.2e}")
         print()
 
     print("Both pointer families agree with the analytic value to the")

@@ -22,9 +22,9 @@ if __name__ == "__main__":
     print()
     print("   shots      sample mean    std error    pull (sigma)")
     for shots in (10**3, 10**4, 10**5, 10**6):
-        samples = wm.sample_positions(result, scenario, 0, shots, seed=42)
-        mean = float(np.mean(samples.positions))
-        stderr = float(np.std(samples.positions)) / np.sqrt(shots)
+        positions = wm.sample_positions(result, scenario, 0, shots, seed=42)
+        mean = float(np.mean(positions))
+        stderr = float(np.std(positions)) / np.sqrt(shots)
         pull = (mean - exact_x) / stderr
         print(f"   {shots:8d}   {mean:+.6f}     {stderr:.2e}     {pull:+.2f}")
 

@@ -32,7 +32,6 @@ from .evolution import (
     top_level_leakage,
 )
 from .harness import (
-    SampleSet,
     SweepResult,
     WeakValueReport,
     emit_report,
@@ -52,7 +51,6 @@ from .pointers import (
     spin_operators,
 )
 from .scenario import (
-    CouplingSpec,
     ObservableSpec,
     Scenario,
     catalog_names,
@@ -60,19 +58,17 @@ from .scenario import (
     ensure_valid,
     expansion_parameter,
     load_scenario,
-    load_scenario_file,
     resolve_scenario,
     validate,
 )
 from .tensor import (
-    MAX_TOTAL_DIM,
+    MAX_ARRAY_BYTES,
     FactorLayout,
     Operator,
     StateVector,
     embed_factors,
     expectation,
     hermitian_propagator,
-    identity,
     kron,
     kron_state,
 )

@@ -104,25 +104,25 @@ def _cmd_sample(args) -> int:
     scen.ensure_valid(scenario)
     harness.check_sample_request(scenario, args.pointer, args.shots, args.seed)
     result = post_select(evolve_exact(scenario), scenario)
-    samples = harness.sample_positions(
+    positions = harness.sample_positions(
         result, scenario, args.pointer, args.shots, args.seed
     )
-    mean = float(np.mean(samples.positions))
-    std = float(np.std(samples.positions))
+    mean = float(np.mean(positions))
+    std = float(np.std(positions))
     summary = {
         "scenario": args.scenario,
-        "pointer_index": samples.pointer_index,
-        "n_shots": samples.n_shots,
-        "seed": samples.seed,
+        "pointer_index": args.pointer,
+        "n_shots": args.shots,
+        "seed": args.seed,
         "mean": mean,
         "std": std,
-        "stderr": std / np.sqrt(samples.n_shots),
+        "stderr": std / np.sqrt(args.shots),
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("position\n")
-            for start in range(0, samples.n_shots, SAMPLE_WRITE_CHUNK):
-                chunk = samples.positions[start : start + SAMPLE_WRITE_CHUNK].tolist()
+            for start in range(0, args.shots, SAMPLE_WRITE_CHUNK):
+                chunk = positions[start : start + SAMPLE_WRITE_CHUNK].tolist()
                 fh.write(("%.12g\n" * len(chunk)) % tuple(chunk))
     print(json.dumps(summary, indent=2))
     return 0

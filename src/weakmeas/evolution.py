@@ -38,7 +38,7 @@ import numpy as np
 from .errors import LayoutError, PostSelectionFailureError, TruncationLeakageError
 from .pointers import FockPointerSpec, PointerSpec, fock_operators, initial_state, spin_operators
 from .scenario import Scenario
-from .tensor import Operator, StateVector, embed_factors, kron_state
+from .tensor import Operator, StateVector, _check_capacity, embed_factors, kron_state
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
 LEAKAGE_GUARD = 1e-8
@@ -103,7 +103,7 @@ def coupling_operator(pointer: PointerSpec) -> Operator:
     """Pointer operator entering the interaction: P for Fock, -S_y for spin."""
     if isinstance(pointer, FockPointerSpec):
         return fock_operators(pointer).p
-    return -spin_operators(pointer).sy
+    return Operator(pointer.layout, -spin_operators(pointer).sy.matrix)
 
 
 def build_hamiltonian(scenario: Scenario) -> Operator:
@@ -112,11 +112,11 @@ def build_hamiltonian(scenario: Scenario) -> Operator:
     A dense reference only: propagation never forms the full-space matrix.
     """
     terms = None
-    for j, (obs_full, coupling, pointer) in enumerate(
+    for j, (obs_full, gt, pointer) in enumerate(
         zip(scenario.embedded_observables(), scenario.couplings, scenario.pointers)
     ):
         block = embed_factors(coupling_operator(pointer), (j,), scenario.pointer_layout)
-        term = coupling.gt * np.kron(obs_full.matrix, block.matrix)
+        term = gt * np.kron(obs_full.matrix, block.matrix)
         terms = term if terms is None else terms + term
     return Operator(scenario.full_layout, terms).require_hermitian()
 
@@ -162,6 +162,9 @@ def evolve_exact(scenario: Scenario) -> StateVector:
 
     Raises
     ------
+    CapacityError
+        If the batched ``eigh`` blocks would take more than
+        :data:`~weakmeas.tensor.MAX_ARRAY_BYTES`.
     TruncationLeakageError
         If any Fock pointer ends with more than :data:`LEAKAGE_GUARD`
         population in its top two levels.
@@ -169,11 +172,9 @@ def evolve_exact(scenario: Scenario) -> StateVector:
     initial = kron_state([scenario.pre] + [initial_state(p) for p in scenario.pointers])
     system_basis, rotated, diagonal = _system_frame(scenario.embedded_observables())
     pointer_frames = []
-    for axis, (pointer, coupling) in enumerate(
-        zip(scenario.pointers, scenario.couplings), start=1
-    ):
+    for axis, (pointer, gt) in enumerate(zip(scenario.pointers, scenario.couplings), start=1):
         levels, basis = np.linalg.eigh(coupling_operator(pointer).matrix)
-        pointer_frames.append((axis, coupling.gt * levels, basis))
+        pointer_frames.append((axis, gt * levels, basis))
     tensor = _rotate(system_basis.conj().T, _system_pointer_tensor(initial, scenario), 0)
     if diagonal:
         # The phase exp(-i sum_j gt_j c_{j,k_j} b_{j,s}) is a product over
@@ -190,6 +191,7 @@ def evolve_exact(scenario: Scenario) -> StateVector:
             tensor = _rotate(basis, phase.reshape(shape) * in_frame, axis)
     else:
         # blocks[k_1, ..., k_N] = sum_j gt_j c_{j,k_j} W^dag A_j W
+        _check_capacity(scenario.pointer_layout.dim * rotated[0].size * 16)
         blocks = 0.0
         for axis, scaled_levels, basis in pointer_frames:
             tensor = _rotate(basis.conj().T, tensor, axis)

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,29 +86,30 @@ _CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class WeakValueReport:
-    """Extracted weak values by method, against the analytic oracle."""
+    """Extracted weak values by route, against the analytic oracle.
+
+    ``extracted`` maps each route that fits the pointer kind to its value,
+    in route order: ``lowering`` and ``correlators`` for Fock pointers,
+    ``spin`` for spin pointers.
+    """
 
     scenario: str
     analytic: complex
     prob_success: float
     lambda_max: float
     tolerance: float
-    extracted_lowering: complex | None = None
-    extracted_correlators: complex | None = None
-    extracted_spin: complex | None = None
+    extracted: dict[str, complex]
     xp_shift: tuple[float, float] | None = None
-    abs_errors: dict[str, float] = field(default_factory=dict)
-    passed: bool = True
 
-    def methods(self) -> dict[str, complex]:
-        out = {}
-        if self.extracted_lowering is not None:
-            out["lowering"] = self.extracted_lowering
-        if self.extracted_correlators is not None:
-            out["correlators"] = self.extracted_correlators
-        if self.extracted_spin is not None:
-            out["spin"] = self.extracted_spin
-        return out
+    @property
+    def abs_errors(self) -> dict[str, float]:
+        """``|extracted - analytic|`` per route."""
+        return {route: abs(value - self.analytic) for route, value in self.extracted.items()}
+
+    @property
+    def passed(self) -> bool:
+        """Whether every route is within ``tolerance`` of the oracle."""
+        return all(error <= self.tolerance for error in self.abs_errors.values())
 
 
 @dataclass(frozen=True)
@@ -124,16 +125,6 @@ class SweepResult:
     @property
     def passed(self) -> bool:
         return abs(self.fitted_slope - 2.0) <= SLOPE_WINDOW
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Simulated position measurements of one pointer."""
-
-    pointer_index: int
-    positions: np.ndarray
-    n_shots: int
-    seed: int
 
 
 def _extract(points: list[ConditionedPoint], analytic: complex) -> list[dict[str, complex]]:
@@ -187,19 +178,14 @@ def run_scenario(
         tol = extraction_tolerance(lambda_max, analytic)
         if fock:
             tol = max(tol, SECOND_ORDER_MARGIN * abs(second_order_error(scenario)))
-    errors = {method: abs(value - analytic) for method, value in extracted.items()}
     return WeakValueReport(
         scenario=label or scenario.name or "scenario",
         analytic=analytic,
         prob_success=result.prob_success,
         lambda_max=lambda_max,
         tolerance=tol,
-        extracted_lowering=extracted.get("lowering"),
-        extracted_correlators=extracted.get("correlators"),
-        extracted_spin=extracted.get("spin"),
+        extracted=extracted,
         xp_shift=xp_shift,
-        abs_errors=errors,
-        passed=all(e <= tol for e in errors.values()),
     )
 
 
@@ -372,12 +358,13 @@ def sample_positions(
     pointer_index: int,
     n_shots: int,
     seed: int,
-) -> SampleSet:
-    """Draw position measurements of one pointer by inverse-CDF sampling.
+) -> np.ndarray:
+    """Draw ``n_shots`` positions of one pointer by inverse-CDF sampling.
 
-    Uses the counter-based Philox generator keyed on ``seed``, so sample
-    sets are bitwise reproducible.  :func:`check_sample_request` refuses a
-    bad request before anything is allocated.
+    Returns them as a read-only array.  Uses the counter-based Philox
+    generator keyed on ``seed``, so samples are bitwise reproducible.
+    :func:`check_sample_request` refuses a bad request before anything is
+    allocated.
     """
     check_sample_request(scenario, pointer_index, n_shots, seed)
     grid, density = position_density(result, scenario, pointer_index)
@@ -388,12 +375,7 @@ def sample_positions(
     uniform = rng.random(int(n_shots))
     positions = np.interp(uniform, cdf, grid)
     positions.flags.writeable = False
-    return SampleSet(
-        pointer_index=int(pointer_index),
-        positions=positions,
-        n_shots=int(n_shots),
-        seed=int(seed),
-    )
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +388,10 @@ def _sig(x: float) -> str:
 
 
 def report_rows(report: WeakValueReport) -> list[dict[str, str]]:
-    """CSV rows of a run report, one per extraction method."""
+    """CSV rows of a run report, one per extraction route."""
     rows = []
-    for method, value in report.methods().items():
+    errors = report.abs_errors
+    for method, value in report.extracted.items():
         rows.append(
             {
                 "scenario": report.scenario,
@@ -418,9 +401,9 @@ def report_rows(report: WeakValueReport) -> list[dict[str, str]]:
                 "im_extracted": _sig(value.imag),
                 "re_analytic": _sig(report.analytic.real),
                 "im_analytic": _sig(report.analytic.imag),
-                "abs_error": _sig(report.abs_errors[method]),
+                "abs_error": _sig(errors[method]),
                 "prob_success": _sig(report.prob_success),
-                "pass": str(report.abs_errors[method] <= report.tolerance).lower(),
+                "pass": str(errors[method] <= report.tolerance).lower(),
             }
         )
     return rows
@@ -458,9 +441,9 @@ def report_json(report: WeakValueReport) -> dict:
     return {
         "scenario": report.scenario,
         "analytic": _maybe_pair(report.analytic),
-        "extracted_lowering": _maybe_pair(report.extracted_lowering),
-        "extracted_correlators": _maybe_pair(report.extracted_correlators),
-        "extracted_spin": _maybe_pair(report.extracted_spin),
+        "extracted_lowering": _maybe_pair(report.extracted.get("lowering")),
+        "extracted_correlators": _maybe_pair(report.extracted.get("correlators")),
+        "extracted_spin": _maybe_pair(report.extracted.get("spin")),
         "xp_shift": list(report.xp_shift) if report.xp_shift is not None else None,
         "prob_success": report.prob_success,
         "lambda_max": report.lambda_max,
@@ -474,40 +457,26 @@ def sweep_json(result: SweepResult) -> dict:
     return {**asdict(result), "passed": result.passed}
 
 
-def emit_report(results, fmt: str = "csv") -> str:
-    """Render run reports and sweep results as CSV or JSON.
+def emit_report(result: WeakValueReport | SweepResult, fmt: str = "csv") -> str:
+    """Render a run report or a sweep result as CSV or JSON.
 
     Parameters
     ----------
-    results : report, sweep result, or a list of them
+    result : WeakValueReport or SweepResult
         What to render.
     fmt : {"csv", "json"}
         Output format.  CSV prints 12 significant digits; JSON keeps full
         precision so parsed values equal the originals.
     """
-    if isinstance(results, (WeakValueReport, SweepResult)):
-        results = [results]
-    else:
-        results = list(results)
-    if not results:
-        raise ValueError("no results to emit")
+    run = isinstance(result, WeakValueReport)
     if fmt == "csv":
-        rows = []
-        for item in results:
-            rows.extend(report_rows(item) if isinstance(item, WeakValueReport) else sweep_rows(item))
         buffer = io.StringIO()
         writer = csv.DictWriter(
             buffer, fieldnames=_CSV_COLUMNS, restval="", lineterminator="\n"
         )
         writer.writeheader()
-        writer.writerows(rows)
-        text = buffer.getvalue()
-    elif fmt == "json":
-        payload = [
-            report_json(item) if isinstance(item, WeakValueReport) else sweep_json(item)
-            for item in results
-        ]
-        text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    return text
+        writer.writerows(report_rows(result) if run else sweep_rows(result))
+        return buffer.getvalue()
+    if fmt == "json":
+        return json.dumps(report_json(result) if run else sweep_json(result), indent=2)
+    raise ValueError(f"unknown report format {fmt!r}")

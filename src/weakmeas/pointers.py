@@ -92,12 +92,14 @@ class PointerOperators:
 
 def fock_operators(spec: FockPointerSpec) -> PointerOperators:
     """Lowering/raising and derived X, P quadratures of a Fock pointer."""
-    d = spec.dim
-    lowering = Operator(spec.layout, np.diag(np.sqrt(np.arange(1, d)), 1))
-    raising = lowering.dag()
-    x = spec.sigma * (lowering + raising)
-    p = (0.5j / spec.sigma) * (raising - lowering)
-    return PointerOperators(lowering=lowering, raising=raising, x=x, p=p)
+    lowering = np.diag(np.sqrt(np.arange(1, spec.dim)), 1).astype(np.complex128)
+    raising = lowering.conj().T
+    return PointerOperators(
+        lowering=Operator(spec.layout, lowering),
+        raising=Operator(spec.layout, raising),
+        x=Operator(spec.layout, (lowering + raising) * spec.sigma),
+        p=Operator(spec.layout, (raising - lowering) * (0.5j / spec.sigma)),
+    )
 
 
 def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
@@ -109,10 +111,13 @@ def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
     s = spec.s
     m = np.arange(-s, s)  # source m values for S+
     coeffs = np.sqrt(s * (s + 1.0) - m * (m + 1.0))
-    raising = Operator(spec.layout, np.diag(coeffs, -1))
-    lowering = raising.dag()
-    sy = (raising - lowering) * (1.0 / 2.0j)
-    return PointerOperators(lowering=lowering, raising=raising, sy=sy)
+    raising = np.diag(coeffs, -1).astype(np.complex128)
+    lowering = raising.conj().T
+    return PointerOperators(
+        lowering=Operator(spec.layout, lowering),
+        raising=Operator(spec.layout, raising),
+        sy=Operator(spec.layout, (raising - lowering) * (1.0 / 2.0j)),
+    )
 
 
 def initial_state(spec: PointerSpec) -> StateVector:

@@ -68,42 +68,36 @@ class ObservableSpec:
         object.__setattr__(self, "target", tuple(int(t) for t in self.target))
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Product g*t of coupling constant and interaction time for one pointer."""
-
-    gt: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gt", float(self.gt))
-
-
-def expansion_parameter(coupling: CouplingSpec, pointer: PointerSpec) -> float:
-    """Dimensionless weak-coupling parameter lambda of one pointer.
+def expansion_parameter(gt: float, pointer: PointerSpec) -> float:
+    """Dimensionless weak-coupling parameter lambda of one pointer coupled with ``gt``.
 
     For a Fock pointer this is ``g t / (2 sigma)``.  For a spin-s pointer the
     analogous first-order transfer amplitude is ``g t sqrt(2 s) / 2``.
     """
     if isinstance(pointer, FockPointerSpec):
-        return abs(coupling.gt) / (2.0 * pointer.sigma)
-    return abs(coupling.gt) * math.sqrt(2.0 * pointer.s) / 2.0
+        return abs(gt) / (2.0 * pointer.sigma)
+    return abs(gt) * math.sqrt(2.0 * pointer.s) / 2.0
 
 
-def coupling_for_lambda(lam: float, pointer: PointerSpec) -> CouplingSpec:
+def coupling_for_lambda(lam: float, pointer: PointerSpec) -> float:
     """Inverse of :func:`expansion_parameter`: the gt realizing a given lambda."""
     if isinstance(pointer, FockPointerSpec):
-        return CouplingSpec(gt=2.0 * pointer.sigma * lam)
-    return CouplingSpec(gt=2.0 * lam / math.sqrt(2.0 * pointer.s))
+        return 2.0 * pointer.sigma * lam
+    return 2.0 * lam / math.sqrt(2.0 * pointer.s)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full experiment description; immutable once constructed."""
+    """Full experiment description; immutable once constructed.
+
+    ``couplings`` holds one product ``g t`` of coupling constant and
+    interaction time per pointer.
+    """
 
     system_dims: tuple[int, ...]
     observables: tuple[ObservableSpec, ...]
     pointers: tuple[PointerSpec, ...]
-    couplings: tuple[CouplingSpec, ...]
+    couplings: tuple[float, ...]
     pre: StateVector
     post: StateVector
     name: str | None = None
@@ -114,7 +108,7 @@ class Scenario:
         object.__setattr__(self, "system_dims", tuple(int(d) for d in self.system_dims))
         object.__setattr__(self, "observables", tuple(self.observables))
         object.__setattr__(self, "pointers", tuple(self.pointers))
-        object.__setattr__(self, "couplings", tuple(self.couplings))
+        object.__setattr__(self, "couplings", tuple(float(gt) for gt in self.couplings))
 
     @property
     def n_pointers(self) -> int:
@@ -213,11 +207,11 @@ def _violations(scenario: Scenario) -> tuple[list[str], bool]:
     if len(kinds) > 1:
         v.append("pointers: mixed Fock/spin pointer kinds in one scenario are unsupported")
 
-    for i, (c, p) in enumerate(zip(scenario.couplings, scenario.pointers)):
-        if not math.isfinite(c.gt):
+    for i, (gt, p) in enumerate(zip(scenario.couplings, scenario.pointers)):
+        if not math.isfinite(gt):
             v.append(f"couplings[{i}].gt: must be finite")
             continue
-        lam = expansion_parameter(c, p)
+        lam = expansion_parameter(gt, p)
         if lam > LAMBDA_HARD_LIMIT:
             v.append(
                 f"couplings[{i}]: lambda = {lam:.3g} exceeds the hard limit "
@@ -275,30 +269,37 @@ def _is_number(value, kind=(int, float)) -> bool:
 
 
 def _number(value, field: str, kind=(int, float)):
-    """``value`` if it passes :func:`_is_number`, else :class:`SchemaError` naming ``field``."""
+    """``value`` if it passes :func:`_is_number`, as a float unless ``kind`` is int.
+
+    Otherwise, or when a float cannot hold it, raises :class:`SchemaError`
+    naming ``field``.
+    """
     if not _is_number(value, kind):
         noun = "an integer" if kind is int else "a number"
         raise SchemaError(f"{field}: expected {noun}, got {value!r}")
-    return value
+    if kind is int:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{field}: number too large for a float") from None
 
 
-def _complex_pair(value) -> complex:
+def _complex_pair(value, field: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(_is_number(x) for x in value)
     ):
-        raise SchemaError(f"expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+        raise SchemaError(f"{field}: expected a [re, im] pair, got {value!r}")
+    return complex(*(_number(x, field) for x in value))
 
 
 def _parse_vector(raw, field: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{field}: expected a non-empty list of [re, im] pairs")
-    try:
-        return np.array([_complex_pair(x) for x in raw], dtype=np.complex128)
-    except SchemaError as exc:
-        raise SchemaError(f"{field}: {exc}") from None
+    pairs = [_complex_pair(x, f"{field}[{i}]") for i, x in enumerate(raw)]
+    return np.array(pairs, dtype=np.complex128)
 
 
 def _parse_matrix(raw, field: str) -> np.ndarray:
@@ -398,7 +399,7 @@ def load_scenario(text: str) -> Scenario:
     for i, raw in enumerate(raw_cpl):
         if not isinstance(raw, dict):
             raise SchemaError(f"couplings[{i}]: expected an object")
-        couplings.append(CouplingSpec(gt=_number(raw.get("gt"), f"couplings[{i}].gt")))
+        couplings.append(_number(raw.get("gt"), f"couplings[{i}].gt"))
 
     sys_layout = FactorLayout(system_dims)
     states = {}
@@ -454,7 +455,7 @@ def dump_scenario(scenario: Scenario) -> str:
         else {"kind": "spin", "s": p.s}
         for p in scenario.pointers
     ]
-    doc["couplings"] = [{"gt": c.gt} for c in scenario.couplings]
+    doc["couplings"] = [{"gt": gt} for gt in scenario.couplings]
     doc["pre"] = [_pair(z) for z in scenario.pre.amps]
     doc["post"] = [_pair(z) for z in scenario.post.amps]
     if scenario.expected is not None:
@@ -485,18 +486,13 @@ def catalog_names() -> list[str]:
     return sorted(p.stem for p in catalog_dir().glob("*.json"))
 
 
-def load_scenario_file(path: str | Path) -> Scenario:
-    return load_scenario(Path(path).read_text(encoding="utf-8"))
-
-
 def resolve_scenario(ref: str | Path) -> Scenario:
     """Load a scenario by catalog name or by file path."""
     path = Path(ref)
-    if path.suffix == ".json" or path.exists():
-        return load_scenario_file(path)
-    candidate = catalog_dir() / f"{ref}.json"
-    if candidate.exists():
-        return load_scenario_file(candidate)
-    raise FileNotFoundError(
-        f"no scenario named {ref!r} in the catalog ({catalog_dir()}) and no such file"
-    )
+    if not (path.suffix == ".json" or path.exists()):
+        path = catalog_dir() / f"{ref}.json"
+        if not path.exists():
+            raise FileNotFoundError(
+                f"no scenario named {ref!r} in the catalog ({catalog_dir()}) and no such file"
+            )
+    return load_scenario(path.read_text(encoding="utf-8"))

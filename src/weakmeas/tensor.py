@@ -18,8 +18,10 @@ import numpy as np
 
 from .errors import CapacityError, HermiticityError, LayoutError, ZeroNormError
 
-#: Hard cap on the total dimension of any operator or state (rows of a matrix).
-MAX_TOTAL_DIM = 2**20
+#: Hard cap on the bytes of one large complex array (a Kronecker product, an
+#: embedded operator, the propagator's batched eigh blocks), checked before it
+#: is allocated.  2^28 bytes is a 4096-row complex matrix.
+MAX_ARRAY_BYTES = 2**28
 
 #: Relative tolerance of the Hermiticity check max|M - M^dag| <= tol * max|M|.
 HERMITIAN_TOL = 1e-12
@@ -129,22 +131,6 @@ class Operator:
             return StateVector(self.layout, self.matrix @ other.amps)
         return NotImplemented
 
-    def __add__(self, other: "Operator") -> "Operator":
-        _require_same_layout(self, other)
-        return Operator(self.layout, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _require_same_layout(self, other)
-        return Operator(self.layout, self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.layout, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.layout, -self.matrix)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
@@ -179,12 +165,6 @@ class StateVector:
     def is_normalized(self) -> bool:
         return abs(self.norm() - 1.0) <= NORMALIZATION_TOL
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroNormError("cannot normalize a zero-norm state")
-        return StateVector(self.layout, self.amps / n)
-
     def inner(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         _require_same_layout(self, other)
@@ -196,16 +176,9 @@ class StateVector:
         return self.layout == other.layout and np.array_equal(self.amps, other.amps)
 
 
-def identity(layout: FactorLayout | int) -> Operator:
-    """Identity operator on the given layout (or single factor of that size)."""
-    if isinstance(layout, int):
-        layout = FactorLayout((layout,))
-    return Operator(layout, np.eye(layout.dim, dtype=np.complex128))
-
-
-def _check_capacity(total: int) -> None:
-    if total > MAX_TOTAL_DIM:
-        raise CapacityError(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
+def _check_capacity(nbytes: int) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise CapacityError(f"{nbytes} bytes exceed the array cap {MAX_ARRAY_BYTES}")
 
 
 def _product(factors: Sequence, arrays: list, name: str) -> tuple[FactorLayout, np.ndarray]:
@@ -213,7 +186,7 @@ def _product(factors: Sequence, arrays: list, name: str) -> tuple[FactorLayout, 
     if not factors:
         raise LayoutError(f"{name} needs at least one factor")
     layout = FactorLayout(tuple(d for f in factors for d in f.layout.dims))
-    _check_capacity(layout.dim)
+    _check_capacity(math.prod(a.size for a in arrays) * 16)
     return layout, reduce(np.kron, arrays)
 
 
@@ -221,8 +194,8 @@ def kron(factors: Sequence[Operator]) -> Operator:
     """Kronecker product of operators, in the declared factor order.
 
     The result layout is the concatenation of the factor layouts.  Raises
-    :class:`CapacityError` when the product dimension exceeds
-    :data:`MAX_TOTAL_DIM`.
+    :class:`CapacityError` when the product would take more than
+    :data:`MAX_ARRAY_BYTES`.
     """
     return Operator(*_product(factors, [op.matrix for op in factors], "kron"))
 
@@ -246,8 +219,8 @@ def embed_factors(op: Operator, slots: Iterable[int], layout: FactorLayout) -> O
         Distinct factor indices of ``layout``, in the order matching
         ``op.layout``.
     layout : FactorLayout
-        Layout of the enclosing space; its dimension may not exceed
-        :data:`MAX_TOTAL_DIM`.
+        Layout of the enclosing space; the embedded matrix may not take more
+        than :data:`MAX_ARRAY_BYTES`.
     """
     slots = tuple(int(s) for s in slots)
     k = len(layout)
@@ -262,7 +235,7 @@ def embed_factors(op: Operator, slots: Iterable[int], layout: FactorLayout) -> O
         raise LayoutError(
             f"operator dims {op.layout.dims} do not match target factor dims {expected}"
         )
-    _check_capacity(layout.dim)
+    _check_capacity(layout.dim**2 * 16)
 
     rest = tuple(i for i in range(k) if i not in slots)
     rest_dim = math.prod(layout.dims[i] for i in rest) if rest else 1

@@ -183,7 +183,7 @@ def _require_all_fock(scenario: Scenario) -> None:
 
 
 def _require_finite_couplings(scenario: Scenario) -> None:
-    if any(c.gt == 0.0 for c in scenario.couplings):
+    if any(gt == 0.0 for gt in scenario.couplings):
         raise ZeroCouplingError(
             "extraction divides by gt; the weak limit is taken by shrinking a "
             "finite coupling, not by setting it to zero"
@@ -210,13 +210,13 @@ def _expectations(points: Sequence[ConditionedPoint], operator: Operator) -> lis
 
 def _fock_scale(scenario: Scenario) -> float:
     return math.prod(
-        2.0 * p.sigma / c.gt for p, c in zip(scenario.pointers, scenario.couplings)
+        2.0 * p.sigma / gt for p, gt in zip(scenario.pointers, scenario.couplings)
     )
 
 
 def _spin_scale(scenario: Scenario) -> float:
     return math.prod(
-        1.0 / (c.gt * p.s) for p, c in zip(scenario.pointers, scenario.couplings)
+        1.0 / (gt * p.s) for p, gt in zip(scenario.pointers, scenario.couplings)
     )
 
 
@@ -337,7 +337,7 @@ def strong_position_estimate(scenario: Scenario) -> complex:
     for axis, pointer in enumerate(scenario.pointers, start=1):
         moved = _rotate(fock_operators(pointer).x.matrix, moved, axis)
     value = np.vdot(tensor, moved) / np.vdot(tensor, tensor).real
-    scale = math.prod(1.0 / c.gt for c in scenario.couplings)
+    scale = math.prod(1.0 / gt for gt in scenario.couplings)
     return complex(value * scale)
 
 

@@ -10,7 +10,6 @@ import pytest
 
 import weakmeas as wm
 from weakmeas import (
-    CouplingSpec,
     FockPointerSpec,
     ObservableSpec,
     Scenario,
@@ -62,7 +61,7 @@ def single_scenario(gt, *, dim=12, sigma=1.0, pre=(R2, R2), post=None, kind="foc
         system_dims=(2,),
         observables=(ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),),
         pointers=(pointer,),
-        couplings=(CouplingSpec(gt=gt),),
+        couplings=(gt,),
         pre=state(list(pre)),
         post=state(list(post if post is not None else pre)),
     )
@@ -89,7 +88,7 @@ def pair_scenario(gt=0.02, *, dim=12, pre=None, post=None, same_qubit=False):
         system_dims=system_dims,
         observables=observables,
         pointers=tuple(FockPointerSpec(sigma=1.0, dim=dim) for _ in range(2)),
-        couplings=tuple(CouplingSpec(gt=gt) for _ in range(2)),
+        couplings=(gt, gt),
         pre=state(pre, *system_dims),
         post=state(post, *system_dims),
     )
@@ -171,7 +170,7 @@ class TestEvolveExact:
                 ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),
             ),
             pointers=(SpinPointerSpec(s=1.0), SpinPointerSpec(s=0.5)),
-            couplings=(CouplingSpec(gt=0.5), CouplingSpec(gt=0.3)),
+            couplings=(0.5, 0.3),
             pre=state([1.0, 0.0]),
             post=state([R2, R2]),
         )
@@ -197,7 +196,7 @@ class TestEvolveExact:
                 for j, m in enumerate(axes)
             ),
             pointers=tuple(FockPointerSpec(sigma=1.0, dim=5) for _ in axes),
-            couplings=tuple(CouplingSpec(gt=0.1) for _ in axes),
+            couplings=(0.1,) * len(axes),
             pre=state(pre, 2, 2, 2),
             post=state(post, 2, 2, 2),
         )
@@ -222,7 +221,7 @@ class TestEvolveExact:
                 ObservableSpec(name=f"z{j}", matrix=op(SZ), target=(j,)) for j in range(3)
             ),
             pointers=tuple(FockPointerSpec(sigma=1.0, dim=8) for _ in range(3)),
-            couplings=tuple(CouplingSpec(gt=0.02) for _ in range(3)),
+            couplings=(0.02,) * 3,
             pre=wm.StateVector(layout, np.eye(8)[0]),
             post=wm.StateVector(layout, np.full(8, 1.0 / np.sqrt(8.0))),
         )
@@ -246,6 +245,17 @@ class TestEvolveExact:
             s = single_scenario(gt=0.6, dim=dim)  # lambda = 0.3
             tops.append(wm.top_level_leakage(wm.evolve_exact(s), s)[0])
         assert tops[0] >= tops[1] >= tops[2]
+
+    def test_eigh_blocks_within_the_array_cap(self, monkeypatch):
+        # pair_anticommuting takes the batched-eigh branch: its state holds
+        # 2 * 144 * 16 = 4608 bytes and its 144 system blocks 144 * 4 * 16 = 9216
+        s = wm.resolve_scenario("pair_anticommuting")
+        assert not _system_frame(s.embedded_observables())[2]
+        monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 9216)
+        wm.evolve_exact(s)
+        monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 9215)
+        with pytest.raises(wm.CapacityError, match="^9216 bytes exceed the array cap 9215$"):
+            wm.evolve_exact(s)
 
 
 class TestEvolveTaylor:

@@ -19,7 +19,8 @@ class TestFockOperators:
     def test_canonical_commutator_with_truncation_defect(self, sigma, dim):
         # [x, p] = i (I - d E_top): the defect is confined to the top level
         ops = wm.fock_operators(FockPointerSpec(sigma=sigma, dim=dim))
-        comm = (ops.x @ ops.p - ops.p @ ops.x).matrix
+        x, p = ops.x.matrix, ops.p.matrix
+        comm = x @ p - p @ x
         expected = 1j * np.eye(dim)
         expected[-1, -1] = 1j * (1 - dim)
         np.testing.assert_allclose(comm, expected, atol=1e-13)
@@ -37,8 +38,8 @@ class TestFockOperators:
     def test_lowering_identity_entrywise(self, sigma, dim):
         # a = x/(2 sigma) + i sigma p holds by construction
         ops = wm.fock_operators(FockPointerSpec(sigma=sigma, dim=dim))
-        synthesized = (1.0 / (2.0 * sigma)) * ops.x + (1j * sigma) * ops.p
-        assert np.abs(synthesized.matrix - ops.lowering.matrix).max() <= 1e-14
+        synthesized = (1.0 / (2.0 * sigma)) * ops.x.matrix + (1j * sigma) * ops.p.matrix
+        assert np.abs(synthesized - ops.lowering.matrix).max() <= 1e-14
 
     def test_quadratures_hermitian(self):
         ops = wm.fock_operators(FockPointerSpec(sigma=0.8, dim=10))

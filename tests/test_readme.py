@@ -1,4 +1,4 @@
-"""The README names the functions that check each fixed limit; every name must resolve."""
+"""The README names the functions that check each fixed limit, and its quick start runs."""
 
 import importlib
 import re
@@ -35,3 +35,12 @@ def test_every_fixed_limit_names_a_check_that_resolves():
         assert names, f"no check named in {row}"
         for name in names:
             resolve(name)  # AttributeError names the missing attribute
+
+
+def test_library_quick_start_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README quick start", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[2].endswith(" True")

@@ -9,7 +9,6 @@ import pytest
 
 import weakmeas as wm
 from weakmeas import (
-    CouplingSpec,
     FockPointerSpec,
     ObservableSpec,
     Scenario,
@@ -28,7 +27,7 @@ def qubit_scenario(gt=0.02, post=None, observable=None, pre=None):
             ObservableSpec(name="sz", matrix=observable or op(SZ), target=(0,)),
         ),
         pointers=(FockPointerSpec(sigma=1.0, dim=12),),
-        couplings=(CouplingSpec(gt=gt),),
+        couplings=(gt,),
         pre=pre or state([r2, r2]),
         post=post or state([np.cos(3 * np.pi / 8), np.sin(3 * np.pi / 8)]),
     )
@@ -84,7 +83,7 @@ class TestValidate:
                 ObservableSpec(name="a2", matrix=op(SZ), target=(1,)),
             ),
             pointers=(FockPointerSpec(sigma=1.0, dim=8), SpinPointerSpec(s=0.5)),
-            couplings=(CouplingSpec(gt=0.02), CouplingSpec(gt=0.02)),
+            couplings=(0.02, 0.02),
             pre=state(np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0), 2, 2),
             post=state(np.full(4, 0.5), 2, 2),
         )
@@ -185,15 +184,26 @@ class TestLoadErrors:
             ("aav_qubit", ("pointers", 0, "dim"), "9"),
             ("aav_qubit", ("pointers", 0, "sigma"), "1.0"),
             ("aav_qubit_spinptr", ("pointers", 0, "s"), True),
+            ("aav_qubit", ("couplings", 0, "gt"), 10**400),
+            ("aav_qubit", ("pointers", 0, "sigma"), 10**400),
+            ("aav_qubit", ("pre", 0), [10**400, 0]),
         ],
-        ids=["gt-bool", "target-bool", "dim-float", "dim-string", "sigma-string", "s-bool"],
+        ids=[
+            "gt-bool", "target-bool", "dim-float", "dim-string", "sigma-string", "s-bool",
+            "gt-huge", "sigma-huge", "pre-huge",
+        ],
     )
     def test_wrong_types_rejected(self, name, path, value):
-        # each value is read silently as a valid one unless its type is checked
+        # each value is read silently as a valid one (or overflows float())
+        # unless its type is checked
         doc = json.loads((catalog_dir() / f"{name}.json").read_text())
-        group, index, key = path
-        doc[group][index][key] = value
-        with pytest.raises(wm.SchemaError, match=re.escape(f"{group}[{index}].{key}")):
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+        with pytest.raises(wm.SchemaError, match=re.escape(field)):
             wm.load_scenario(json.dumps(doc))
 
 
@@ -220,7 +230,7 @@ class TestCatalog:
         s = wm.resolve_scenario("aav_qubit")
         assert s.system_dims == (2,)
         assert s.pointers[0] == FockPointerSpec(sigma=1.0, dim=12)
-        assert s.couplings[0].gt == 0.02
+        assert s.couplings[0] == 0.02
         np.testing.assert_array_equal(s.observables[0].matrix.matrix, SZ)
         assert wm.validate(s) == []
 
@@ -251,11 +261,11 @@ class TestCatalog:
 
 class TestExpansionParameters:
     def test_fock_lambda(self):
-        lam = wm.expansion_parameter(CouplingSpec(gt=0.02), FockPointerSpec(sigma=1.0, dim=8))
+        lam = wm.expansion_parameter(0.02, FockPointerSpec(sigma=1.0, dim=8))
         assert lam == pytest.approx(0.01)
 
     def test_spin_lambda(self):
-        lam = wm.expansion_parameter(CouplingSpec(gt=0.02), SpinPointerSpec(s=0.5))
+        lam = wm.expansion_parameter(0.02, SpinPointerSpec(s=0.5))
         assert lam == pytest.approx(0.01)
 
     def test_rescaling_round_trip(self):

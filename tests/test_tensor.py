@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 import weakmeas as wm
 from weakmeas import FactorLayout, Operator
 
-from conftest import SX, SZ, op, random_hermitian, random_state, state
+from conftest import I2, SX, SZ, op, random_hermitian, random_state, state
 
 
 class TestKron:
     def test_identity_factors(self):
-        result = wm.kron([wm.identity(2), wm.identity(3)])
+        result = wm.kron([op(I2), op(np.eye(3))])
         assert result.layout.dims == (2, 3)
         np.testing.assert_array_equal(result.matrix, np.eye(6))
 
     def test_diagonal_action_carries_sign(self):
         # sigma_z on the first qubit: |10> picks up the -1 eigenvalue
-        result = wm.kron([op(SZ), wm.identity(2)])
+        result = wm.kron([op(SZ), op(I2)])
         ket_10 = np.zeros(4)
         ket_10[2] = 1.0
         np.testing.assert_array_equal(result.matrix @ ket_10, -ket_10)
@@ -42,9 +42,22 @@ class TestKron:
         np.testing.assert_allclose(nested.matrix, flat.matrix, atol=1e-14)
 
     def test_capacity_cap(self):
-        factors = [wm.identity(2)] * 21  # 2^21 > default cap 2^20
+        # 2^21 rows would take 2^46 bytes; the cap refuses before np.kron runs
         with pytest.raises(wm.CapacityError):
-            wm.kron(factors)
+            wm.kron([op(I2)] * 21)
+
+    def test_cap_counts_bytes(self, monkeypatch):
+        # 256 bytes hold exactly a 4x4 complex matrix or a 16-entry state
+        monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 256)
+        assert wm.kron([op(I2), op(I2)]).dim == 4
+        assert wm.kron_state([state(np.ones(4) / 2), state(np.ones(4) / 2)]).dim == 16
+        assert wm.embed_factors(op(SZ), (0,), FactorLayout((2, 2))).dim == 4
+        with pytest.raises(wm.CapacityError, match="^576 bytes exceed the array cap 256$"):
+            wm.kron([op(I2), op(np.eye(3))])
+        with pytest.raises(wm.CapacityError, match="^288 bytes"):
+            wm.kron_state([state(np.ones(2) / np.sqrt(2)), state(np.ones(9) / 3)])
+        with pytest.raises(wm.CapacityError, match="^576 bytes"):
+            wm.embed_factors(op(SZ), (0,), FactorLayout((2, 3)))
 
 
 class TestEmbed:
@@ -69,7 +82,7 @@ class TestEmbed:
     def test_identity_embeds_to_identity(self):
         layout = FactorLayout((2, 3, 2))
         for slot, d in enumerate(layout.dims):
-            embedded = wm.embed_factors(wm.identity(d), (slot,), layout)
+            embedded = wm.embed_factors(op(np.eye(d)), (slot,), layout)
             np.testing.assert_array_equal(embedded.matrix, np.eye(12))
 
     @settings(max_examples=25, deadline=None)

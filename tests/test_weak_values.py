@@ -9,7 +9,6 @@ import pytest
 
 import weakmeas as wm
 from weakmeas import (
-    CouplingSpec,
     FactorLayout,
     FockPointerSpec,
     ObservableSpec,
@@ -83,7 +82,7 @@ class TestAnalyticWeakValue:
     def test_identity_observable(self, rng):
         pre = state(random_state(rng, 3))
         post = state(random_state(rng, 3))
-        assert wm.analytic_weak_value(wm.identity(3), pre, post) == pytest.approx(1.0)
+        assert wm.analytic_weak_value(op(np.eye(3)), pre, post) == pytest.approx(1.0)
 
     def test_tilted_post_selection_closed_form(self):
         phi = 3 * np.pi / 8
@@ -250,7 +249,7 @@ class TestFockExtraction:
             system_dims=s.system_dims,
             observables=s.observables,
             pointers=s.pointers,
-            couplings=(CouplingSpec(gt=0.0),),
+            couplings=(0.0,),
             pre=s.pre,
             post=s.post,
         )
@@ -269,7 +268,7 @@ class TestCorrelatorDecomposition:
         result, s = conditioned("aav_qubit")
         [(table, recombined)] = wm.correlator_decomposition([(result, s)])
         assert set(table) == {"X", "P"}
-        sigma, gt = s.pointers[0].sigma, s.couplings[0].gt
+        sigma, gt = s.pointers[0].sigma, s.couplings[0]
         manual = (2 * sigma / gt) * (
             table["X"] / (2 * sigma) + 1j * sigma * table["P"]
         )
@@ -282,7 +281,7 @@ class TestCorrelatorDecomposition:
         [(table, recombined)] = wm.correlator_decomposition([(result, s)])
         assert set(table) == {"XX", "XP", "PX", "PP"}
         sigma = s.pointers[0].sigma
-        gt = s.couplings[0].gt
+        gt = s.couplings[0]
         re_part = (1 / gt) ** 2 * (table["XX"] - 4 * sigma**4 * table["PP"])
         im_part = 2 * sigma**2 * (1 / gt) ** 2 * (table["XP"] + table["PX"])
         assert recombined.real == pytest.approx(re_part, abs=1e-12)
@@ -311,7 +310,7 @@ class TestPointerShifts:
     def test_real_weak_value_shifts_only_position(self):
         result, s = conditioned("aav_qubit")
         x_mean, p_mean = wm.pointer_shift_check(result, s)
-        gt = s.couplings[0].gt
+        gt = s.couplings[0]
         analytic = 1.0 - np.sqrt(2.0)
         lam = s.lambda_max
         assert x_mean == pytest.approx(gt * analytic, abs=3 * lam**2 * (1 + abs(analytic)) * gt)
@@ -320,7 +319,7 @@ class TestPointerShifts:
     def test_imaginary_weak_value_shifts_only_momentum(self):
         result, s = conditioned("aav_imaginary")
         x_mean, p_mean = wm.pointer_shift_check(result, s)
-        gt, sigma = s.couplings[0].gt, s.pointers[0].sigma
+        gt, sigma = s.couplings[0], s.pointers[0].sigma
         lam = s.lambda_max
         assert abs(x_mean) <= 1e-10
         # <P> = (gt / 2 sigma^2) Im A_w with Im A_w = -1
@@ -337,13 +336,13 @@ class TestSpinExtraction:
         result, s = conditioned("aav_qubit_spinptr")
         [extracted] = wm.extract_joint_spin([(result, s)])
         analytic = 1.0 - np.sqrt(2.0)
-        gt = s.couplings[0].gt
+        gt = s.couplings[0]
         assert abs(extracted - analytic) / abs(analytic) <= 3 * gt**2
 
     def test_entangled_spin_pair(self):
         result, s = conditioned("joint_pair_spinptr")
         [extracted] = wm.extract_joint_spin([(result, s)])
-        gt = s.couplings[0].gt
+        gt = s.couplings[0]
         assert abs(extracted - (-1.0)) <= 3 * gt**2
 
     def test_fock_scenario_rejected(self):
@@ -355,11 +354,12 @@ class TestSpinExtraction:
 def dense_strong_position_estimate(scenario):
     """Reference: <I_S (x) X_1 (x) ... (x) X_N> as one full-space operator."""
     evolved = wm.evolve_exact(scenario)
-    factors = [wm.identity(scenario.system_layout)] + [
+    layout = scenario.system_layout
+    factors = [op(np.eye(layout.dim), *layout.dims)] + [
         wm.fock_operators(p).x for p in scenario.pointers
     ]
     value = wm.expectation(evolved, wm.kron(factors))
-    return value * math.prod(1.0 / c.gt for c in scenario.couplings)
+    return value * math.prod(1.0 / gt for gt in scenario.couplings)
 
 
 class TestStrongEstimate:
@@ -383,16 +383,16 @@ class TestStrongEstimate:
         # independent oracle: <(X1 + gt A1)(X2 + gt A2)> on the *initial* state,
         # no time evolution involved
         s = wm.resolve_scenario("strong_pair_entangled")
-        gt = s.couplings[0].gt
+        gt = s.couplings[0]
         layout = s.full_layout
         x_ops = [wm.fock_operators(p).x for p in s.pointers]
         shifted = []
         for j, obs in enumerate(s.embedded_observables()):
             a_full = wm.embed_factors(obs, tuple(range(len(s.system_dims))), layout)
             x_full = wm.embed_factors(x_ops[j], (len(s.system_dims) + j,), layout)
-            shifted.append(x_full + gt * a_full)
+            shifted.append(x_full.matrix + gt * a_full.matrix)
         initial = initial_joint_state(s)
-        oracle = wm.expectation(initial, shifted[0] @ shifted[1]) / gt**2
+        oracle = wm.expectation(initial, wm.Operator(layout, shifted[0] @ shifted[1])) / gt**2
         value = wm.strong_position_estimate(s)
         assert value == pytest.approx(oracle, abs=1e-8)
         assert value.real == pytest.approx(-1.0, abs=1e-8)
@@ -408,7 +408,7 @@ class TestStrongEstimate:
                 ObservableSpec(name="a2", matrix=op(a2), target=(0,)),
             ),
             pointers=(FockPointerSpec(sigma=1.0, dim=8),) * 2,
-            couplings=(CouplingSpec(gt=0.02),) * 2,
+            couplings=(0.02,) * 2,
             pre=state(pre),
             post=state(post),
         )
@@ -436,7 +436,7 @@ class TestMultiFactorObservable:
             system_dims=(2, 2, 2),
             observables=(ObservableSpec(name="sz0_sz2", matrix=joint, target=(0, 2)),),
             pointers=(FockPointerSpec(sigma=1.0, dim=12),),
-            couplings=(CouplingSpec(gt=0.02),),
+            couplings=(0.02,),
             pre=state(pre, 2, 2, 2),
             post=state(post, 2, 2, 2),
         )
@@ -458,7 +458,7 @@ class TestWeakLimitProperties:
             system_dims=(2,),
             observables=(ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),),
             pointers=(FockPointerSpec(sigma=1.0, dim=12),),
-            couplings=(CouplingSpec(gt=0.004),),
+            couplings=(0.004,),
             pre=state(pre),
             post=state(pre),
         )
