@@ -56,7 +56,6 @@ from .scenario import (
     catalog_names,
     dump_scenario,
     ensure_valid,
-    expansion_parameter,
     load_scenario,
     resolve_scenario,
     validate,

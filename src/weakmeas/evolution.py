@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError, PostSelectionFailureError, TruncationLeakageError
-from .pointers import FockPointerSpec, PointerSpec, fock_operators, initial_state, spin_operators
+from .pointers import FockPointerSpec, initial_state
 from .scenario import Scenario
 from .tensor import Operator, StateVector, _check_capacity, embed_factors, kron_state
 
@@ -99,13 +99,6 @@ def _system_pointer_tensor(state: StateVector, scenario: Scenario) -> np.ndarray
     return state.amps.reshape((scenario.system_layout.dim,) + scenario.pointer_layout.dims)
 
 
-def coupling_operator(pointer: PointerSpec) -> Operator:
-    """Pointer operator entering the interaction: P for Fock, -S_y for spin."""
-    if isinstance(pointer, FockPointerSpec):
-        return fock_operators(pointer).p
-    return Operator(pointer.layout, -spin_operators(pointer).sy.matrix)
-
-
 def build_hamiltonian(scenario: Scenario) -> Operator:
     """Assemble ``sum_j gt_j A_j P_j`` on the full layout and verify Hermiticity.
 
@@ -115,7 +108,7 @@ def build_hamiltonian(scenario: Scenario) -> Operator:
     for j, (obs_full, gt, pointer) in enumerate(
         zip(scenario.embedded_observables(), scenario.couplings, scenario.pointers)
     ):
-        block = embed_factors(coupling_operator(pointer), (j,), scenario.pointer_layout)
+        block = embed_factors(pointer.coupling(), (j,), scenario.pointer_layout)
         term = gt * np.kron(obs_full.matrix, block.matrix)
         terms = term if terms is None else terms + term
     return Operator(scenario.full_layout, terms).require_hermitian()
@@ -173,7 +166,7 @@ def evolve_exact(scenario: Scenario) -> StateVector:
     system_basis, rotated, diagonal = _system_frame(scenario.embedded_observables())
     pointer_frames = []
     for axis, (pointer, gt) in enumerate(zip(scenario.pointers, scenario.couplings), start=1):
-        levels, basis = np.linalg.eigh(coupling_operator(pointer).matrix)
+        levels, basis = np.linalg.eigh(pointer.coupling().matrix)
         pointer_frames.append((axis, gt * levels, basis))
     tensor = _rotate(system_basis.conj().T, _system_pointer_tensor(initial, scenario), 0)
     if diagonal:

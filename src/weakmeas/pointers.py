@@ -11,6 +11,10 @@ Two pointer families are supported, in natural units (hbar = 1):
 * spin-s pointers in the ascending S_z eigenbasis (m = -s .. +s), starting
   in the lowest eigenstate |m = -s>.
 
+Each spec carries its own lambda and its inverse, coupling operator (P or
+-S_y), ladder operator (a or S-) and route scale, so the pointer kind is
+decided here and nowhere else.
+
 Basis ordering conventions: Fock levels ascending, spin m ascending.
 """
 
@@ -21,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
+from .errors import CapacityError
 from .tensor import FactorLayout, Operator, StateVector
 
 
@@ -53,6 +59,26 @@ class FockPointerSpec:
     def layout(self) -> FactorLayout:
         return FactorLayout((self.dim,))
 
+    def expansion(self, gt: float) -> float:
+        """Dimensionless weak-coupling parameter ``lambda = |gt| / (2 sigma)``."""
+        return abs(gt) / (2.0 * self.sigma)
+
+    def coupling_for(self, lam: float) -> float:
+        """Inverse of :meth:`expansion`: the gt realizing a given lambda."""
+        return 2.0 * self.sigma * lam
+
+    def route_scale(self, gt: float) -> float:
+        """Factor ``2 sigma / gt`` that turns ``<a>`` into the weak value."""
+        return 2.0 * self.sigma / gt
+
+    def coupling(self) -> Operator:
+        """Pointer operator entering the interaction: the momentum quadrature P."""
+        return fock_operators(self).p
+
+    def lowering(self) -> Operator:
+        """Ladder operator of the extraction route: the annihilation operator a."""
+        return fock_operators(self).lowering
+
 
 @dataclass(frozen=True)
 class SpinPointerSpec:
@@ -63,7 +89,7 @@ class SpinPointerSpec:
     def __post_init__(self):
         s = float(self.s)
         two_s = 2.0 * s
-        if not math.isfinite(s) or s <= 0 or abs(two_s - round(two_s)) > 1e-12:
+        if not math.isfinite(two_s) or s <= 0 or abs(two_s - round(two_s)) > 1e-12:
             raise ValueError(f"s must be a positive half-integer, got {self.s}")
         object.__setattr__(self, "s", s)
 
@@ -75,6 +101,26 @@ class SpinPointerSpec:
     def layout(self) -> FactorLayout:
         return FactorLayout((self.dim,))
 
+    def expansion(self, gt: float) -> float:
+        """First-order transfer amplitude ``lambda = |gt| sqrt(2 s) / 2``."""
+        return abs(gt) * math.sqrt(2.0 * self.s) / 2.0
+
+    def coupling_for(self, lam: float) -> float:
+        """Inverse of :meth:`expansion`: the gt realizing a given lambda."""
+        return 2.0 * lam / math.sqrt(2.0 * self.s)
+
+    def route_scale(self, gt: float) -> float:
+        """Factor ``1 / (gt s)`` that turns ``<S->`` into the weak value."""
+        return 1.0 / (gt * self.s)
+
+    def coupling(self) -> Operator:
+        """Pointer operator entering the interaction: ``-S_y``."""
+        return Operator(self.layout, -spin_operators(self).sy.matrix)
+
+    def lowering(self) -> Operator:
+        """Ladder operator of the extraction route: ``S-``."""
+        return spin_operators(self).lowering
+
 
 PointerSpec = FockPointerSpec | SpinPointerSpec
 
@@ -84,30 +130,39 @@ class PointerOperators:
     """Operator set of one pointer; quadratures are Fock-only, sy is spin-only."""
 
     lowering: Operator
-    raising: Operator
     x: Operator | None = None
     p: Operator | None = None
     sy: Operator | None = None
 
 
+def _check_dim(spec: PointerSpec) -> None:
+    """Refuse a pointer whose ``dim x dim`` operators would pass the array cap."""
+    if spec.dim**2 * 16 > tensor.MAX_ARRAY_BYTES:
+        raise CapacityError(
+            f"pointer dim {spec.dim}: a dim x dim operator exceeds the array cap "
+            f"{tensor.MAX_ARRAY_BYTES} bytes"
+        )
+
+
 def fock_operators(spec: FockPointerSpec) -> PointerOperators:
-    """Lowering/raising and derived X, P quadratures of a Fock pointer."""
+    """Lowering operator and derived X, P quadratures of a Fock pointer."""
+    _check_dim(spec)
     lowering = np.diag(np.sqrt(np.arange(1, spec.dim)), 1).astype(np.complex128)
     raising = lowering.conj().T
     return PointerOperators(
         lowering=Operator(spec.layout, lowering),
-        raising=Operator(spec.layout, raising),
         x=Operator(spec.layout, (lowering + raising) * spec.sigma),
         p=Operator(spec.layout, (raising - lowering) * (0.5j / spec.sigma)),
     )
 
 
 def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
-    """Ladder operators and S_y of a spin-s pointer, ascending-m basis.
+    """Lowering operator ``S-`` and ``S_y`` of a spin-s pointer, ascending-m basis.
 
     ``S+ |m> = sqrt(s(s+1) - m(m+1)) |m+1>`` and ``S- = (S+)^dag``;
     ``S_y = (S+ - S-) / 2i``.
     """
+    _check_dim(spec)
     s = spec.s
     m = np.arange(-s, s)  # source m values for S+
     coeffs = np.sqrt(s * (s + 1.0) - m * (m + 1.0))
@@ -115,13 +170,13 @@ def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
     lowering = raising.conj().T
     return PointerOperators(
         lowering=Operator(spec.layout, lowering),
-        raising=Operator(spec.layout, raising),
         sy=Operator(spec.layout, (raising - lowering) * (1.0 / 2.0j)),
     )
 
 
 def initial_state(spec: PointerSpec) -> StateVector:
     """Starting state: Fock ground state |0>, or the lowest S_z eigenstate |m=-s>."""
+    _check_dim(spec)
     amps = np.zeros(spec.dim, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(spec.layout, amps)

@@ -68,24 +68,6 @@ class ObservableSpec:
         object.__setattr__(self, "target", tuple(int(t) for t in self.target))
 
 
-def expansion_parameter(gt: float, pointer: PointerSpec) -> float:
-    """Dimensionless weak-coupling parameter lambda of one pointer coupled with ``gt``.
-
-    For a Fock pointer this is ``g t / (2 sigma)``.  For a spin-s pointer the
-    analogous first-order transfer amplitude is ``g t sqrt(2 s) / 2``.
-    """
-    if isinstance(pointer, FockPointerSpec):
-        return abs(gt) / (2.0 * pointer.sigma)
-    return abs(gt) * math.sqrt(2.0 * pointer.s) / 2.0
-
-
-def coupling_for_lambda(lam: float, pointer: PointerSpec) -> float:
-    """Inverse of :func:`expansion_parameter`: the gt realizing a given lambda."""
-    if isinstance(pointer, FockPointerSpec):
-        return 2.0 * pointer.sigma * lam
-    return 2.0 * lam / math.sqrt(2.0 * pointer.s)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Full experiment description; immutable once constructed.
@@ -128,9 +110,7 @@ class Scenario:
 
     @property
     def lambdas(self) -> tuple[float, ...]:
-        return tuple(
-            expansion_parameter(c, p) for c, p in zip(self.couplings, self.pointers)
-        )
+        return tuple(p.expansion(gt) for gt, p in zip(self.couplings, self.pointers))
 
     @property
     def lambda_max(self) -> float:
@@ -138,7 +118,7 @@ class Scenario:
 
     def with_lambda(self, lam: float) -> "Scenario":
         """Copy of the scenario with every coupling rescaled to the given lambda."""
-        couplings = tuple(coupling_for_lambda(lam, p) for p in self.pointers)
+        couplings = tuple(p.coupling_for(lam) for p in self.pointers)
         return replace(self, couplings=couplings)
 
     def with_fock_dim(self, dim: int) -> "Scenario":
@@ -177,70 +157,76 @@ def validate(scenario: Scenario) -> list[str]:
 
 
 def _violations(scenario: Scenario) -> tuple[list[str], bool]:
-    """Violation strings, and whether :func:`weak_value_denominator` found a divergence."""
-    v: list[str] = []
-    divergent = False
-    n = len(scenario.observables)
-    if n < 1:
-        v.append("observables: N >= 1 required")
-    if len(scenario.pointers) != n:
-        v.append(f"pointers: expected {n} entries, got {len(scenario.pointers)}")
-    if len(scenario.couplings) != n:
-        v.append(f"couplings: expected {n} entries, got {len(scenario.couplings)}")
+    """Violation strings, and whether :func:`weak_value_denominator` found a divergence.
 
-    sys_layout = scenario.system_layout
-    for i, obs in enumerate(scenario.observables):
-        bad_target = any(t < 0 or t >= len(sys_layout) for t in obs.target)
-        if bad_target or len(set(obs.target)) != len(obs.target):
-            v.append(f"observables[{i}].target: invalid factor indices {obs.target}")
-            continue
-        expected_dims = tuple(sys_layout.dims[t] for t in obs.target)
-        if obs.matrix.layout.dims != expected_dims:
-            v.append(
-                f"observables[{i}].matrix: dims {obs.matrix.layout.dims} do not match "
-                f"target factors {expected_dims}"
-            )
-        if not obs.matrix.is_hermitian():
-            v.append(f"observables[{i}].matrix: observable not Hermitian")
+    Entries near the float range overflow the norm and Hermiticity checks to
+    ``inf``, which those checks report as a violation; numpy's overflow
+    warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        v: list[str] = []
+        divergent = False
+        n = len(scenario.observables)
+        if n < 1:
+            v.append("observables: N >= 1 required")
+        if len(scenario.pointers) != n:
+            v.append(f"pointers: expected {n} entries, got {len(scenario.pointers)}")
+        if len(scenario.couplings) != n:
+            v.append(f"couplings: expected {n} entries, got {len(scenario.couplings)}")
 
-    kinds = {type(p) for p in scenario.pointers}
-    if len(kinds) > 1:
-        v.append("pointers: mixed Fock/spin pointer kinds in one scenario are unsupported")
+        sys_layout = scenario.system_layout
+        for i, obs in enumerate(scenario.observables):
+            bad_target = any(t < 0 or t >= len(sys_layout) for t in obs.target)
+            if bad_target or len(set(obs.target)) != len(obs.target):
+                v.append(f"observables[{i}].target: invalid factor indices {obs.target}")
+                continue
+            expected_dims = tuple(sys_layout.dims[t] for t in obs.target)
+            if obs.matrix.layout.dims != expected_dims:
+                v.append(
+                    f"observables[{i}].matrix: dims {obs.matrix.layout.dims} do not match "
+                    f"target factors {expected_dims}"
+                )
+            if not obs.matrix.is_hermitian():
+                v.append(f"observables[{i}].matrix: observable not Hermitian")
 
-    for i, (gt, p) in enumerate(zip(scenario.couplings, scenario.pointers)):
-        if not math.isfinite(gt):
-            v.append(f"couplings[{i}].gt: must be finite")
-            continue
-        lam = expansion_parameter(gt, p)
-        if lam > LAMBDA_HARD_LIMIT:
-            v.append(
-                f"couplings[{i}]: lambda = {lam:.3g} exceeds the hard limit "
-                f"{LAMBDA_HARD_LIMIT}"
-            )
-        elif lam > LAMBDA_WARN_LIMIT:
-            warnings.warn(
-                f"couplings[{i}]: lambda = {lam:.3g} is outside the weak regime "
-                f"(> {LAMBDA_WARN_LIMIT}); quadratic error estimates may be optimistic",
-                WeakRegimeWarning,
-                stacklevel=3,
-            )
+        kinds = {type(p) for p in scenario.pointers}
+        if len(kinds) > 1:
+            v.append("pointers: mixed Fock/spin pointer kinds in one scenario are unsupported")
 
-    for label, state in (("pre", scenario.pre), ("post", scenario.post)):
-        if state.layout != sys_layout:
-            v.append(
-                f"{label}: layout {state.layout.dims} does not match system "
-                f"dims {sys_layout.dims}"
-            )
-        elif not state.is_normalized():
-            v.append(f"{label}: state not normalized (norm = {state.norm():.12g})")
+        for i, (gt, p) in enumerate(zip(scenario.couplings, scenario.pointers)):
+            if not math.isfinite(gt):
+                v.append(f"couplings[{i}].gt: must be finite")
+                continue
+            lam = p.expansion(gt)
+            if lam > LAMBDA_HARD_LIMIT:
+                v.append(
+                    f"couplings[{i}]: lambda = {lam:.3g} exceeds the hard limit "
+                    f"{LAMBDA_HARD_LIMIT}"
+                )
+            elif lam > LAMBDA_WARN_LIMIT:
+                warnings.warn(
+                    f"couplings[{i}]: lambda = {lam:.3g} is outside the weak regime "
+                    f"(> {LAMBDA_WARN_LIMIT}); quadratic error estimates may be optimistic",
+                    WeakRegimeWarning,
+                    stacklevel=3,
+                )
 
-    if scenario.pre.layout == scenario.post.layout:
-        try:
-            weak_value_denominator(scenario.pre, scenario.post)
-        except DivergentWeakValueError as exc:
-            v.append(str(exc))
-            divergent = True
-    return v, divergent
+        for label, state in (("pre", scenario.pre), ("post", scenario.post)):
+            if state.layout != sys_layout:
+                v.append(
+                    f"{label}: layout {state.layout.dims} does not match system "
+                    f"dims {sys_layout.dims}"
+                )
+            elif not state.is_normalized():
+                v.append(f"{label}: state not normalized (norm = {state.norm():.12g})")
+
+        if scenario.pre.layout == scenario.post.layout:
+            try:
+                weak_value_denominator(scenario.pre, scenario.post)
+            except DivergentWeakValueError as exc:
+                v.append(str(exc))
+                divergent = True
+        return v, divergent
 
 
 def ensure_valid(scenario: Scenario) -> Scenario:
@@ -271,8 +257,8 @@ def _is_number(value, kind=(int, float)) -> bool:
 def _number(value, field: str, kind=(int, float)):
     """``value`` if it passes :func:`_is_number`, as a float unless ``kind`` is int.
 
-    Otherwise, or when a float cannot hold it, raises :class:`SchemaError`
-    naming ``field``.
+    Otherwise, or when a float cannot hold it, or for the ``NaN`` and
+    ``Infinity`` literals, raises :class:`SchemaError` naming ``field``.
     """
     if not _is_number(value, kind):
         noun = "an integer" if kind is int else "a number"
@@ -280,9 +266,12 @@ def _number(value, field: str, kind=(int, float)):
     if kind is int:
         return value
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise SchemaError(f"{field}: number too large for a float") from None
+    if not math.isfinite(number):
+        raise SchemaError(f"{field}: expected a finite number, got {value!r}")
+    return number
 
 
 def _complex_pair(value, field: str) -> complex:
@@ -340,7 +329,7 @@ def load_scenario(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")

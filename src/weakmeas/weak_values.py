@@ -12,7 +12,8 @@ routes recover it from simulated pointer states:
   functions, the quantities an ensemble experiment would actually measure.
   Its recombined value equals the lowering route identically (same state,
   same operator algebra), and that forced equality is a standing self-test;
-* the spin route, ``prod_j 1/(gt_j s_j) <prod_j S-_j>`` for spin pointers.
+* the spin route, ``prod_j 1/(gt_j s_j) <prod_j S-_j>``: the lowering route
+  for spin pointers, with each pointer's own ladder operator and scale.
 
 Each route is one function over a sequence of (conditioned result, scenario)
 points that share their pointers (:func:`extract_joint_fock`,
@@ -61,7 +62,7 @@ from .evolution import (
     _system_pointer_tensor,
     evolve_exact,
 )
-from .pointers import FockPointerSpec, SpinPointerSpec, fock_operators, spin_operators
+from .pointers import FockPointerSpec, SpinPointerSpec, fock_operators
 from .scenario import Scenario, weak_value_denominator
 from .tensor import Operator, StateVector, expectation, kron
 
@@ -177,24 +178,24 @@ def _all_commute(observables) -> bool:
     return True
 
 
-def _require_all_fock(scenario: Scenario) -> None:
-    if not all(isinstance(p, FockPointerSpec) for p in scenario.pointers):
-        raise UnsupportedScenarioError("this extraction route requires Fock pointers")
-
-
-def _require_finite_couplings(scenario: Scenario) -> None:
-    if any(gt == 0.0 for gt in scenario.couplings):
-        raise ZeroCouplingError(
-            "extraction divides by gt; the weak limit is taken by shrinking a "
-            "finite coupling, not by setting it to zero"
-        )
-
-
-def _shared_pointers(points: Sequence[ConditionedPoint]) -> tuple:
-    if not points:
+def _route_pointers(
+    scenarios: Sequence[Scenario],
+    kind: type = FockPointerSpec,
+    message: str = "this extraction route requires Fock pointers",
+) -> tuple:
+    """The pointers the scenarios share; every pointer must be of ``kind``, every gt non-zero."""
+    if not scenarios:
         raise ValueError("extraction needs at least one conditioned state")
-    pointers = points[0][1].pointers
-    if any(scenario.pointers != pointers for _, scenario in points[1:]):
+    for scenario in scenarios:
+        if not all(isinstance(p, kind) for p in scenario.pointers):
+            raise UnsupportedScenarioError(message)
+        if any(gt == 0.0 for gt in scenario.couplings):
+            raise ZeroCouplingError(
+                "extraction divides by gt; the weak limit is taken by shrinking a "
+                "finite coupling, not by setting it to zero"
+            )
+    pointers = scenarios[0].pointers
+    if any(scenario.pointers != pointers for scenario in scenarios[1:]):
         raise ValueError("batched extraction needs every scenario to share its pointers")
     return pointers
 
@@ -208,23 +209,18 @@ def _expectations(points: Sequence[ConditionedPoint], operator: Operator) -> lis
     return [expectation(result.conditioned, operator) for result, _ in points]
 
 
-def _fock_scale(scenario: Scenario) -> float:
-    return math.prod(
-        2.0 * p.sigma / gt for p, gt in zip(scenario.pointers, scenario.couplings)
-    )
+def _route_scale(scenario: Scenario) -> float:
+    return math.prod(p.route_scale(gt) for p, gt in zip(scenario.pointers, scenario.couplings))
 
 
-def _spin_scale(scenario: Scenario) -> float:
-    return math.prod(
-        1.0 / (gt * p.s) for p, gt in zip(scenario.pointers, scenario.couplings)
-    )
+def _ladder_route(points: Sequence[ConditionedPoint], *guard) -> list[complex]:
+    """``prod_j route_scale_j <prod_j L_j>`` at every point, with ``L_j = lowering()``.
 
-
-def _fock_pointers(points: Sequence[ConditionedPoint]) -> tuple:
-    for _, scenario in points:
-        _require_all_fock(scenario)
-        _require_finite_couplings(scenario)
-    return _shared_pointers(points)
+    The product is built once; ``guard`` is the kind and message of :func:`_route_pointers`.
+    """
+    pointers = _route_pointers([scenario for _, scenario in points], *guard)
+    values = _expectations(points, kron([p.lowering() for p in pointers]))
+    return [complex(value * _route_scale(s)) for value, (_, s) in zip(values, points)]
 
 
 def extract_joint_fock(points: Sequence[ConditionedPoint]) -> list[complex]:
@@ -236,10 +232,7 @@ def extract_joint_fock(points: Sequence[ConditionedPoint]) -> list[complex]:
     each pointer's sigma and truncation, so it is built once and applied to
     every point.
     """
-    values = _expectations(
-        points, kron([fock_operators(p).lowering for p in _fock_pointers(points)])
-    )
-    return [complex(value * _fock_scale(s)) for value, (_, s) in zip(values, points)]
+    return _ladder_route(points)
 
 
 def correlator_decomposition(
@@ -257,7 +250,7 @@ def correlator_decomposition(
     freed before the next one is built, so one dense product is alive at a
     time.
     """
-    pointers = _fock_pointers(points)
+    pointers = _route_pointers([scenario for _, scenario in points])
     pointer_ops = [fock_operators(p) for p in pointers]
     tables: list[CorrelatorTable] = [{} for _ in points]
     recombined = [0.0 + 0.0j for _ in points]
@@ -276,7 +269,7 @@ def correlator_decomposition(
             tables[i][key] = float(value.real)
             recombined[i] += weight * value
     return [
-        (table, complex(value * _fock_scale(scenario)))
+        (table, complex(value * _route_scale(scenario)))
         for table, value, (_, scenario) in zip(tables, recombined, points)
     ]
 
@@ -292,7 +285,7 @@ def pointer_shift_check(
     """
     if scenario.n_pointers != 1:
         raise UnsupportedScenarioError("quadrature shifts are a single-pointer diagnostic")
-    _require_all_fock(scenario)
+    _route_pointers([scenario])
     ops = fock_operators(scenario.pointers[0])
     x_mean = expectation(result.conditioned, ops.x).real
     p_mean = expectation(result.conditioned, ops.p).real
@@ -304,17 +297,12 @@ def extract_joint_spin(points: Sequence[ConditionedPoint]) -> list[complex]:
 
     The product ``prod_j S-_j`` is built once and applied to every state.
     """
-    for _, scenario in points:
-        if not all(isinstance(p, SpinPointerSpec) for p in scenario.pointers):
-            raise UnsupportedScenarioError(
-                "the spin route requires spin pointers throughout (mixed pointer "
-                "kinds are unsupported)"
-            )
-        _require_finite_couplings(scenario)
-    values = _expectations(
-        points, kron([spin_operators(p).lowering for p in _shared_pointers(points)])
+    return _ladder_route(
+        points,
+        SpinPointerSpec,
+        "the spin route requires spin pointers throughout (mixed pointer kinds are "
+        "unsupported)",
     )
-    return [complex(value * _spin_scale(s)) for value, (_, s) in zip(values, points)]
 
 
 def strong_position_estimate(scenario: Scenario) -> complex:
@@ -326,8 +314,7 @@ def strong_position_estimate(scenario: Scenario) -> complex:
     on its own axis of the ``(S, d_1, ..., d_N)`` amplitudes, so no full-space
     operator is formed.
     """
-    _require_all_fock(scenario)
-    _require_finite_couplings(scenario)
+    _route_pointers([scenario])
     if not _all_commute(scenario.embedded_observables()):
         raise UnsupportedScenarioError(
             "the strong-measurement analog requires commuting observables"
@@ -356,7 +343,7 @@ def second_order_error(scenario: Scenario) -> complex:
     Its symmetrized weak values come from one word-sum recursion over the
     embedded observables.
     """
-    _require_all_fock(scenario)
+    _route_pointers([scenario])
     observables = scenario.embedded_observables()
     n = len(observables)
     ones = (1,) * n

@@ -532,5 +532,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: joint_pair: 331776 bytes exceed the array cap 65536\n"
 
+    def test_run_with_a_pointer_beyond_any_array_errors(self, tmp_path, capsys):
+        # refused before anything of the pointer's size is allocated
+        doc = json.loads(wm.dump_scenario(wm.resolve_scenario("aav_qubit")))
+        doc["pointers"][0]["dim"] = 10**400
+        path = tmp_path / "huge_dim.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: pointer dim {10**400}: a dim x dim operator exceeds the "
+            "array cap 268435456 bytes\n"
+        )
+
+    def test_dim_override_over_the_array_cap_errors(self, capsys):
+        assert cli.main(["run", "aav_qubit", "--dim", "4097"]) == 2
+        assert capsys.readouterr().err == (
+            "error: aav_qubit: pointer dim 4097: a dim x dim operator exceeds the "
+            "array cap 268435456 bytes\n"
+        )
+
     def test_dim_override_flows_through(self, capsys):
         assert cli.main(["run", "aav_qubit", "--dim", "8"]) == 0

@@ -52,7 +52,7 @@ class TestSpinOperators:
         ops = wm.spin_operators(SpinPointerSpec(s=0.5))
         down = np.array([1.0, 0.0], dtype=complex)
         up = np.array([0.0, 1.0], dtype=complex)
-        np.testing.assert_allclose(ops.raising.matrix @ down, up, atol=1e-15)
+        np.testing.assert_allclose(ops.lowering.matrix.conj().T @ down, up, atol=1e-15)
 
     def test_spin1_raising_element(self):
         ops = wm.spin_operators(SpinPointerSpec(s=1.0))
@@ -61,21 +61,21 @@ class TestSpinOperators:
         middle = np.zeros(3, dtype=complex)
         middle[1] = 1.0
         np.testing.assert_allclose(
-            ops.raising.matrix @ lowest, np.sqrt(2.0) * middle, atol=1e-15
+            ops.lowering.matrix.conj().T @ lowest, np.sqrt(2.0) * middle, atol=1e-15
         )
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_ladder_commutator(self, s):
         # [S_z, S+] = S+ with S_z reconstructed as [S+, S-]/2
         ops = wm.spin_operators(SpinPointerSpec(s=s))
-        sp, sm = ops.raising.matrix, ops.lowering.matrix
+        sp, sm = ops.lowering.matrix.conj().T, ops.lowering.matrix
         sz = 0.5 * (sp @ sm - sm @ sp)
         np.testing.assert_allclose(sz @ sp - sp @ sz, sp, atol=1e-13)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_casimir(self, s):
         ops = wm.spin_operators(SpinPointerSpec(s=s))
-        sp, sm = ops.raising.matrix, ops.lowering.matrix
+        sp, sm = ops.lowering.matrix.conj().T, ops.lowering.matrix
         sx = 0.5 * (sp + sm)
         sy = ops.sy.matrix
         sz = 0.5 * (sp @ sm - sm @ sp)
@@ -132,7 +132,42 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FockPointerSpec(sigma=1.0, dim=1)
 
-    @pytest.mark.parametrize("s", [0.0, -0.5, 0.7])
+    @pytest.mark.parametrize("s", [0.0, -0.5, 0.7, 1e308])  # 2 * 1e308 overflows round()
     def test_bad_spin(self, s):
         with pytest.raises(ValueError):
             SpinPointerSpec(s=s)
+
+
+class TestArrayCap:
+    """A pointer whose dim x dim operators pass the cap allocates nothing."""
+
+    @pytest.mark.parametrize(
+        "build", [wm.initial_state, wm.fock_operators], ids=["initial_state", "fock_operators"]
+    )
+    def test_fock_pointer_arrays(self, monkeypatch, build):
+        monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 8 * 8 * 16)
+        build(FockPointerSpec(sigma=1.0, dim=8))
+        with pytest.raises(wm.CapacityError, match="^pointer dim 9: .* cap 1024 bytes$"):
+            build(FockPointerSpec(sigma=1.0, dim=9))
+
+    @pytest.mark.parametrize(
+        "build", [wm.initial_state, wm.spin_operators], ids=["initial_state", "spin_operators"]
+    )
+    def test_spin_pointer_arrays(self, monkeypatch, build):
+        monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 8 * 8 * 16)
+        build(SpinPointerSpec(s=3.5))
+        with pytest.raises(wm.CapacityError, match="^pointer dim 9: "):
+            build(SpinPointerSpec(s=4.0))
+
+    def test_default_cap_admits_dim_4096(self):
+        assert 4096**2 * 16 == wm.MAX_ARRAY_BYTES
+        assert wm.initial_state(FockPointerSpec(sigma=1.0, dim=4096)).dim == 4096
+        with pytest.raises(wm.CapacityError):
+            wm.initial_state(FockPointerSpec(sigma=1.0, dim=4097))
+
+    @pytest.mark.parametrize(
+        "build", [wm.initial_state, wm.fock_operators], ids=["initial_state", "fock_operators"]
+    )
+    def test_dim_beyond_any_array(self, build):
+        with pytest.raises(wm.CapacityError, match=f"^pointer dim {10**400}: "):
+            build(FockPointerSpec(sigma=1.0, dim=10**400))

@@ -1,12 +1,15 @@
-"""The README names the functions that check each fixed limit, and its quick start runs."""
+"""The README names the functions that check each fixed limit, its quick start runs,
+and the scenario-format examples are the catalog scenarios they name."""
 
 import importlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import weakmeas
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SCENARIO_FORMAT = README.parent / "docs" / "scenario_format.md"
 
 
 def fixed_limit_checks():
@@ -44,3 +47,14 @@ def test_library_quick_start_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert lines[2].endswith(" True")
+
+
+def test_scenario_format_examples_match_the_catalog():
+    blocks = re.findall(r"```json\n(.*?)```", SCENARIO_FORMAT.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 3
+    for block in blocks:
+        example = weakmeas.load_scenario(block)
+        shipped = weakmeas.resolve_scenario(example.name)
+        assert replace(example, description=None) == replace(shipped, description=None), (
+            example.name
+        )

@@ -1,11 +1,16 @@
 """Scenario validation, file ingestion, and catalog round-trips."""
 
+import copy
 import json
+import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import weakmeas as wm
 from weakmeas import (
@@ -169,6 +174,11 @@ class TestLoadErrors:
         with pytest.raises(wm.SchemaError, match="line"):
             wm.load_scenario('{"system_dims": [2,}')
 
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError for integers over 4300 digits
+        with pytest.raises(wm.SchemaError, match="4300 digits"):
+            wm.load_scenario('{"system_dims": [' + "1" * 5000 + "]}")
+
     def test_malformed_amplitude_pair(self):
         doc = self.base_doc()
         doc["post"][0] = [1.0]
@@ -205,6 +215,86 @@ class TestLoadErrors:
         field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
         with pytest.raises(wm.SchemaError, match=re.escape(field)):
             wm.load_scenario(json.dumps(doc))
+
+
+def catalog_doc(name):
+    return json.loads((catalog_dir() / f"{name}.json").read_text())
+
+
+CATALOG_DOCS = {name: catalog_doc(name) for name in wm.catalog_names()}
+
+#: Stands in for the value of a mutation that deletes its key.
+DELETE = object()
+
+#: Arbitrary JSON, weighted towards the values a float or a parser gets wrong.
+JSON_VALUES = st.recursive(
+    st.sampled_from([10**400, -(10**400), 1e308, -1e308, math.nan, math.inf, -math.inf])
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def document_paths(node, path=(), leaves=True):
+    """Paths to every leaf of a JSON document, or (``leaves=False``) to every object key."""
+    if isinstance(node, dict):
+        children = node.items()
+        found = [] if leaves else [path + (key,) for key in node]
+    elif isinstance(node, list):
+        children, found = enumerate(node), []
+    else:
+        return [path] if leaves else []
+    for key, child in children:
+        found += document_paths(child, path + (key,), leaves)
+    return found
+
+
+@st.composite
+def mutations(draw):
+    """A catalog name, a path into its document, and the value put there (or DELETE)."""
+    name = draw(st.sampled_from(sorted(CATALOG_DOCS)))
+    doc = CATALOG_DOCS[name]
+    if draw(st.booleans()):
+        return name, draw(st.sampled_from(document_paths(doc, leaves=False))), DELETE
+    return name, draw(st.sampled_from(document_paths(doc))), draw(JSON_VALUES)
+
+
+class TestDocumentFuzz:
+    """One leaf replaced or one key deleted: a typed error or a scenario, nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutation=mutations())
+    @example(mutation=("aav_qubit_spinptr", ("pointers", 0, "s"), 1e308))
+    @example(mutation=("aav_qubit", ("observables", 0, "matrix", 0, 0, 0), math.nan))
+    @example(mutation=("aav_qubit", ("pre", 1, 1), math.inf))
+    @example(mutation=("aav_qubit", ("post", 0, 0), -math.inf))
+    @example(mutation=("aav_qubit", ("pre", 0, 0), 1e308))
+    def test_mutated_catalog_document(self, mutation):
+        name, path, value = mutation
+        doc = copy.deepcopy(CATALOG_DOCS[name])
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        try:
+            scenario = wm.load_scenario(json.dumps(doc))
+        except wm.SchemaError:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wm.WeakRegimeWarning)
+            try:
+                wm.ensure_valid(scenario)
+            except wm.WeakMeasurementError:
+                pass
 
 
 class TestCatalog:
@@ -261,11 +351,11 @@ class TestCatalog:
 
 class TestExpansionParameters:
     def test_fock_lambda(self):
-        lam = wm.expansion_parameter(0.02, FockPointerSpec(sigma=1.0, dim=8))
+        lam = FockPointerSpec(sigma=1.0, dim=8).expansion(0.02)
         assert lam == pytest.approx(0.01)
 
     def test_spin_lambda(self):
-        lam = wm.expansion_parameter(0.02, SpinPointerSpec(s=0.5))
+        lam = SpinPointerSpec(s=0.5).expansion(0.02)
         assert lam == pytest.approx(0.01)
 
     def test_rescaling_round_trip(self):
