@@ -387,5 +387,15 @@ def extraction_tolerance(lambda_max: float, analytic: complex) -> float:
     of :func:`second_order_error` contains, so for Fock pointers
     :func:`~weakmeas.harness.run_scenario` uses the larger of this tolerance
     and twice ``|c2|``.
+
+    Raises :class:`WeakMeasurementError` when ``(1 + |A_w|)^3`` overflows a
+    float, which happens once ``|A_w|`` passes about 5.6e102.
     """
-    return TOLERANCE_COEFFICIENT * lambda_max**2 * (1.0 + abs(analytic)) ** 3 + TOLERANCE_FLOOR
+    try:
+        growth = (1.0 + abs(analytic)) ** 3
+    except OverflowError:
+        raise WeakMeasurementError(
+            f"|A_w| = {abs(analytic):.3e} overflows the tolerance model "
+            "3 lambda^2 (1 + |A_w|)^3"
+        ) from None
+    return TOLERANCE_COEFFICIENT * lambda_max**2 * growth + TOLERANCE_FLOOR

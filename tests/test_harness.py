@@ -10,6 +10,7 @@ import pytest
 import weakmeas as wm
 from weakmeas import cli
 from weakmeas.harness import report_json, report_rows, sweep_rows
+from weakmeas.scenario import catalog_dir
 
 NON_AMPLIFIED = [
     "aav_qubit",
@@ -27,6 +28,10 @@ NON_AMPLIFIED = [
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def catalog_doc(name):
+    return json.loads((catalog_dir() / f"{name}.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +148,14 @@ class TestRunExperiment:
         path = tmp_path / "orthogonal.json"
         path.write_text(wm.dump_scenario(broken))
         with pytest.raises(wm.DivergentWeakValueError, match="orthogonal.json"):
+            wm.run_experiment(path)
+
+    def test_schema_errors_carry_scenario_context(self, tmp_path):
+        doc = catalog_doc("aav_qubit")
+        doc["couplings"][0]["gt"] = "strong"
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(wm.SchemaError, match=r"h\.json: couplings\[0\]\.gt: "):
             wm.run_experiment(path)
 
 
@@ -433,7 +446,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "shots",
-        [1, *(cli.SAMPLE_WRITE_CHUNK + d for d in (-1, 0, 1)), 10_001],
+        [1, 4095, 4096, 4097, *(cli.SAMPLE_WRITE_CHUNK + d for d in (-1, 0, 1)), 10_001],
     )
     def test_sample_out_bytes_match_per_shot_format(self, capsys, tmp_path, shots):
         out = tmp_path / "positions.csv"
@@ -492,6 +505,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {err}\n"
         assert evolutions == []
+
+    def test_run_tolerance_overflow_errors(self, capsys, tmp_path):
+        doc = catalog_doc("aav_qubit_spinptr")
+        doc["observables"][0]["matrix"][0][0] = [1e120, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: |A_w| = ")
+        assert captured.err.endswith(" overflows the tolerance model 3 lambda^2 (1 + |A_w|)^3\n")
+        assert captured.err.count("\n") == 1
 
     def test_run_non_finite_tolerance_errors(self, capsys):
         assert cli.main(["run", "aav_qubit", "--tolerance", "nan"]) == 2

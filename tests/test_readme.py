@@ -1,12 +1,15 @@
-"""The README names the functions that check each fixed limit, its quick start runs,
-and the scenario-format examples are the catalog scenarios they name."""
+"""The README names the functions that check each fixed limit, its quick start and
+command-line examples run, and the scenario-format examples are the catalog
+scenarios they name."""
 
 import importlib
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
 import weakmeas
+from weakmeas import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SCENARIO_FORMAT = README.parent / "docs" / "scenario_format.md"
@@ -47,6 +50,16 @@ def test_library_quick_start_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert lines[2].endswith(" True")
+
+
+def test_command_line_examples_run(monkeypatch, tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "weakmeas" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, shlex.join(argv)
 
 
 def test_scenario_format_examples_match_the_catalog():
