@@ -10,7 +10,8 @@ Subcommands::
 Scenarios are referenced by catalog name or file path; the catalog directory
 can be overridden with the WEAKMEAS_CATALOG environment variable.  The exit
 status is 0 only when every run passes its tolerance (sweeps pass when the
-fitted slope is within 2 +/- ``harness.SLOPE_WINDOW`` = 0.3).
+fitted slope is within 2 +/- ``harness.SLOPE_WINDOW`` = 0.3).  Each option
+may be given once; a repeated one exits 2, like any other usage error.
 """
 
 from __future__ import annotations
@@ -137,12 +138,48 @@ def _format_g12(values: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
+#: Namespace entry in which :class:`_StoreOnce` records the options given;
+#: not an identifier, so it never collides with an option's ``dest``.
+_GIVEN = "options given"
+
+
+class _StoreOnce(argparse.Action):
+    """Store an option's one value, refusing a second occurrence in one command line.
+
+    The parser is shared between calls, so the options already given are
+    recorded on the namespace being filled, never on the action.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if isinstance(values, list):
+            # argparse drops a "--" given as the value ("--seed=--") and passes [].
+            raise argparse.ArgumentError(self, "expected one argument")
+        given = namespace.__dict__.setdefault(_GIVEN, set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "may be given only once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+def _option(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    parser.add_argument(flag, action=_StoreOnce, **kwargs)
+
+
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
-    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+    _option(parser, "--format", choices=("csv", "json"), default="json")
+    _option(parser, "--out", metavar="PATH", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``weakmeas`` argument grammar, built once per process.
+
+    Every call returns the same parser object, so :func:`main` only parses.
+    Parsing leaves it unchanged (all per-call state lives in the returned
+    ``Namespace``); callers must not mutate it, for example with
+    ``set_defaults`` or ``add_argument``, since the change would reach every
+    later call.
+    """
     parser = argparse.ArgumentParser(
         prog="weakmeas",
         description="Simulate weak and joint weak measurements and verify the "
@@ -152,29 +189,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario through every extraction route")
     p_run.add_argument("scenario", help="catalog name or scenario file path")
-    p_run.add_argument("--dim", type=int, help="override the Fock truncation")
-    p_run.add_argument(
-        "--tolerance", type=float, help="override the absolute pass/fail tolerance"
-    )
+    _option(p_run, "--dim", type=int, help="override the Fock truncation")
+    _option(p_run, "--tolerance", type=float, help="override the absolute pass/fail tolerance")
     _add_output_options(p_run)
 
     p_sweep = sub.add_parser("sweep", help="rerun over a lambda grid and fit the error slope")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument(
+    _option(
+        p_sweep,
         "--grid",
         required=True,
         help="comma-separated lambda values in (0, 0.2], at least four",
     )
-    p_sweep.add_argument("--dim", type=int, help="override the Fock truncation")
+    _option(p_sweep, "--dim", type=int, help="override the Fock truncation")
     _add_output_options(p_sweep)
 
     p_sample = sub.add_parser("sample", help="draw pointer positions from a conditioned state")
     p_sample.add_argument("scenario")
-    p_sample.add_argument("--pointer", type=int, default=0)
-    p_sample.add_argument("--shots", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--dim", type=int, help="override the Fock truncation")
-    p_sample.add_argument("--out", metavar="PATH", help="write raw positions as one-column CSV")
+    _option(p_sample, "--pointer", type=int, default=0)
+    _option(p_sample, "--shots", type=int, required=True)
+    _option(p_sample, "--seed", type=int, required=True)
+    _option(p_sample, "--dim", type=int, help="override the Fock truncation")
+    _option(p_sample, "--out", metavar="PATH", help="write raw positions as one-column CSV")
 
     p_catalog = sub.add_parser("catalog", help="inspect the scenario catalog")
     p_catalog.add_argument("action", choices=("list",))

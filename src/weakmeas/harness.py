@@ -35,6 +35,7 @@ from .errors import (
 from .evolution import PostSelectionResult, evolve_exact, post_select
 from .pointers import FockPointerSpec, position_wavefunctions
 from .scenario import LAMBDA_WARN_LIMIT, Scenario, ensure_valid, resolve_scenario
+from .tensor import _check_capacity
 from .weak_values import (
     ConditionedPoint,
     analytic_oracle,
@@ -49,13 +50,18 @@ from .weak_values import (
 #: Number of grid points used for position densities and inverse-CDF sampling.
 SAMPLING_GRID_POINTS = 2**12
 
-#: Largest shot count one sample set draws; 2^24 float64 positions take 128 MiB.
+#: Largest shot count one sample set draws.  :func:`sample_positions` holds
+#: the positions (128 MiB of float64 at the cap) and one chunk of draws;
+#: ``weakmeas sample`` peaks at about twice that, since ``np.std`` of the
+#: positions makes a full-size temporary (measured at 2^24 shots: +134 MB and
+#: +262 MB of peak RSS).
 MAX_SHOTS = 2**24
 
-#: Draws that inverse-CDF sampling sorts at once.  ``np.interp`` finds each
-#: draw's grid cell faster when the draws come in order, and it maps every
-#: draw on its own, so sorting a chunk and scattering the positions back
-#: leaves every bit as it was; a whole sort would hold more index memory.
+#: Draws that inverse-CDF sampling takes and sorts at once.  Philox hands out
+#: the same stream in chunks as in one call, and ``np.interp`` maps every draw
+#: on its own (finding each grid cell faster when the draws come in order), so
+#: drawing, sorting and scattering back one chunk at a time leaves every bit as
+#: a whole-array draw would, while holding only one chunk of draws and indices.
 SAMPLE_SORT_CHUNK = 2**13
 
 #: Probability mass a position density may leave off its grid.
@@ -378,12 +384,13 @@ def sample_positions(
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     cdf /= cdf[-1]
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    uniform = rng.random(int(n_shots))
-    positions = np.empty_like(uniform)
-    for start in range(0, uniform.size, SAMPLE_SORT_CHUNK):
-        draws = uniform[start : start + SAMPLE_SORT_CHUNK]
+    _check_capacity(int(n_shots) * 8)
+    positions = np.empty(int(n_shots))
+    for start in range(0, positions.size, SAMPLE_SORT_CHUNK):
+        chunk = positions[start : start + SAMPLE_SORT_CHUNK]
+        draws = rng.random(chunk.size)
         order = np.argsort(draws)
-        positions[start : start + SAMPLE_SORT_CHUNK][order] = np.interp(draws[order], cdf, grid)
+        chunk[order] = np.interp(draws[order], cdf, grid)
     positions.flags.writeable = False
     return positions
 

@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     WeakRegimeWarning,
 )
-from .pointers import FockPointerSpec, PointerSpec, SpinPointerSpec
+from .pointers import FockPointerSpec, PointerSpec, SpinPointerSpec, _check_dim
 from .tensor import FactorLayout, Operator, StateVector, embed_factors
 
 #: Couplings whose expansion parameter exceeds this are rejected outright.
@@ -122,7 +122,13 @@ class Scenario:
         return replace(self, couplings=couplings)
 
     def with_fock_dim(self, dim: int) -> "Scenario":
-        """Copy with every Fock pointer truncated at ``dim`` levels."""
+        """Copy with every Fock pointer truncated at ``dim`` levels.
+
+        ``dim`` is checked as a Fock truncation (at least 2, within the array
+        cap) even when no pointer is Fock, so a bad override never passes
+        unnoticed.
+        """
+        _check_dim(FockPointerSpec(sigma=1.0, dim=dim))
         pointers = tuple(
             FockPointerSpec(sigma=p.sigma, dim=dim) if isinstance(p, FockPointerSpec) else p
             for p in self.pointers
