@@ -161,6 +161,23 @@ class _StoreOnce(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+def _grid(text: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated ``--grid``, skipping blank entries.
+
+    A tuple, since :class:`_StoreOnce` reads a list value as a dropped ``--``.
+    """
+    grid = []
+    for position, entry in enumerate(text.split(","), start=1):
+        if entry.strip():
+            try:
+                grid.append(float(entry))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"entry {position} ({entry.strip()!r}) is not a number"
+                ) from None
+    return tuple(grid)
+
+
 def _option(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
     parser.add_argument(flag, action=_StoreOnce, **kwargs)
 
@@ -198,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(
         p_sweep,
         "--grid",
+        type=_grid,
         required=True,
         help="comma-separated lambda values in (0, 0.2], at least four",
     )
@@ -232,8 +250,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grid = [float(x) for x in args.grid.split(",") if x.strip()]
-    result = harness.sweep_lambda(args.scenario, grid, dim=args.dim)
+    result = harness.sweep_lambda(args.scenario, args.grid, dim=args.dim)
     _emit(result, args.format, args.out)
     return 0 if result.passed else 1
 

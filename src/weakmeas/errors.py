@@ -24,26 +24,23 @@ class ZeroNormError(WeakMeasurementError):
 
 
 class TruncationLeakageError(WeakMeasurementError):
-    """Fock truncation corrupted the evolved state beyond the guard threshold."""
+    """Fock truncation corrupted the evolved state beyond the guard threshold.
 
-    def __init__(
-        self,
-        pointer_index: int,
-        leakage: float,
-        dim: int,
-        guard: float,
-        lam: float | None = None,
-    ):
+    Carries the leaking pointer's index, its top-two-level population, its
+    truncation ``dim`` and its own expansion parameter ``lam``, and names all
+    of them in the message.
+    """
+
+    def __init__(self, pointer_index: int, leakage: float, dim: int, guard: float, lam: float):
         self.pointer_index = pointer_index
         self.leakage = leakage
         self.dim = dim
         self.guard = guard
         self.lam = lam
-        where = f" at lambda = {lam:.6g}" if lam is not None else ""
         super().__init__(
             f"pointer {pointer_index}: population {leakage:.3e} in the top two Fock "
-            f"levels exceeds the {guard:.0e} guard at d={dim}{where}; raise the "
-            f"pointer dimension or lower the coupling"
+            f"levels exceeds the {guard:.0e} guard at d={dim} at lambda = {lam:.6g}; "
+            f"raise the pointer dimension or lower the coupling"
         )
 
 
@@ -68,7 +65,7 @@ class SchemaError(WeakMeasurementError):
 
 
 class ZeroCouplingError(WeakMeasurementError):
-    """Extraction rescales by 1/(g t); the weak limit needs a finite coupling."""
+    """Extraction rescales by 1/(g t), so it needs non-zero couplings with a finite scale."""
 
 
 class GridError(WeakMeasurementError):

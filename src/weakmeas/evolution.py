@@ -131,7 +131,9 @@ def top_level_leakage(state: StateVector, scenario: Scenario) -> list[float]:
 def _check_leakage(state: StateVector, scenario: Scenario) -> None:
     for j, leak in enumerate(top_level_leakage(state, scenario)):
         if leak > LEAKAGE_GUARD:
-            raise TruncationLeakageError(j, leak, scenario.pointers[j].dim, LEAKAGE_GUARD)
+            raise TruncationLeakageError(
+                j, leak, scenario.pointers[j].dim, LEAKAGE_GUARD, scenario.lambdas[j]
+            )
 
 
 def _system_frame(observables) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -16,6 +16,7 @@ inverse-CDF lookup, reproducing the statistics an ensemble would record.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -201,12 +202,25 @@ def run_scenario(
     )
 
 
+@contextlib.contextmanager
+def _naming(scenario_ref: str | Path):
+    """Prefix ``scenario_ref`` to any :class:`WeakMeasurementError` raised inside."""
+    try:
+        yield
+    except WeakMeasurementError as exc:
+        exc.args = (f"{scenario_ref}: {exc}",)
+        raise
+
+
 def run_experiment(
     scenario_ref: str | Path,
     dim: int | None = None,
     tolerance: float | None = None,
 ) -> WeakValueReport:
     """Load a scenario by catalog name or path and run it.
+
+    A :class:`WeakMeasurementError` raised while loading or running names
+    ``scenario_ref`` first.
 
     Parameters
     ----------
@@ -217,25 +231,17 @@ def run_experiment(
     tolerance : float, optional
         Override the absolute pass/fail tolerance.
     """
-    try:
+    with _naming(scenario_ref):
         scenario = resolve_scenario(scenario_ref)
         if dim is not None:
             scenario = scenario.with_fock_dim(dim)
         return run_scenario(scenario, tolerance=tolerance, label=str(scenario_ref))
-    except WeakMeasurementError as exc:
-        exc.args = (f"{scenario_ref}: {exc}",)
-        raise
 
 
 def _conditioned_point(scenario: Scenario, lam: float) -> ConditionedPoint:
-    """Validate, evolve and post-select at one grid point; leakage is tagged with ``lam``."""
+    """Validate, evolve and post-select at one grid point."""
     point = ensure_valid(scenario.with_lambda(lam))
-    try:
-        return post_select(evolve_exact(point), point), point
-    except TruncationLeakageError as exc:
-        raise TruncationLeakageError(
-            exc.pointer_index, exc.leakage, exc.dim, exc.guard, lam=lam
-        ) from None
+    return post_select(evolve_exact(point), point), point
 
 
 def sweep_lambda(
@@ -252,7 +258,9 @@ def sweep_lambda(
     :func:`run_scenario`, which builds each dense product once and checks
     the route identity at every point.  The error at each point is that of
     the lowering route (the spin route for spin pointers) and equals that
-    of :func:`run_scenario` at the same lambda.
+    of :func:`run_scenario` at the same lambda.  As in
+    :func:`run_experiment`, a :class:`WeakMeasurementError` names
+    ``scenario_ref`` first.
     """
     grid = [float(g) for g in grid]
     if len(grid) < 4:
@@ -266,23 +274,24 @@ def sweep_lambda(
         )
     grid = sorted(grid, reverse=True)
 
-    scenario = resolve_scenario(scenario_ref)
-    if dim is not None:
-        scenario = scenario.with_fock_dim(dim)
+    with _naming(scenario_ref):
+        scenario = resolve_scenario(scenario_ref)
+        if dim is not None:
+            scenario = scenario.with_fock_dim(dim)
 
-    try:
-        first = _conditioned_point(scenario, grid[0])
-    except TruncationLeakageError:
-        scenario = scenario.with_fock_dim(
-            max([SWEEP_ESCALATED_DIM] + [p.dim for p in scenario.pointers])
-        )
-        first = _conditioned_point(scenario, grid[0])
-    points = [first] + [_conditioned_point(scenario, lam) for lam in grid[1:]]
+        try:
+            first = _conditioned_point(scenario, grid[0])
+        except TruncationLeakageError:
+            scenario = scenario.with_fock_dim(
+                max([SWEEP_ESCALATED_DIM] + [p.dim for p in scenario.pointers])
+            )
+            first = _conditioned_point(scenario, grid[0])
+        points = [first] + [_conditioned_point(scenario, lam) for lam in grid[1:]]
 
-    analytic = analytic_oracle(scenario)
-    errors = [
-        abs(next(iter(routes.values())) - analytic) for routes in _extract(points, analytic)
-    ]
+        analytic = analytic_oracle(scenario)
+        errors = [
+            abs(next(iter(routes.values())) - analytic) for routes in _extract(points, analytic)
+        ]
 
     log_lam = np.log(np.asarray(grid))
     log_err = np.log(np.maximum(np.asarray(errors), 1e-300))

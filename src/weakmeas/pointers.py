@@ -13,7 +13,8 @@ Two pointer families are supported, in natural units (hbar = 1):
 
 Each spec carries its own lambda and its inverse, coupling operator (P or
 -S_y), ladder operator (a or S-) and route scale, so the pointer kind is
-decided here and nowhere else.
+decided here and nowhere else.  A spec whose operators would pass the
+array cap cannot be built.
 
 Basis ordering conventions: Fock levels ascending, spin m ascending.
 """
@@ -54,6 +55,7 @@ class FockPointerSpec:
             raise ValueError(f"Fock truncation needs dim >= 2, got {self.dim}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "dim", dim)
+        _check_dim(self)
 
     @property
     def layout(self) -> FactorLayout:
@@ -92,6 +94,7 @@ class SpinPointerSpec:
         if not math.isfinite(two_s) or s <= 0 or abs(two_s - round(two_s)) > 1e-12:
             raise ValueError(f"s must be a positive half-integer, got {self.s}")
         object.__setattr__(self, "s", s)
+        _check_dim(self)
 
     @property
     def dim(self) -> int:
@@ -146,7 +149,6 @@ def _check_dim(spec: PointerSpec) -> None:
 
 def fock_operators(spec: FockPointerSpec) -> PointerOperators:
     """Lowering operator and derived X, P quadratures of a Fock pointer."""
-    _check_dim(spec)
     lowering = np.diag(np.sqrt(np.arange(1, spec.dim)), 1).astype(np.complex128)
     raising = lowering.conj().T
     return PointerOperators(
@@ -162,7 +164,6 @@ def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
     ``S+ |m> = sqrt(s(s+1) - m(m+1)) |m+1>`` and ``S- = (S+)^dag``;
     ``S_y = (S+ - S-) / 2i``.
     """
-    _check_dim(spec)
     s = spec.s
     m = np.arange(-s, s)  # source m values for S+
     coeffs = np.sqrt(s * (s + 1.0) - m * (m + 1.0))
@@ -176,7 +177,6 @@ def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
 
 def initial_state(spec: PointerSpec) -> StateVector:
     """Starting state: Fock ground state |0>, or the lowest S_z eigenstate |m=-s>."""
-    _check_dim(spec)
     amps = np.zeros(spec.dim, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(spec.layout, amps)

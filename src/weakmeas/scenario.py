@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     WeakRegimeWarning,
 )
-from .pointers import FockPointerSpec, PointerSpec, SpinPointerSpec, _check_dim
+from .pointers import FockPointerSpec, PointerSpec, SpinPointerSpec
 from .tensor import FactorLayout, Operator, StateVector, embed_factors
 
 #: Couplings whose expansion parameter exceeds this are rejected outright.
@@ -124,11 +124,11 @@ class Scenario:
     def with_fock_dim(self, dim: int) -> "Scenario":
         """Copy with every Fock pointer truncated at ``dim`` levels.
 
-        ``dim`` is checked as a Fock truncation (at least 2, within the array
-        cap) even when no pointer is Fock, so a bad override never passes
-        unnoticed.
+        A Fock spec of ``dim`` levels is built even when no pointer is Fock, so
+        its constructor refuses a bad override (below 2, or past the array
+        cap) whatever the pointers are.
         """
-        _check_dim(FockPointerSpec(sigma=1.0, dim=dim))
+        FockPointerSpec(sigma=1.0, dim=dim)
         pointers = tuple(
             FockPointerSpec(sigma=p.sigma, dim=dim) if isinstance(p, FockPointerSpec) else p
             for p in self.pointers

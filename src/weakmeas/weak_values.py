@@ -183,7 +183,11 @@ def _route_pointers(
     kind: type = FockPointerSpec,
     message: str = "this extraction route requires Fock pointers",
 ) -> tuple:
-    """The pointers the scenarios share; every pointer must be of ``kind``, every gt non-zero."""
+    """The pointers the scenarios share.
+
+    Every pointer must be of ``kind``, every gt non-zero and every route scale
+    finite; a scale that overflows would print the extracted value as inf or NaN.
+    """
     if not scenarios:
         raise ValueError("extraction needs at least one conditioned state")
     for scenario in scenarios:
@@ -193,6 +197,13 @@ def _route_pointers(
             raise ZeroCouplingError(
                 "extraction divides by gt; the weak limit is taken by shrinking a "
                 "finite coupling, not by setting it to zero"
+            )
+        scale = _route_scale(scenario)
+        if not math.isfinite(scale):
+            raise ZeroCouplingError(
+                f"the route scale overflows to {scale} at couplings "
+                f"{list(scenario.couplings)}; the weak limit needs couplings whose "
+                "rescaling stays finite"
             )
     pointers = scenarios[0].pointers
     if any(scenario.pointers != pointers for scenario in scenarios[1:]):

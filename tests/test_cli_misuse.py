@@ -219,6 +219,8 @@ REFERENCE = call(VALID_CALL)
 @example(argv=["run", "aav_qubit", "--tolerance=--"])
 @example(argv=["sweep", "aav_qubit", "--grid=--"])
 @example(argv=["run", "aav_qubit", "--out=--"])
+# A non-numeric --grid entry reached float() and named neither the option nor the entry.
+@example(argv=["sweep", "aav_qubit", "--grid", "0.16,0.08,0.04,abc"])
 # A dim override of a scenario without Fock pointers went unchecked.
 @example(argv=["run", "aav_qubit_spinptr", "--dim", "-3"])
 @example(argv=["sweep", "joint_pair_spinptr", "--grid", GRID, "--dim", str(MAX_DIM + 1)])

@@ -27,6 +27,16 @@ NON_AMPLIFIED = [
 ]
 
 
+#: Catalog scenarios whose sweep over 0.16..0.02 fits a slope of 2.
+CATALOG_SWEEPS = [
+    "aav_qubit",
+    "aav_imaginary",
+    "aav_qubit_spinptr",
+    "joint_pair",
+    "joint_pair_spinptr",
+    "triple_ghz_mix",
+]
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -534,11 +544,95 @@ class TestCli:
             "error: sweep grid values must be finite and lie in (0, 0.2], got [nan]\n"
         )
 
+    def test_run_leakage_names_the_leaking_pointers_lambda(self, capsys, tmp_path):
+        doc = catalog_doc("joint_pair")
+        doc["couplings"][1]["gt"] = 0.4
+        doc["pointers"][1]["dim"] = 4
+        path = tmp_path / "leaky.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(wm.TruncationLeakageError) as excinfo:
+            wm.run_experiment(path)
+        assert (excinfo.value.pointer_index, excinfo.value.dim) == (1, 4)
+        assert excinfo.value.lam == pytest.approx(0.2)
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: pointer 1: population ")
+        assert "guard at d=4 at lambda = 0.2; raise" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "TINY"],
+            ["run", "TINY", "--format", "csv"],
+            ["sweep", "aav_qubit", "--grid", "1e-320,1e-321,1e-322,1e-323"],
+            ["sweep", "joint_pair", "--grid", "1e-170,1e-171,1e-172,1e-173"],
+        ],
+        ids=["run-json", "run-csv", "sweep-denormal", "sweep-product-overflow"],
+    )
+    def test_overflowing_route_scale_errors(self, capsys, tmp_path, argv):
+        # 2 sigma / gt overflows at gt = 1e-320; at gt = 2e-170 each factor is
+        # finite but their product is not
+        doc = catalog_doc("aav_qubit")
+        doc["couplings"][0]["gt"] = 1e-320
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(doc))
+        argv = [str(tiny) if arg == "TINY" else arg for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {argv[1]}: the route scale overflows to inf ")
+        assert captured.err.count("\n") == 1
+
+    def test_sweep_errors_carry_scenario_context(self, capsys, tmp_path):
+        doc = catalog_doc("aav_qubit")
+        doc["pre"][0][0] = 0.9
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["sweep", str(path), "--grid", "0.16,0.08,0.04,0.02"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: pre: state not normalized ")
+
+    def test_sweep_grid_names_the_bad_entry(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "aav_qubit", "--grid", "0.16,0.08,0.04,abc"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --grid: entry 4 ('abc') is not a number\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", name, "--format", "json"] for name in wm.catalog_names()]
+        + [["sweep", name, "--grid", "0.16,0.08,0.04,0.02"] for name in CATALOG_SWEEPS],
+        ids=lambda argv: f"{argv[0]}-{argv[1]}",
+    )
+    def test_catalog_json_is_standard(self, capsys, argv):
+        # json.dumps writes NaN and Infinity, which standard JSON does not have
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        assert cli.main(argv) == 0
+        json.loads(capsys.readouterr().out, parse_constant=refuse)
+
     def test_catalog_list(self, capsys):
         assert cli.main(["catalog", "list"]) == 0
         out = capsys.readouterr().out
         assert "aav_qubit" in out
         assert "joint_pair_entangled" in out
+
+    def test_catalog_list_refuses_an_oversized_pointer(self, capsys, tmp_path, monkeypatch):
+        doc = catalog_doc("aav_qubit")
+        doc["pointers"][0]["dim"] = 4097
+        (tmp_path / "huge.json").write_text(json.dumps(doc))
+        monkeypatch.setenv("WEAKMEAS_CATALOG", str(tmp_path))
+        assert cli.main(["catalog", "list"]) == 2
+        assert capsys.readouterr().err == (
+            "error: pointer dim 4097: a dim x dim operator exceeds the array cap 268435456 bytes\n"
+        )
 
     def test_catalog_list_missing_directory_errors(self, capsys, tmp_path, monkeypatch):
         missing = tmp_path / "absent"

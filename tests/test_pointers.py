@@ -159,6 +159,16 @@ class TestArrayCap:
         with pytest.raises(wm.CapacityError, match="^pointer dim 9: "):
             build(SpinPointerSpec(s=4.0))
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: FockPointerSpec(sigma=1.0, dim=4097), lambda: SpinPointerSpec(s=2048)],
+        ids=["fock", "spin"],
+    )
+    def test_oversized_spec_cannot_be_built(self, build):
+        # dim 4097 passes the cap, so the spec itself refuses to exist
+        with pytest.raises(wm.CapacityError, match="^pointer dim 4097: "):
+            build()
+
     def test_default_cap_admits_dim_4096(self):
         assert 4096**2 * 16 == wm.MAX_ARRAY_BYTES
         assert wm.initial_state(FockPointerSpec(sigma=1.0, dim=4096)).dim == 4096
