@@ -274,6 +274,8 @@ class TestDocumentFuzz:
     @example(mutation=("aav_qubit", ("pre", 1, 1), math.inf))
     @example(mutation=("aav_qubit", ("post", 0, 0), -math.inf))
     @example(mutation=("aav_qubit", ("pre", 0, 0), 1e308))
+    @example(mutation=("pair_anticommuting", ("pointers", 0, "dim"), 10**400))
+    @example(mutation=("aav_qubit_spinptr", ("pointers", 0, "s"), 2048))
     def test_mutated_catalog_document(self, mutation):
         name, path, value = mutation
         doc = copy.deepcopy(CATALOG_DOCS[name])
@@ -287,7 +289,8 @@ class TestDocumentFuzz:
             target[key] = value
         try:
             scenario = wm.load_scenario(json.dumps(doc))
-        except wm.SchemaError:
+        except (wm.SchemaError, wm.CapacityError):
+            # a pointer whose operators pass the array cap is refused by its spec
             return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", wm.WeakRegimeWarning)
