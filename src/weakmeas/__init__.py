@@ -46,7 +46,6 @@ from .pointers import (
     PointerOperators,
     SpinPointerSpec,
     fock_operators,
-    initial_state,
     position_wavefunctions,
     spin_operators,
 )
@@ -69,7 +68,6 @@ from .tensor import (
     expectation,
     hermitian_propagator,
     kron,
-    kron_state,
 )
 from .weak_values import (
     analytic_oracle,

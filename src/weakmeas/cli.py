@@ -287,7 +287,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_catalog(args) -> int:
     for name in scen.catalog_names():
-        description = scen.resolve_scenario(name).description or ""
+        with harness._naming(name):
+            description = scen.resolve_scenario(name).description or ""
         print(f"{name:24s} {description}")
     return 0
 

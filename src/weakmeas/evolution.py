@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError, PostSelectionFailureError, TruncationLeakageError
-from .pointers import FockPointerSpec, initial_state
+from .pointers import FockPointerSpec
 from .scenario import Scenario
-from .tensor import Operator, StateVector, _check_capacity, embed_factors, kron_state
+from .tensor import Operator, StateVector, _check_capacity, embed_factors
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
 LEAKAGE_GUARD = 1e-8
@@ -150,27 +150,30 @@ def _system_frame(observables) -> tuple[np.ndarray, np.ndarray, bool]:
 def evolve_exact(scenario: Scenario) -> StateVector:
     """Propagate the pre-selected joint state by ``exp(-i H)``, exactly.
 
-    The initial state is the pre-selection joined with every pointer's
-    starting state, and the result lies on ``scenario.full_layout``.  The
-    state is propagated in the coupling frame described in the module
-    docstring.
+    The initial state is the pre-selection joined with every pointer in its
+    level 0 (Fock |0>, spin |m = -s>), and the result lies on
+    ``scenario.full_layout``.  The state is propagated in the coupling frame
+    described in the module docstring.
 
     Raises
     ------
     CapacityError
-        If the batched ``eigh`` blocks would take more than
-        :data:`~weakmeas.tensor.MAX_ARRAY_BYTES`.
+        If the joint state or the batched ``eigh`` blocks would take more
+        than :data:`~weakmeas.tensor.MAX_ARRAY_BYTES`.
     TruncationLeakageError
         If any Fock pointer ends with more than :data:`LEAKAGE_GUARD`
         population in its top two levels.
     """
-    initial = kron_state([scenario.pre] + [initial_state(p) for p in scenario.pointers])
+    shape = (scenario.system_layout.dim,) + scenario.pointer_layout.dims
+    _check_capacity(math.prod(shape) * 16)
+    initial = np.zeros(shape, dtype=np.complex128)
+    initial[(slice(None),) + (0,) * len(scenario.pointers)] = scenario.pre.amps
     system_basis, rotated, diagonal = _system_frame(scenario.embedded_observables())
     pointer_frames = []
     for axis, (pointer, gt) in enumerate(zip(scenario.pointers, scenario.couplings), start=1):
         levels, basis = np.linalg.eigh(pointer.coupling().matrix)
         pointer_frames.append((axis, gt * levels, basis))
-    tensor = _rotate(system_basis.conj().T, _system_pointer_tensor(initial, scenario), 0)
+    tensor = _rotate(system_basis.conj().T, initial, 0)
     if diagonal:
         # The phase exp(-i sum_j gt_j c_{j,k_j} b_{j,s}) is a product over
         # pointers.  Applying each factor inside its own pointer's frame, one

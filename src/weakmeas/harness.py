@@ -204,10 +204,10 @@ def run_scenario(
 
 @contextlib.contextmanager
 def _naming(scenario_ref: str | Path):
-    """Prefix ``scenario_ref`` to any :class:`WeakMeasurementError` raised inside."""
+    """Prefix ``scenario_ref`` to a ``WeakMeasurementError`` or ``ValueError`` raised inside."""
     try:
         yield
-    except WeakMeasurementError as exc:
+    except (WeakMeasurementError, ValueError) as exc:
         exc.args = (f"{scenario_ref}: {exc}",)
         raise
 
@@ -219,8 +219,8 @@ def run_experiment(
 ) -> WeakValueReport:
     """Load a scenario by catalog name or path and run it.
 
-    A :class:`WeakMeasurementError` raised while loading or running names
-    ``scenario_ref`` first.
+    A :class:`WeakMeasurementError` or ``ValueError`` raised while loading or
+    running names ``scenario_ref`` first.
 
     Parameters
     ----------
@@ -259,8 +259,8 @@ def sweep_lambda(
     the route identity at every point.  The error at each point is that of
     the lowering route (the spin route for spin pointers) and equals that
     of :func:`run_scenario` at the same lambda.  As in
-    :func:`run_experiment`, a :class:`WeakMeasurementError` names
-    ``scenario_ref`` first.
+    :func:`run_experiment`, a :class:`WeakMeasurementError` or ``ValueError``
+    raised after the grid is checked names ``scenario_ref`` first.
     """
     grid = [float(g) for g in grid]
     if len(grid) < 4:

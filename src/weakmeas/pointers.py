@@ -12,11 +12,15 @@ Two pointer families are supported, in natural units (hbar = 1):
   in the lowest eigenstate |m = -s>.
 
 Each spec carries its own lambda and its inverse, coupling operator (P or
--S_y), ladder operator (a or S-) and route scale, so the pointer kind is
-decided here and nowhere else.  A spec whose operators would pass the
-array cap cannot be built.
+-S_y), ladder operator (a or S-) and route scale, so
+``evolution.evolve_exact`` never tests the pointer kind.  Other code still
+does: ``evolution.top_level_leakage``, ``scenario.with_fock_dim``,
+``scenario.dump_scenario``, ``harness._extract``, ``harness._sampled_pointer``
+and the ``kind`` parameter of ``weak_values._route_pointers`` (ROADMAP
+item 9).  A spec whose operators would pass the array cap cannot be built.
 
-Basis ordering conventions: Fock levels ascending, spin m ascending.
+Basis ordering conventions: Fock levels ascending, spin m ascending; every
+pointer starts in level 0 (see ``evolution.evolve_exact``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import tensor
 from .errors import CapacityError
-from .tensor import FactorLayout, Operator, StateVector
+from .tensor import FactorLayout, Operator
 
 
 @dataclass(frozen=True)
@@ -173,13 +177,6 @@ def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
         lowering=Operator(spec.layout, lowering),
         sy=Operator(spec.layout, (raising - lowering) * (1.0 / 2.0j)),
     )
-
-
-def initial_state(spec: PointerSpec) -> StateVector:
-    """Starting state: Fock ground state |0>, or the lowest S_z eigenstate |m=-s>."""
-    amps = np.zeros(spec.dim, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(spec.layout, amps)
 
 
 def position_wavefunctions(spec: FockPointerSpec, x: np.ndarray) -> np.ndarray:

@@ -482,7 +482,10 @@ def catalog_names() -> list[str]:
 
 
 def resolve_scenario(ref: str | Path) -> Scenario:
-    """Load a scenario by catalog name or by file path."""
+    """Load a scenario by catalog name or by file path.
+
+    A file that is not UTF-8 text raises :class:`SchemaError`.
+    """
     path = Path(ref)
     if not (path.suffix == ".json" or path.exists()):
         path = catalog_dir() / f"{ref}.json"
@@ -490,4 +493,8 @@ def resolve_scenario(ref: str | Path) -> Scenario:
             raise FileNotFoundError(
                 f"no scenario named {ref!r} in the catalog ({catalog_dir()}) and no such file"
             )
-    return load_scenario(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}") from None
+    return load_scenario(text)

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import CapacityError, HermiticityError, LayoutError, ZeroNormError
 
 #: Hard cap on the bytes of one large complex array (a Kronecker product, an
-#: embedded operator, the propagator's batched eigh blocks), checked before it
-#: is allocated.  2^28 bytes is a 4096-row complex matrix.
+#: embedded operator, the evolution's starting state and batched eigh blocks),
+#: checked before it is allocated.  2^28 bytes is a 4096-row complex matrix.
 MAX_ARRAY_BYTES = 2**28
 
 #: Relative tolerance of the Hermiticity check max|M - M^dag| <= tol * max|M|.
@@ -102,10 +102,6 @@ class Operator:
     def dim(self) -> int:
         return self.layout.dim
 
-    def dag(self) -> "Operator":
-        """Hermitian adjoint."""
-        return Operator(self.layout, self.matrix.conj().T)
-
     def is_hermitian(self) -> bool:
         try:
             self.require_hermitian()
@@ -126,9 +122,6 @@ class Operator:
         if isinstance(other, Operator):
             _require_same_layout(self, other)
             return Operator(self.layout, self.matrix @ other.matrix)
-        if isinstance(other, StateVector):
-            _require_same_layout(self, other)
-            return StateVector(self.layout, self.matrix @ other.amps)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -181,15 +174,6 @@ def _check_capacity(nbytes: int) -> None:
         raise CapacityError(f"{nbytes} bytes exceed the array cap {MAX_ARRAY_BYTES}")
 
 
-def _product(factors: Sequence, arrays: list, name: str) -> tuple[FactorLayout, np.ndarray]:
-    """Concatenated layout of the factors and the Kronecker product of their arrays."""
-    if not factors:
-        raise LayoutError(f"{name} needs at least one factor")
-    layout = FactorLayout(tuple(d for f in factors for d in f.layout.dims))
-    _check_capacity(math.prod(a.size for a in arrays) * 16)
-    return layout, reduce(np.kron, arrays)
-
-
 def kron(factors: Sequence[Operator]) -> Operator:
     """Kronecker product of operators, in the declared factor order.
 
@@ -197,12 +181,11 @@ def kron(factors: Sequence[Operator]) -> Operator:
     :class:`CapacityError` when the product would take more than
     :data:`MAX_ARRAY_BYTES`.
     """
-    return Operator(*_product(factors, [op.matrix for op in factors], "kron"))
-
-
-def kron_state(factors: Sequence[StateVector]) -> StateVector:
-    """Tensor product of state vectors, in the declared factor order."""
-    return StateVector(*_product(factors, [s.amps for s in factors], "kron_state"))
+    if not factors:
+        raise LayoutError("kron needs at least one factor")
+    layout = FactorLayout(tuple(d for f in factors for d in f.layout.dims))
+    _check_capacity(math.prod(op.matrix.size for op in factors) * 16)
+    return Operator(layout, reduce(np.kron, [op.matrix for op in factors]))
 
 
 def embed_factors(op: Operator, slots: Iterable[int], layout: FactorLayout) -> Operator:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weakmeas import FactorLayout, Operator, StateVector, initial_state, kron_state
+from weakmeas import FactorLayout, Operator, StateVector
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -27,8 +27,11 @@ def state(amps, *dims):
 
 
 def initial_joint_state(scenario):
-    """Pre-selected system state joined with every pointer's starting state."""
-    return kron_state([scenario.pre] + [initial_state(p) for p in scenario.pointers])
+    """Pre-selected system state joined with every pointer in its level 0."""
+    amps = scenario.pre.amps
+    for pointer in scenario.pointers:
+        amps = np.kron(amps, np.eye(pointer.dim)[0])
+    return StateVector(scenario.full_layout, amps)
 
 
 def random_hermitian(rng, dim):

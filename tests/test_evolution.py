@@ -5,6 +5,8 @@ assembled H, and its Taylor series, whose order-by-order terms show how the
 coupling builds up the joint pointer amplitudes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ DENSE_REFERENCE_MAX_DIM = 1024
 def dense_evolved(s):
     """Reference amplitudes: the dense full-space propagator exp(-i H) on |initial>."""
     propagator = wm.hermitian_propagator(wm.build_hamiltonian(s), 1.0)
-    return (propagator @ initial_joint_state(s)).amps
+    return propagator.matrix @ initial_joint_state(s).amps
 
 
 def dense_series(s, order):
@@ -126,9 +128,24 @@ class TestBuildHamiltonian:
 
 class TestEvolveExact:
     def test_zero_coupling_is_identity(self):
-        s = single_scenario(gt=0.0)
-        evolved = wm.evolve_exact(s)
-        np.testing.assert_allclose(evolved.amps, initial_joint_state(s).amps, atol=1e-15)
+        # every pointer starts in its level 0: Fock |0>, spin |m = -s>
+        scenarios = (single_scenario(0.0), single_scenario(0.0, kind="spin"), pair_scenario(0.0))
+        for s in scenarios:
+            evolved = wm.evolve_exact(s)
+            np.testing.assert_allclose(evolved.amps, initial_joint_state(s).amps, atol=1e-15)
+
+    def test_start_is_refused_past_the_cap(self, monkeypatch):
+        # joint_pair starts as a (4, 12, 12) complex tensor of 9216 bytes
+        s = wm.resolve_scenario("joint_pair")
+        monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 9215)
+        tracemalloc.start()
+        try:
+            with pytest.raises(wm.CapacityError, match="^9216 bytes exceed the array cap 9215$"):
+                wm.evolve_exact(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9216
 
     def test_eigenstate_displaces_pointer(self):
         # +1 eigenstate input: the pointer becomes a coherent state of
@@ -227,7 +244,7 @@ class TestEvolveExact:
         )
         amps = wm.evolve_exact(s).amps.reshape(8, 8, 8, 8)
         p = wm.fock_operators(s.pointers[0]).p
-        single = (wm.hermitian_propagator(p, 0.02) @ wm.initial_state(s.pointers[0])).amps
+        single = wm.hermitian_propagator(p, 0.02).matrix[:, 0]
         product = np.einsum("a,b,c->abc", single[:2], single[:2], single[:2])
         np.testing.assert_allclose(amps[0, :2, :2, :2], product, rtol=1e-12, atol=0)
 

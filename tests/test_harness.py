@@ -534,7 +534,36 @@ class TestCli:
         assert cli.main(["run", "aav_qubit", "--tolerance", "nan"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: tolerance must be finite and non-negative, got nan\n"
+        assert captured.err == (
+            "error: aav_qubit: tolerance must be finite and non-negative, got nan\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_dim_refusal_names_the_scenario(self, capsys, command):
+        argv = [command, "aav_qubit", "--dim", "1"]
+        if command == "sweep":
+            argv += ["--grid", "0.16,0.08,0.04,0.02"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: aav_qubit: Fock truncation needs dim >= 2, got 1\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_undecodable_file_is_a_schema_error(self, capsys, tmp_path, command):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff" + json.dumps(catalog_doc("aav_qubit")).encode())
+        with pytest.raises(wm.SchemaError, match="^not UTF-8 text: 'utf-8' codec"):
+            wm.resolve_scenario(path)
+        argv = [command, str(path)]
+        if command == "sweep":
+            argv += ["--grid", "0.16,0.08,0.04,0.02"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
 
     def test_sweep_non_finite_grid_errors(self, capsys):
         assert cli.main(["sweep", "aav_qubit", "--grid", "nan,0.1,0.05,0.02"]) == 2
@@ -631,7 +660,8 @@ class TestCli:
         monkeypatch.setenv("WEAKMEAS_CATALOG", str(tmp_path))
         assert cli.main(["catalog", "list"]) == 2
         assert capsys.readouterr().err == (
-            "error: pointer dim 4097: a dim x dim operator exceeds the array cap 268435456 bytes\n"
+            "error: huge: pointer dim 4097: a dim x dim operator exceeds the array cap "
+            "268435456 bytes\n"
         )
 
     def test_catalog_list_missing_directory_errors(self, capsys, tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
-"""Pointer factories: Fock quadratures, spin ladders, initial states."""
+"""Pointer factories: Fock quadratures, spin ladders, the level-0 start."""
 
 import numpy as np
 import pytest
 
 import weakmeas as wm
 from weakmeas import FockPointerSpec, SpinPointerSpec
+
+from conftest import SZ, op, state
 
 
 class TestFockOperators:
@@ -29,7 +31,7 @@ class TestFockOperators:
         # sigma = 1/2 means x = (a + adag)/2 and <0|x^2|0> = sigma^2 = 1/4
         spec = FockPointerSpec(sigma=0.5, dim=6)
         ops = wm.fock_operators(spec)
-        ground = wm.initial_state(spec)
+        ground = wm.StateVector(spec.layout, np.eye(6)[0])
         np.testing.assert_allclose(
             wm.expectation(ground, ops.x @ ops.x).real, 0.25, atol=1e-14
         )
@@ -86,22 +88,34 @@ class TestSpinOperators:
         assert wm.spin_operators(SpinPointerSpec(s=1.5)).sy.is_hermitian()
 
 
+def start_of(pointer):
+    """The pointer's amplitudes in evolve_exact's start: one qubit coupled at gt = 0."""
+    s = wm.Scenario(
+        system_dims=(2,),
+        observables=(wm.ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),),
+        pointers=(pointer,),
+        couplings=(0.0,),
+        pre=state([1.0, 0.0]),
+        post=state([1.0, 0.0]),
+    )
+    return wm.evolve_exact(s).amps.reshape(2, pointer.dim)[0]
+
+
 class TestInitialStates:
     def test_fock_ground(self):
-        psi = wm.initial_state(FockPointerSpec(sigma=1.0, dim=5))
-        np.testing.assert_array_equal(psi.amps, [1.0, 0.0, 0.0, 0.0, 0.0])
+        psi = start_of(FockPointerSpec(sigma=1.0, dim=5))
+        np.testing.assert_allclose(psi, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_spin_lowest(self):
-        psi = wm.initial_state(SpinPointerSpec(s=0.5))
-        np.testing.assert_array_equal(psi.amps, [1.0, 0.0])
+        psi = start_of(SpinPointerSpec(s=0.5))
+        np.testing.assert_allclose(psi, [1.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize(
         "spec", [FockPointerSpec(sigma=1.0, dim=6), SpinPointerSpec(s=1.0)]
     )
     def test_lowering_annihilates_bottom_state(self, spec):
-        factory = wm.fock_operators if isinstance(spec, FockPointerSpec) else wm.spin_operators
-        ops = factory(spec)
-        assert wm.expectation(wm.initial_state(spec), ops.lowering) == 0.0
+        # every pointer starts in level 0: Fock |0>, spin |m = -s>
+        np.testing.assert_array_equal(spec.lowering().matrix @ np.eye(spec.dim)[0], 0.0)
 
 
 class TestPositionRepresentation:
@@ -141,18 +155,14 @@ class TestSpecValidation:
 class TestArrayCap:
     """A pointer whose dim x dim operators pass the cap allocates nothing."""
 
-    @pytest.mark.parametrize(
-        "build", [wm.initial_state, wm.fock_operators], ids=["initial_state", "fock_operators"]
-    )
+    @pytest.mark.parametrize("build", [wm.fock_operators], ids=["fock_operators"])
     def test_fock_pointer_arrays(self, monkeypatch, build):
         monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 8 * 8 * 16)
         build(FockPointerSpec(sigma=1.0, dim=8))
         with pytest.raises(wm.CapacityError, match="^pointer dim 9: .* cap 1024 bytes$"):
             build(FockPointerSpec(sigma=1.0, dim=9))
 
-    @pytest.mark.parametrize(
-        "build", [wm.initial_state, wm.spin_operators], ids=["initial_state", "spin_operators"]
-    )
+    @pytest.mark.parametrize("build", [wm.spin_operators], ids=["spin_operators"])
     def test_spin_pointer_arrays(self, monkeypatch, build):
         monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 8 * 8 * 16)
         build(SpinPointerSpec(s=3.5))
@@ -171,13 +181,11 @@ class TestArrayCap:
 
     def test_default_cap_admits_dim_4096(self):
         assert 4096**2 * 16 == wm.MAX_ARRAY_BYTES
-        assert wm.initial_state(FockPointerSpec(sigma=1.0, dim=4096)).dim == 4096
+        assert FockPointerSpec(sigma=1.0, dim=4096).dim == 4096
         with pytest.raises(wm.CapacityError):
-            wm.initial_state(FockPointerSpec(sigma=1.0, dim=4097))
+            FockPointerSpec(sigma=1.0, dim=4097)
 
-    @pytest.mark.parametrize(
-        "build", [wm.initial_state, wm.fock_operators], ids=["initial_state", "fock_operators"]
-    )
+    @pytest.mark.parametrize("build", [wm.fock_operators], ids=["fock_operators"])
     def test_dim_beyond_any_array(self, build):
         with pytest.raises(wm.CapacityError, match=f"^pointer dim {10**400}: "):
             build(FockPointerSpec(sigma=1.0, dim=10**400))

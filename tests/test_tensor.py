@@ -46,16 +46,17 @@ class TestKron:
         with pytest.raises(wm.CapacityError):
             wm.kron([op(I2)] * 21)
 
+    def test_needs_a_factor(self):
+        with pytest.raises(wm.LayoutError, match="^kron needs at least one factor$"):
+            wm.kron([])
+
     def test_cap_counts_bytes(self, monkeypatch):
-        # 256 bytes hold exactly a 4x4 complex matrix or a 16-entry state
+        # 256 bytes hold exactly a 4x4 complex matrix
         monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 256)
         assert wm.kron([op(I2), op(I2)]).dim == 4
-        assert wm.kron_state([state(np.ones(4) / 2), state(np.ones(4) / 2)]).dim == 16
         assert wm.embed_factors(op(SZ), (0,), FactorLayout((2, 2))).dim == 4
         with pytest.raises(wm.CapacityError, match="^576 bytes exceed the array cap 256$"):
             wm.kron([op(I2), op(np.eye(3))])
-        with pytest.raises(wm.CapacityError, match="^288 bytes"):
-            wm.kron_state([state(np.ones(2) / np.sqrt(2)), state(np.ones(9) / 3)])
         with pytest.raises(wm.CapacityError, match="^576 bytes"):
             wm.embed_factors(op(SZ), (0,), FactorLayout((2, 3)))
 
@@ -163,7 +164,7 @@ class TestPropagator:
     def test_unitarity(self, seed):
         rng = np.random.default_rng(seed)
         u = wm.hermitian_propagator(op(random_hermitian(rng, 6)), 1.3)
-        defect = u.dag().matrix @ u.matrix - np.eye(6)
+        defect = u.matrix.conj().T @ u.matrix - np.eye(6)
         assert np.abs(defect).max() <= 1e-10
 
     def test_spectral_round_trip(self, rng):
