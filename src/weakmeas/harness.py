@@ -52,10 +52,8 @@ from .weak_values import (
 SAMPLING_GRID_POINTS = 2**12
 
 #: Largest shot count one sample set draws.  :func:`sample_positions` holds
-#: the positions (128 MiB of float64 at the cap) and one chunk of draws;
-#: ``weakmeas sample`` peaks at about twice that, since ``np.std`` of the
-#: positions makes a full-size temporary (measured at 2^24 shots: +134 MB and
-#: +262 MB of peak RSS).
+#: the positions (128 MiB of float64 at the cap) and one chunk of draws, and
+#: ``weakmeas sample`` adds only chunk-sized temporaries (+137 MB at 2^24 shots).
 MAX_SHOTS = 2**24
 
 #: Draws that inverse-CDF sampling takes and sorts at once.  Philox hands out

@@ -56,9 +56,9 @@ from .errors import (
     ZeroCouplingError,
 )
 from .evolution import (
-    DIAGONAL_TOL,
     PostSelectionResult,
     _rotate,
+    _system_frame,
     _system_pointer_tensor,
     evolve_exact,
 )
@@ -141,16 +141,16 @@ def symmetrized_joint_weak_value(
     """Weak value of the symmetrized product, ``<F|P{A}|I> / (N! <F|I>)``.
 
     ``P{A}`` sums the product over all N! orderings, which is what the
-    simultaneous coupling of N pointers actually probes; for pairwise
-    commuting observables it reduces to the plain product.  The sum is built
-    by the recursion ``T_k = sum_j A_j T_{k - e_j}`` over the 2^N subsets of
-    the observables, in N 2^(N-1) matrix-vector products; N is capped at
-    :data:`SYMMETRIZATION_CAP`.
+    simultaneous coupling of N pointers actually probes; for commuting
+    observables (a diagonal system frame) it must equal the plain product,
+    and is checked against it.  The sum is built by the recursion
+    ``T_k = sum_j A_j T_{k - e_j}`` over the 2^N subsets of the observables,
+    in N 2^(N-1) matrix-vector products; N is capped at :data:`SYMMETRIZATION_CAP`.
     """
     ones = (1,) * len(observables)
     value = _symmetrized_values(observables, pre, post, [ones])[ones]
 
-    if _all_commute(observables):
+    if _system_frame(observables)[2]:
         product = reduce(lambda a, b: a @ b, observables)
         direct = analytic_weak_value(product, pre, post)
         if abs(value - direct) > 1e-12 * (1.0 + abs(direct)):
@@ -159,23 +159,6 @@ def symmetrized_joint_weak_value(
                 f"value {direct} for commuting observables"
             )
     return value
-
-
-def _all_commute(observables) -> bool:
-    """Whether the observables commute pairwise to rounding.
-
-    A pair counts as commuting when ``max|A_i A_j - A_j A_i|`` is at most
-    :data:`~weakmeas.evolution.DIAGONAL_TOL` ``max|A_i| max|A_j|``, the
-    threshold the propagator uses to treat rotated observables as diagonal.
-    """
-    mats = [op.matrix for op in observables]
-    scales = [np.abs(m).max() for m in mats]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            commutator = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if np.abs(commutator).max() > DIAGONAL_TOL * scales[i] * scales[j]:
-                return False
-    return True
 
 
 def _route_pointers(
@@ -319,14 +302,14 @@ def extract_joint_spin(points: Sequence[ConditionedPoint]) -> list[complex]:
 def strong_position_estimate(scenario: Scenario) -> complex:
     """Strong-measurement analog: ``prod_j (1/gt_j) <prod_j X_j>`` without post-selection.
 
-    For commuting observables and independent zero-mean pointers the position
-    correlation of the evolved (un-projected) state equals
-    ``<I|prod_j A_j|I>`` exactly, up to truncation leakage.  Each ``X_j`` acts
-    on its own axis of the ``(S, d_1, ..., d_N)`` amplitudes, so no full-space
-    operator is formed.
+    For commuting observables (a diagonal system frame; others are refused)
+    and independent zero-mean pointers the position correlation of the evolved
+    (un-projected) state equals ``<I|prod_j A_j|I>`` exactly, up to truncation
+    leakage.  Each ``X_j`` acts on its own axis of the ``(S, d_1, ..., d_N)``
+    amplitudes, so no full-space operator is formed.
     """
     _route_pointers([scenario])
-    if not _all_commute(scenario.embedded_observables()):
+    if not _system_frame(scenario.embedded_observables())[2]:
         raise UnsupportedScenarioError(
             "the strong-measurement analog requires commuting observables"
         )

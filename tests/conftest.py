@@ -39,6 +39,14 @@ def random_hermitian(rng, dim):
     return 0.5 * (m + m.conj().T)
 
 
+def haar_unitary(rng, dim: int) -> np.ndarray:
+    """A Haar-random unitary (QR of a complex Gaussian, with R's phases divided out)."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    diagonal = np.diagonal(r)
+    return q * (diagonal / np.abs(diagonal))
+
+
 def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

@@ -3,7 +3,8 @@
 ``tests/data/catalog_values.json`` holds, per catalog scenario, each route's
 extracted value, the oracle, the post-selection probability, the tolerance,
 and the errors and fitted slope of a sweep over :data:`GRID`.  A refactor
-must keep every one of them to rounding.  Regenerate the file only for a
+must keep every one of them to rounding; the slope counts only where every
+sweep error stands above that rounding bound.  Regenerate the file only for a
 change that is meant to move the numbers:
 ``PYTHONPATH=src python tests/test_catalog_values.py > tests/data/catalog_values.json``.
 """
@@ -62,8 +63,12 @@ def test_catalog_values_match_their_pins(name):
     close(complex(*got["analytic"]), complex(*want["analytic"]), "analytic")
     for route, value in want["extracted"].items():
         close(complex(*got["extracted"][route]), complex(*value), f"extracted.{route}")
-    for field in ("prob_success", "tolerance", "sweep_slope"):
+    for field in ("prob_success", "tolerance"):
         close(got[field], want[field], field)
+    # a slope fitted to errors that all sit at rounding level is a fit to a few
+    # ulps, and moves with any rounding change; it is pinned only above that
+    if all(error > bound for error in want["sweep_errors"]):
+        close(got["sweep_slope"], want["sweep_slope"], "sweep_slope")
     assert len(got["sweep_errors"]) == len(want["sweep_errors"])
     for i, (a, b) in enumerate(zip(got["sweep_errors"], want["sweep_errors"])):
         close(a, b, f"sweep_errors[{i}]")

@@ -6,6 +6,7 @@ coupling builds up the joint pointer amplitudes.
 """
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from weakmeas import evolution
 from weakmeas.evolution import _system_frame
 
 from conftest import (
+    I2,
     SX,
     SY,
     SZ,
     coherent_amplitudes,
+    haar_unitary,
     initial_joint_state,
     op,
     random_state,
@@ -197,12 +200,12 @@ class TestEvolveExact:
                 wm.evolve_exact(s).amps, dense_evolved(s), rtol=0, atol=1e-12
             )
 
-    def test_degenerate_weight_combination_falls_back_exactly(self, monkeypatch):
+    def test_degenerate_weight_combination_stays_diagonal(self, monkeypatch):
         # three commuting +-1 observables on separate qubits.  With weights
         # q^j and q = 1/golden ratio, q + q^2 = 1, so the sign patterns
         # (+, -, -) and (-, +, +) give the same weighted sum: the combination
-        # is degenerate, its eigenbasis does not diagonalize each observable,
-        # and the blocks must go through eigh instead of the phase shortcut
+        # is degenerate and its eigenbasis does not diagonalize each
+        # observable.  The refined frame must, and the phase path stays exact
         axes = (SX, (SX + SZ) / np.sqrt(2.0), SY)
         rng = np.random.default_rng(7)
         pre, post = random_state(rng, 8), random_state(rng, 8)
@@ -217,14 +220,64 @@ class TestEvolveExact:
             pre=state(pre, 2, 2, 2),
             post=state(post, 2, 2, 2),
         )
-        assert _system_frame(s.embedded_observables())[2]
-        shortcut = wm.evolve_exact(s).amps
-        monkeypatch.setattr(evolution, "FRAME_WEIGHT_RATIO", (np.sqrt(5.0) - 1.0) / 2.0)
-        assert not _system_frame(s.embedded_observables())[2]
-        fallback = wm.evolve_exact(s).amps
         reference = dense_evolved(s)
-        np.testing.assert_allclose(fallback, reference, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(shortcut, reference, rtol=0, atol=1e-12)
+        assert _system_frame(s.embedded_observables())[2]
+        np.testing.assert_allclose(wm.evolve_exact(s).amps, reference, rtol=0, atol=1e-12)
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        monkeypatch.setattr(evolution, "FRAME_WEIGHT_RATIO", golden)
+        matrices = np.stack([o.matrix for o in s.embedded_observables()])
+        _, basis = np.linalg.eigh(np.tensordot(golden ** np.arange(3), matrices, axes=1))
+        rotated = basis.conj().T @ matrices @ basis
+        assert np.abs(rotated * (1.0 - np.eye(8))).max() > 1e-3
+        assert _system_frame(s.embedded_observables())[2]
+        np.testing.assert_allclose(wm.evolve_exact(s).amps, reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "seed, detuning", [(None, 0.0), (1, 0.0), (2, 0.0), (3, 0.0), (4, 1e-8)]
+    )
+    def test_commuting_pair_with_a_degenerate_sum_is_diagonal(self, seed, detuning):
+        # A1 = U diag(1, 0) U^dag and A2 = U diag(0, pi) U^dag commute, but the
+        # frame's sum A1 + A2 / pi = 1 is degenerate (or, detuned, too close to
+        # degenerate for eigh), so its eigenbasis leaves both off-diagonal for a
+        # random U.  The frame must still find their common eigenbasis
+        u = np.eye(2) if seed is None else haar_unitary(np.random.default_rng(seed), 2)
+        a1, a2 = (u @ np.diag(d) @ u.conj().T for d in ([1.0, 0.0], [0.0, np.pi + detuning]))
+        rng = np.random.default_rng(11)
+        s = Scenario(
+            system_dims=(2,),
+            observables=(
+                ObservableSpec(name="a1", matrix=op(a1), target=(0,)),
+                ObservableSpec(name="a2", matrix=op(a2), target=(0,)),
+            ),
+            pointers=(FockPointerSpec(sigma=1.0, dim=10), FockPointerSpec(sigma=1.0, dim=10)),
+            couplings=(0.1, 0.1),
+            pre=state(random_state(rng, 2)),
+            post=state(random_state(rng, 2)),
+        )
+        assert _system_frame(s.embedded_observables())[2]
+        np.testing.assert_allclose(wm.evolve_exact(s).amps, dense_evolved(s), rtol=0, atol=1e-12)
+        assert np.isfinite(wm.strong_position_estimate(s))
+        plain = wm.analytic_weak_value(op(a1 @ a2), s.pre, s.post)
+        joint = wm.symmetrized_joint_weak_value([op(a1), op(a2)], s.pre, s.post)
+        assert abs(joint - plain) <= 1e-12 * (1.0 + abs(plain))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_many_commuting_observables_are_diagonal(self, n):
+        # one +-1 observable per qubit in a random basis.  Up to 8 of them the
+        # weighted sum is nondegenerate, but its levels come within about
+        # q^(n-1) of each other, and eigh on the 2^n-dimensional sum leaves
+        # the observables up to 3e-12 off-diagonal; the frame must not
+        # mistake that for non-commutation
+        rng = np.random.default_rng(n)
+        observables = []
+        for j in range(n):
+            u = haar_unitary(rng, 2)
+            factors = [I2] * n
+            factors[j] = u @ SZ @ u.conj().T
+            observables.append(op(reduce(np.kron, factors), *(2,) * n))
+        basis, _, diagonal = _system_frame(observables)
+        assert diagonal
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2**n), rtol=0, atol=1e-13)
 
     def test_displaced_amplitudes_keep_relative_precision(self):
         # product eigenstate input: pointer j ends in exp(-i gt P_j)|0>, so the

@@ -13,10 +13,13 @@ one of three ways that leave the physics unchanged:
 * independent global phases on the pre- and post-selection.
 
 Every route value, the oracle, ``prob_success``, the leakage and the
-correlator table must then agree with the untransformed run.  The two runs
-differ only by rounding, so each bound is rounding times the condition of
-the quantity: how far it can move per unit change of its inputs (see
-:func:`bounds`).
+correlator table must then agree with the untransformed run, and the system
+frame must be diagonal exactly when it was: whether the observables commute
+does not depend on the basis, and reordering the triples reorders the
+weights ``q^j`` of the sum whose eigenbasis starts the frame, which is how a
+degenerate sum arises.  The two runs differ only by rounding, so each bound
+is rounding times the condition of the quantity: how far it can move per
+unit change of its inputs (see :func:`bounds`).
 """
 
 import functools
@@ -29,20 +32,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakmeas as wm
-from weakmeas.evolution import DIAGONAL_TOL
+from weakmeas.evolution import DIAGONAL_TOL, _system_frame
 from weakmeas.weak_values import correlator_decomposition
+
+from conftest import haar_unitary
 
 EPS = np.finfo(float).eps
 NAMES = sorted(wm.catalog_names())
 TRANSFORMS = ("basis", "permutation", "phases")
-
-
-def haar_unitary(rng, dim: int) -> np.ndarray:
-    """A Haar-random unitary (QR of a complex Gaussian, with R's phases divided out)."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    diagonal = np.diagonal(r)
-    return q * (diagonal / np.abs(diagonal))
 
 
 def change_basis(scenario: wm.Scenario, rng) -> wm.Scenario:
@@ -79,6 +76,7 @@ def observe(scenario: wm.Scenario) -> dict:
     report = wm.run_scenario(scenario)
     evolved = wm.evolve_exact(scenario)
     seen = {"oracle": report.analytic, "prob_success": report.prob_success}
+    seen["diagonal frame"] = float(_system_frame(scenario.embedded_observables())[2])
     seen.update({f"route {k}": v for k, v in report.extracted.items()})
     seen.update({f"leakage {j}": v for j, v in enumerate(wm.top_level_leakage(evolved, scenario))})
     if "correlators" in report.extracted:
@@ -155,6 +153,7 @@ def bounds(name: str) -> dict:
         "oracle": oracle_inputs * (math.prod(norms) + abs(seen["oracle"]))
         / abs(scenario.post.inner(scenario.pre)),
         "prob_success": 2 * dpsi + dpsi**2,
+        "diagonal frame": 0.0,
     }
     ladder = math.prod(_norm(p.lowering().matrix) for p in scenario.pointers)
     for key in seen:
