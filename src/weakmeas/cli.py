@@ -257,15 +257,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    scenario = scen.resolve_scenario(args.scenario)
-    if args.dim is not None:
-        scenario = scenario.with_fock_dim(args.dim)
-    scen.ensure_valid(scenario)
-    harness.check_sample_request(scenario, args.pointer, args.shots, args.seed)
-    result = post_select(evolve_exact(scenario), scenario)
-    positions = harness.sample_positions(
-        result, scenario, args.pointer, args.shots, args.seed
-    )
+    with harness._naming(args.scenario):
+        scenario = scen.resolve_scenario(args.scenario)
+        if args.dim is not None:
+            scenario = scenario.with_fock_dim(args.dim)
+        scen.ensure_valid(scenario)
+        harness.check_sample_request(scenario, args.pointer, args.shots, args.seed)
+        result = post_select(evolve_exact(scenario), scenario)
+        positions = harness.sample_positions(
+            result, scenario, args.pointer, args.shots, args.seed
+        )
     mean = float(np.mean(positions))
     squares = math.fsum(
         float(np.sum((positions[start : start + SAMPLE_WRITE_CHUNK] - mean) ** 2))

@@ -13,12 +13,14 @@ eigenbasis ``V_j`` of its coupling operator ``C_j`` (eigenvalues ``c_j``), and
 the system into the frame ``W`` of :func:`_system_frame`: the eigenbasis of
 ``sum_j r_j A_j`` (``r_j = FRAME_WEIGHT_RATIO**j``) or, where eigh leaves that
 sum's close levels mixed, a joint eigenbasis built one A_j at a time within
-level clusters.  The C_j act on different factors, so in this frame H is
-block-diagonal, with one system-sized block ``sum_j gt_j c_{j,k_j} W^dag A_j W``
-per pointer eigenvector tuple ``(k_1, ..., k_N)``, whether or not the A_j
-commute.  When they commute, every ``W^dag A_j W`` is diagonal (to
-:data:`DIAGONAL_TOL`) and the exponential is an elementwise phase; otherwise
-one batched ``eigh`` diagonalizes all blocks.  No full-space matrix is formed,
+level clusters.  A scenario builds its frame once (:func:`scenario_frame`), for
+evolution and for the oracle.  The C_j act on different factors, so in this
+frame H is block-diagonal, with one system-sized block
+``sum_j gt_j c_{j,k_j} W^dag A_j W`` per pointer eigenvector tuple
+``(k_1, ..., k_N)``, whether or not the A_j commute.  When they commute,
+every ``W^dag A_j W`` is diagonal (to :data:`DIAGONAL_TOL`) and the
+exponential is an elementwise phase; otherwise one batched ``eigh``
+diagonalizes all blocks.  No full-space matrix is formed,
 the result equals the dense spectral propagator to rounding, and
 :func:`build_hamiltonian` assembles the dense H only as a reference.
 
@@ -145,9 +147,11 @@ def _joint_eigenbasis(matrices: np.ndarray, tols: np.ndarray, block: np.ndarray)
 
 
 def _in_frame(basis: np.ndarray, matrices: np.ndarray, tols: np.ndarray):
-    """``basis``, the stacked ``basis^dag A_j basis``, and whether all are diagonal to ``tols``."""
+    """``basis``, the stacked ``basis^dag A_j basis``, and whether all are diagonal to
+    ``tols``; both arrays read-only, since a scenario shares its frame."""
     rotated = basis.conj().T @ matrices @ basis
     off_diagonal = np.abs(rotated * (1.0 - np.eye(len(basis)))).max(axis=(1, 2))
+    basis.flags.writeable = rotated.flags.writeable = False
     return basis, rotated, bool(np.all(off_diagonal <= tols))
 
 
@@ -165,6 +169,11 @@ def _system_frame(observables) -> tuple[np.ndarray, np.ndarray, bool]:
         return first
     joint = _in_frame(_joint_eigenbasis(matrices, tols, np.eye(len(first[0]))), matrices, tols)
     return joint if joint[2] else first
+
+
+def scenario_frame(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, bool]:
+    """:func:`_system_frame` of the scenario's embedded observables, built once per scenario."""
+    return scenario._once("_frame", lambda: _system_frame(scenario.embedded_observables()))
 
 
 def evolve_exact(scenario: Scenario) -> StateVector:
@@ -188,7 +197,7 @@ def evolve_exact(scenario: Scenario) -> StateVector:
     _check_capacity(math.prod(shape) * 16)
     initial = np.zeros(shape, dtype=np.complex128)
     initial[(slice(None),) + (0,) * len(scenario.pointers)] = scenario.pre.amps
-    system_basis, rotated, diagonal = _system_frame(scenario.embedded_observables())
+    system_basis, rotated, diagonal = scenario_frame(scenario)
     pointer_frames = []
     for axis, (pointer, gt) in enumerate(zip(scenario.pointers, scenario.couplings), start=1):
         levels, basis = np.linalg.eigh(pointer.coupling().matrix)

@@ -19,6 +19,12 @@ does: ``evolution.top_level_leakage``, ``scenario.with_fock_dim``,
 and the ``kind`` parameter of ``weak_values._route_pointers`` (ROADMAP
 item 9).  A spec whose operators would pass the array cap cannot be built.
 
+A Fock spec's ``coupling()`` and ``lowering()`` build only the operator they
+return, with the same bits as the matching :func:`fock_operators` entry,
+which builds the whole set for the correlator route and the diagnostics; a
+spin spec takes both from :func:`spin_operators`.  No operator is cached, so
+a pointer at the array cap holds its matrices only while a caller uses them.
+
 Basis ordering conventions: Fock levels ascending, spin m ascending; every
 pointer starts in level 0 (see ``evolution.evolve_exact``).
 """
@@ -79,11 +85,12 @@ class FockPointerSpec:
 
     def coupling(self) -> Operator:
         """Pointer operator entering the interaction: the momentum quadrature P."""
-        return fock_operators(self).p
+        lowering = _fock_lowering(self.dim)
+        return Operator(self.layout, _fock_p(lowering, self.sigma))
 
     def lowering(self) -> Operator:
         """Ladder operator of the extraction route: the annihilation operator a."""
-        return fock_operators(self).lowering
+        return Operator(self.layout, _fock_lowering(self.dim))
 
 
 @dataclass(frozen=True)
@@ -151,14 +158,23 @@ def _check_dim(spec: PointerSpec) -> None:
         )
 
 
+def _fock_lowering(dim: int) -> np.ndarray:
+    """The truncated annihilation matrix, ``a[n-1, n] = sqrt(n)``."""
+    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
+
+
+def _fock_p(lowering: np.ndarray, sigma: float) -> np.ndarray:
+    """The momentum quadrature ``P = i (a^dag - a) / (2 sigma)``."""
+    return (lowering.conj().T - lowering) * (0.5j / sigma)
+
+
 def fock_operators(spec: FockPointerSpec) -> PointerOperators:
     """Lowering operator and derived X, P quadratures of a Fock pointer."""
-    lowering = np.diag(np.sqrt(np.arange(1, spec.dim)), 1).astype(np.complex128)
-    raising = lowering.conj().T
+    lowering = _fock_lowering(spec.dim)
     return PointerOperators(
         lowering=Operator(spec.layout, lowering),
-        x=Operator(spec.layout, (lowering + raising) * spec.sigma),
-        p=Operator(spec.layout, (raising - lowering) * (0.5j / spec.sigma)),
+        x=Operator(spec.layout, (lowering + lowering.conj().T) * spec.sigma),
+        p=Operator(spec.layout, _fock_p(lowering, spec.sigma)),
     )
 
 

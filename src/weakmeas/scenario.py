@@ -135,20 +135,39 @@ class Scenario:
         )
         return replace(self, pointers=pointers)
 
+    def _once(self, key: str, build):
+        """``build()``, called on the first request for ``key`` and kept on the scenario.
+
+        A scenario is immutable, so what it derives stays valid for its lifetime;
+        copies made by :meth:`with_lambda` or :meth:`with_fock_dim` start empty.
+        """
+        value = self.__dict__.get(key)
+        if value is None:
+            value = build()
+            object.__setattr__(self, key, value)
+        return value
+
     def embedded_observables(self) -> tuple[Operator, ...]:
         """Observables embedded on the full system layout.
 
-        Built once per scenario and shared: the oracle, the second-order
-        error and the propagator all read them, and operators are immutable.
+        Built once per scenario, through :meth:`_once`, like the other things a
+        command reads more than once:
+
+        * these embedded observables, read by the propagator, the oracle and
+          the second-order error;
+        * the system frame (``evolution.scenario_frame``), read by
+          ``evolve_exact``, the oracle's plain-product guard and the strong
+          estimate;
+        * the word sums ``T_k |I>`` (``weak_values._word_sums``), shared by
+          the oracle and the second-order error.
+
+        Every caller shares what is kept; its arrays are read-only.
         """
-        embedded = self.__dict__.get("_embedded")
-        if embedded is None:
-            layout = self.system_layout
-            embedded = tuple(
-                embed_factors(obs.matrix, obs.target, layout) for obs in self.observables
-            )
-            object.__setattr__(self, "_embedded", embedded)
-        return embedded
+        layout = self.system_layout
+        return self._once(
+            "_embedded",
+            lambda: tuple(embed_factors(o.matrix, o.target, layout) for o in self.observables),
+        )
 
 
 def validate(scenario: Scenario) -> list[str]:
@@ -281,6 +300,10 @@ def _number(value, field: str, kind=(int, float)):
 
 
 def _complex_pair(value, field: str) -> complex:
+    if type(value) is list and len(value) == 2:
+        re, im = value
+        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+            return complex(re, im)
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,15 +176,21 @@ def _check_capacity(nbytes: int) -> None:
 def kron(factors: Sequence[Operator]) -> Operator:
     """Kronecker product of operators, in the declared factor order.
 
-    The result layout is the concatenation of the factor layouts.  Raises
-    :class:`CapacityError` when the product would take more than
-    :data:`MAX_ARRAY_BYTES`.
+    The result layout is the concatenation of the factor layouts.  Each
+    extra factor takes one broadcast multiply, ``P[i, k, j, l] = P[i, j] F[k, l]``,
+    the same products in the same order as ``np.kron``, so the result has the
+    same bits.  Raises :class:`CapacityError` when the product would take
+    more than :data:`MAX_ARRAY_BYTES`.
     """
     if not factors:
         raise LayoutError("kron needs at least one factor")
     layout = FactorLayout(tuple(d for f in factors for d in f.layout.dims))
     _check_capacity(math.prod(op.matrix.size for op in factors) * 16)
-    return Operator(layout, reduce(np.kron, [op.matrix for op in factors]))
+    product = factors[0].matrix
+    for op in factors[1:]:
+        rows = product.shape[0] * op.dim
+        product = (product[:, None, :, None] * op.matrix[:, None, :]).reshape(rows, rows)
+    return Operator(layout, product)
 
 
 def embed_factors(op: Operator, slots: Iterable[int], layout: FactorLayout) -> Operator:

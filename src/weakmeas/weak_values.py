@@ -61,6 +61,7 @@ from .evolution import (
     _system_frame,
     _system_pointer_tensor,
     evolve_exact,
+    scenario_frame,
 )
 from .pointers import FockPointerSpec, SpinPointerSpec, fock_operators
 from .scenario import Scenario, weak_value_denominator
@@ -96,13 +97,16 @@ def _symmetrized_values(
     pre: StateVector,
     post: StateVector,
     multisets: Iterable[tuple[int, ...]],
+    vectors: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> dict[tuple[int, ...], complex]:
     """Symmetrized weak values ``W(k) = <F|T_k|I> / (<F|I> m! / prod_i k_i!)``.
 
     ``T_k`` sums the distinct words that use observable i ``k_i`` times
     (``m = sum_i k_i``), so ``W(k)`` averages the weak values of those words.
     ``T_k |I>`` comes from the recursion ``T_k = sum_{j: k_j > 0} A_j T_{k - e_j}``
-    with ``T_0 = 1``, memoized over the multisets below each requested k.
+    with ``T_0 = 1``, memoized over the multisets below each requested k in
+    ``vectors``: a fresh dict, or the word sums of the same observables and
+    pre-selection kept from an earlier call (:func:`_word_sums`).
     """
     n = len(observables)
     if n < 1:
@@ -113,7 +117,9 @@ def _symmetrized_values(
         )
     denom = weak_value_denominator(pre, post)
     matrices = [op.matrix for op in observables]
-    vectors = {(0,) * n: pre.amps}
+    if vectors is None:
+        vectors = {}
+    vectors.setdefault((0,) * n, pre.amps)
 
     def word_sum(k: tuple[int, ...]) -> np.ndarray:
         vec = vectors.get(k)
@@ -123,6 +129,7 @@ def _symmetrized_values(
                 for j, kj in enumerate(k)
                 if kj
             )
+            vec.flags.writeable = False
             vectors[k] = vec
         return vec
 
@@ -147,10 +154,16 @@ def symmetrized_joint_weak_value(
     ``T_k = sum_j A_j T_{k - e_j}`` over the 2^N subsets of the observables,
     in N 2^(N-1) matrix-vector products; N is capped at :data:`SYMMETRIZATION_CAP`.
     """
-    ones = (1,) * len(observables)
-    value = _symmetrized_values(observables, pre, post, [ones])[ones]
+    return _joint_value(observables, pre, post, lambda: _system_frame(observables)[2])
 
-    if _system_frame(observables)[2]:
+
+def _joint_value(observables, pre, post, commuting, vectors=None) -> complex:
+    """:func:`symmetrized_joint_weak_value`, with the frame's flag from ``commuting()``
+    and the word sums memoized in ``vectors``."""
+    ones = (1,) * len(observables)
+    value = _symmetrized_values(observables, pre, post, [ones], vectors)[ones]
+
+    if commuting():
         product = reduce(lambda a, b: a @ b, observables)
         direct = analytic_weak_value(product, pre, post)
         if abs(value - direct) > 1e-12 * (1.0 + abs(direct)):
@@ -309,7 +322,7 @@ def strong_position_estimate(scenario: Scenario) -> complex:
     amplitudes, so no full-space operator is formed.
     """
     _route_pointers([scenario])
-    if not _system_frame(scenario.embedded_observables())[2]:
+    if not scenario_frame(scenario)[2]:
         raise UnsupportedScenarioError(
             "the strong-measurement analog requires commuting observables"
         )
@@ -322,10 +335,23 @@ def strong_position_estimate(scenario: Scenario) -> complex:
     return complex(value * scale)
 
 
+def _word_sums(scenario: Scenario) -> dict[tuple[int, ...], np.ndarray]:
+    """The scenario's word sums ``T_k |I>``, one memo shared by every oracle call."""
+    return scenario._once("_word_sums", dict)
+
+
 def analytic_oracle(scenario: Scenario) -> complex:
-    """Symmetrized joint weak value of the scenario's embedded observables."""
-    return symmetrized_joint_weak_value(
-        scenario.embedded_observables(), scenario.pre, scenario.post
+    """Symmetrized joint weak value of the scenario's embedded observables.
+
+    Reads the scenario's system frame and word sums, so :func:`second_order_error`
+    and ``evolve_exact`` on the same scenario reuse them.
+    """
+    return _joint_value(
+        scenario.embedded_observables(),
+        scenario.pre,
+        scenario.post,
+        lambda: scenario_frame(scenario)[2],
+        _word_sums(scenario),
     )
 
 
@@ -334,8 +360,9 @@ def second_order_error(scenario: Scenario) -> complex:
 
     The lowering route reads ``analytic_oracle(scenario) + c2 + O(lambda^4)``
     up to Fock truncation, with ``c2`` the sum given in the module docstring.
-    Its symmetrized weak values come from one word-sum recursion over the
-    embedded observables.
+    Its symmetrized weak values come from the word-sum recursion over the
+    embedded observables, continuing the scenario's word sums, so after
+    :func:`analytic_oracle` only the longer words are new.
     """
     _route_pointers([scenario])
     observables = scenario.embedded_observables()
@@ -349,7 +376,9 @@ def second_order_error(scenario: Scenario) -> complex:
     multisets = [ones] + [
         bumped(base, j, by) for j in range(n) for base in (zero, ones) for by in (1, 2)
     ]
-    w = _symmetrized_values(observables, scenario.pre, scenario.post, multisets)
+    w = _symmetrized_values(
+        observables, scenario.pre, scenario.post, multisets, _word_sums(scenario)
+    )
     joint = w[ones]
     c2 = 0j
     for j, lam in enumerate(scenario.lambdas):

@@ -169,6 +169,23 @@ class TestRunExperiment:
             wm.run_experiment(path)
 
 
+class TestBuiltOncePerScenario:
+    @pytest.mark.parametrize("name", ["joint_pair", "pair_anticommuting", "aav_qubit_spinptr"])
+    def test_run_builds_the_system_frame_once(self, monkeypatch, name):
+        frames = []
+        build = wm.evolution._system_frame
+
+        def counted(observables):
+            frames.append(observables)
+            return build(observables)
+
+        for module in (wm.evolution, wm.weak_values):
+            monkeypatch.setattr(module, "_system_frame", counted)
+        report = wm.run_scenario(wm.resolve_scenario(name))
+        assert len(frames) == 1
+        assert report.passed
+
+
 class TestSweep:
     def test_slope_near_two(self):
         result = wm.sweep_lambda("aav_qubit", [0.16, 0.08, 0.04, 0.02])
@@ -474,7 +491,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: pointer index {pointer} is out of range for a scenario with "
+            f"error: aav_qubit: pointer index {pointer} is out of range for a scenario with "
             "1 pointer(s)\n"
         )
 
@@ -484,7 +501,9 @@ class TestCli:
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {shots} shots exceed the cap {wm.harness.MAX_SHOTS}\n"
+        assert captured.err == (
+            f"error: aav_qubit: {shots} shots exceed the cap {wm.harness.MAX_SHOTS}\n"
+        )
 
     @pytest.mark.parametrize(
         "sample_args, err",
@@ -515,7 +534,7 @@ class TestCli:
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {err}\n"
+        assert captured.err == f"error: {args[1]}: {err}\n"
         assert evolutions == []
 
     def test_run_tolerance_overflow_errors(self, capsys, tmp_path):

@@ -48,6 +48,18 @@ class TestFockOperators:
         assert ops.x.is_hermitian()
         assert ops.p.is_hermitian()
 
+    @pytest.mark.parametrize("sigma,dim", [(1.0, 2), (0.37, 9), (3.0, 16)])
+    def test_spec_builds_only_the_operator_it_returns(self, monkeypatch, sigma, dim):
+        spec = FockPointerSpec(sigma=sigma, dim=dim)
+        ops = wm.fock_operators(spec)
+
+        def refused(spec):
+            raise AssertionError("coupling() and lowering() must not build the full set")
+
+        monkeypatch.setattr(wm.pointers, "fock_operators", refused)
+        assert spec.coupling().matrix.tobytes() == ops.p.matrix.tobytes()
+        assert spec.lowering().matrix.tobytes() == ops.lowering.matrix.tobytes()
+
 
 class TestSpinOperators:
     def test_half_spin_raising_element(self):

@@ -19,7 +19,7 @@ from weakmeas import (
     Scenario,
     SpinPointerSpec,
 )
-from weakmeas.scenario import catalog_dir
+from weakmeas.scenario import _complex_pair, catalog_dir
 
 from conftest import SZ, op, state
 
@@ -262,6 +262,46 @@ def mutations(draw):
     if draw(st.booleans()):
         return name, draw(st.sampled_from(document_paths(doc, leaves=False))), DELETE
     return name, draw(st.sampled_from(document_paths(doc))), draw(JSON_VALUES)
+
+
+class TestComplexPair:
+    """A ``[float, float]`` list returns early; every other entry goes through
+    the per-entry checks, which a tuple always takes."""
+
+    @pytest.mark.parametrize("text", ["[1.0, -0.0]", "[-0.0, 2.5e-320]", "[1, 2.0]", "[1, 2]"])
+    def test_parses_to_the_per_entry_value(self, text):
+        value = json.loads(text)
+        parsed = _complex_pair(value, "f")
+        per_entry = _complex_pair(tuple(value), "f")
+        assert type(parsed) is complex
+        for part in ("real", "imag"):
+            got, want = getattr(parsed, part), getattr(per_entry, part)
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[true, 0.0]", "f: expected a [re, im] pair, got [True, 0.0]"),
+            ("[0.0, false]", "f: expected a [re, im] pair, got [0.0, False]"),
+            ("[NaN, 0]", "f: expected a finite number, got nan"),
+            ("[0.0, -Infinity]", "f: expected a finite number, got -inf"),
+            ("[1" + "0" * 400 + ", 0.0]", "f: number too large for a float"),
+            ("[1.0, 2.0, 3.0]", "f: expected a [re, im] pair, got [1.0, 2.0, 3.0]"),
+            ("[1.0]", "f: expected a [re, im] pair, got [1.0]"),
+            ('["1.0", 0.0]', "f: expected a [re, im] pair, got ['1.0', 0.0]"),
+        ],
+    )
+    def test_refuses_with_the_per_entry_message(self, text, message):
+        with pytest.raises(wm.SchemaError) as excinfo:
+            _complex_pair(json.loads(text), "f")
+        assert str(excinfo.value) == message
+
+    def test_a_bad_entry_in_a_document_names_its_field(self):
+        doc = json.loads(wm.dump_scenario(qubit_scenario()))
+        doc["pre"][1] = [float("nan"), 0.0]
+        with pytest.raises(wm.SchemaError, match=r"^pre\[1\]: expected a finite number, got nan$"):
+            wm.load_scenario(json.dumps(doc))
 
 
 class TestDocumentFuzz:

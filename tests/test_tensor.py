@@ -1,5 +1,7 @@
 """Tensor-core construction, embedding, propagation, and expectation values."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,24 @@ class TestKron:
         flat = wm.kron([a, b, c])
         assert nested.layout == flat.layout
         np.testing.assert_allclose(nested.matrix, flat.matrix, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    )
+    def test_matches_dense_kron_bit_for_bit(self, seed, dims):
+        # The broadcast product forms the same a_ij b_kl products in the same
+        # order as np.kron, so signed zeros and subnormals come out identical.
+        rng = np.random.default_rng(seed)
+        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+        mats[0][0, 0] = complex(-0.0, 5e-324)
+        mats[-1][-1, -1] = complex(1e-300, -0.0)
+        result = wm.kron([op(m) for m in mats])
+        dense = functools.reduce(np.kron, mats)
+        assert result.layout.dims == tuple(dims)
+        assert result.matrix.shape == dense.shape
+        assert result.matrix.tobytes() == dense.tobytes()
 
     def test_capacity_cap(self):
         # 2^21 rows would take 2^46 bytes; the cap refuses before np.kron runs

@@ -26,7 +26,7 @@ from conftest import (
     random_state,
     state,
 )
-from weakmeas.weak_values import _symmetrized_values
+from weakmeas.weak_values import _symmetrized_values, _word_sums
 
 R2 = 1.0 / np.sqrt(2.0)
 
@@ -223,6 +223,25 @@ class TestSecondOrderError:
     def test_spin_pointers_rejected(self):
         with pytest.raises(wm.UnsupportedScenarioError):
             wm.second_order_error(wm.resolve_scenario("aav_qubit_spinptr"))
+
+    @pytest.mark.parametrize("name", ["joint_pair", "triple_ghz_mix"])
+    def test_reuses_the_oracle_word_sums(self, name):
+        s = wm.resolve_scenario(name)
+        analytic = wm.analytic_oracle(s)
+        sums = _word_sums(s)
+        kept = dict(sums)
+        assert (1,) * s.n_pointers in kept
+        c2 = wm.second_order_error(s)
+        # The recursion continued the oracle's memo: no word sum was rebuilt.
+        assert _word_sums(s) is sums
+        assert all(sums[k] is vector for k, vector in kept.items())
+        assert len(sums) > len(kept)
+        # Sharing changes no bit, in either call order.
+        fresh = wm.resolve_scenario(name)
+        assert wm.second_order_error(fresh) == c2
+        assert wm.analytic_oracle(fresh) == analytic
+        observables = s.embedded_observables()
+        assert wm.symmetrized_joint_weak_value(observables, s.pre, s.post) == analytic
 
 
 class TestFockExtraction:
