@@ -24,10 +24,11 @@ diagonalizes all blocks.  No full-space matrix is formed,
 the result equals the dense spectral propagator to rounding, and
 :func:`build_hamiltonian` assembles the dense H only as a reference.
 
-The evolved state is a plain :class:`StateVector` on the scenario's full
-layout; :func:`post_select` and :func:`top_level_leakage` take its
-system/pointer split from the scenario.  Truncation is monitored by a
-leakage guard: after evolution the population of the top two levels of
+The evolved state is the read-only ``(S, d_1, ..., d_N)`` amplitude tensor
+the propagation works on: the system on axis 0, then one axis per pointer.
+:func:`post_select` contracts axis 0 with ``<F|`` and leaves the
+``(d_1, ..., d_N)`` conditioned pointer tensor.  Truncation is monitored by
+a leakage guard: after evolution the population of the top two levels of
 every Fock pointer must stay below :data:`LEAKAGE_GUARD`.
 """
 
@@ -38,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutError, PostSelectionFailureError, TruncationLeakageError
+from .errors import PostSelectionFailureError, TruncationLeakageError
 from .pointers import FockPointerSpec
 from .scenario import Scenario
-from .tensor import Operator, StateVector, _check_capacity, embed_factors
+from .tensor import Operator, _check_capacity, _require_shape, embed_factors
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
 LEAKAGE_GUARD = 1e-8
@@ -68,13 +69,14 @@ DIAGONAL_TOL = 1e-13
 class PostSelectionResult:
     """Pointer-space state conditioned on a successful post-selection.
 
-    ``conditioned`` is stored unit-normalized; pointer expectation values do
+    ``conditioned`` is the read-only ``(d_1, ..., d_N)`` amplitude tensor, one
+    axis per pointer, stored unit-normalized; pointer expectation values do
     not depend on that choice of scalar rescaling, and ``prob_success``
     (the squared norm of the raw projection) keeps the alternative
     normalization recoverable.
     """
 
-    conditioned: StateVector
+    conditioned: np.ndarray
     prob_success: float
 
 
@@ -89,14 +91,9 @@ def _apply(blocks: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     return np.moveaxis((blocks @ vectors)[..., 0], -1, 0)
 
 
-def _system_pointer_tensor(state: StateVector, scenario: Scenario) -> np.ndarray:
-    """A full-layout state's amplitudes as an ``(S, d_1, ..., d_N)`` tensor."""
-    if state.layout != scenario.full_layout:
-        raise LayoutError(
-            f"state layout {state.layout.dims} is not the scenario's full layout "
-            f"{scenario.full_layout.dims}"
-        )
-    return state.amps.reshape((scenario.system_layout.dim,) + scenario.pointer_layout.dims)
+def _joint_shape(scenario: Scenario) -> tuple[int, ...]:
+    """``(S, d_1, ..., d_N)``: the system dimension, then one axis per pointer."""
+    return (scenario.system_layout.dim,) + scenario.pointer_layout.dims
 
 
 def build_hamiltonian(scenario: Scenario) -> Operator:
@@ -114,9 +111,10 @@ def build_hamiltonian(scenario: Scenario) -> Operator:
     return Operator(scenario.full_layout, terms).require_hermitian()
 
 
-def top_level_leakage(state: StateVector, scenario: Scenario) -> list[float]:
-    """Population in the top two levels of each Fock pointer (0.0 for spin)."""
-    tensor = _system_pointer_tensor(state, scenario)
+def top_level_leakage(tensor: np.ndarray, scenario: Scenario) -> list[float]:
+    """Population in the top two levels of each Fock pointer (0.0 for spin) of an
+    evolved ``(S, d_1, ..., d_N)`` tensor; another shape raises ``LayoutError``."""
+    _require_shape(tensor, _joint_shape(scenario))
     out = []
     for axis, pointer in enumerate(scenario.pointers, start=1):
         if isinstance(pointer, FockPointerSpec):
@@ -128,8 +126,8 @@ def top_level_leakage(state: StateVector, scenario: Scenario) -> list[float]:
     return out
 
 
-def _check_leakage(state: StateVector, scenario: Scenario) -> None:
-    for j, leak in enumerate(top_level_leakage(state, scenario)):
+def _check_leakage(tensor: np.ndarray, scenario: Scenario) -> None:
+    for j, leak in enumerate(top_level_leakage(tensor, scenario)):
         if leak > LEAKAGE_GUARD:
             raise TruncationLeakageError(
                 j, leak, scenario.pointers[j].dim, LEAKAGE_GUARD, scenario.lambdas[j]
@@ -176,12 +174,13 @@ def scenario_frame(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, bool]:
     return scenario._once("_frame", lambda: _system_frame(scenario.embedded_observables()))
 
 
-def evolve_exact(scenario: Scenario) -> StateVector:
+def evolve_exact(scenario: Scenario) -> np.ndarray:
     """Propagate the pre-selected joint state by ``exp(-i H)``, exactly.
 
     The initial state is the pre-selection joined with every pointer in its
-    level 0 (Fock |0>, spin |m = -s>), and the result lies on
-    ``scenario.full_layout``.  The state is propagated in the coupling frame
+    level 0 (Fock |0>, spin |m = -s>).  The result is a read-only
+    ``(S, d_1, ..., d_N)`` tensor: the system amplitudes on axis 0, then
+    one axis per pointer.  The state is propagated in the coupling frame
     described in the module docstring.
 
     Raises
@@ -193,7 +192,7 @@ def evolve_exact(scenario: Scenario) -> StateVector:
         If any Fock pointer ends with more than :data:`LEAKAGE_GUARD`
         population in its top two levels.
     """
-    shape = (scenario.system_layout.dim,) + scenario.pointer_layout.dims
+    shape = _joint_shape(scenario)
     _check_capacity(math.prod(shape) * 16)
     initial = np.zeros(shape, dtype=np.complex128)
     initial[(slice(None),) + (0,) * len(scenario.pointers)] = scenario.pre.amps
@@ -230,23 +229,27 @@ def evolve_exact(scenario: Scenario) -> StateVector:
         tensor = _apply(vectors, np.moveaxis(np.exp(-1j * values), -1, 0) * coeffs)
         for axis, _, basis in pointer_frames:
             tensor = _rotate(basis, tensor, axis)
-    evolved = StateVector(scenario.full_layout, _rotate(system_basis, tensor, 0).reshape(-1))
+    evolved = _rotate(system_basis, tensor, 0)
+    evolved.flags.writeable = False
     _check_leakage(evolved, scenario)
     return evolved
 
 
-def post_select(state: StateVector, scenario: Scenario) -> PostSelectionResult:
-    """Project the system factors of a full-layout state onto the post-selection state.
+def post_select(tensor: np.ndarray, scenario: Scenario) -> PostSelectionResult:
+    """Contract axis 0 of an evolved ``(S, d_1, ..., d_N)`` state with ``<F|``.
 
-    Returns the unit-normalized conditioned pointer state together with the
-    success probability (squared norm of the raw projection).
+    Returns the unit-normalized, read-only ``(d_1, ..., d_N)`` conditioned
+    pointer tensor together with the success probability (squared norm of
+    the raw projection).  A tensor of another shape raises ``LayoutError``.
     """
-    matrix = _system_pointer_tensor(state, scenario).reshape(scenario.system_layout.dim, -1)
-    projected = scenario.post.amps.conj() @ matrix
+    shape = _joint_shape(scenario)
+    _require_shape(tensor, shape)
+    projected = scenario.post.amps.conj() @ tensor.reshape(shape[0], -1)
     prob = float(np.vdot(projected, projected).real)
     if prob < PROB_FLOOR:
         raise PostSelectionFailureError(
             f"post-selection probability {prob:.3e} below the floor {PROB_FLOOR:.0e}"
         )
-    conditioned = StateVector(scenario.pointer_layout, projected / math.sqrt(prob))
+    conditioned = (projected / math.sqrt(prob)).reshape(shape[1:])
+    conditioned.flags.writeable = False
     return PostSelectionResult(conditioned=conditioned, prob_success=prob)

@@ -357,9 +357,8 @@ def position_density(
     """
     spec = _sampled_pointer(scenario, pointer_index)
     grid = sampling_grid(spec)
-    dims = result.conditioned.layout.dims
-    tensor = result.conditioned.amps.reshape(dims)
-    moved = np.moveaxis(tensor, pointer_index, 0).reshape(dims[pointer_index], -1)
+    moved = np.moveaxis(result.conditioned, pointer_index, 0)
+    moved = moved.reshape(len(moved), -1)
     reduced = moved @ moved.conj().T
     basis = position_wavefunctions(spec, grid)
     density = np.einsum("mx,mn,nx->x", basis, reduced, basis).real

@@ -1,10 +1,10 @@
 """Dense complex linear algebra over tensor-product Hilbert spaces.
 
-Everything is stored as flat ``complex128`` numpy arrays tagged with a
-:class:`FactorLayout` that records the ordered factor dimensions.  The
-convention throughout the package is system factors first, then one factor
-per measurement pointer in declaration order.  All values are immutable
-after construction, so they are safe to share across threads.
+Operators and system states are ``complex128`` arrays tagged with a
+:class:`FactorLayout` of ordered factor dimensions: system factors first, then
+one per measurement pointer in declaration order.  Joint and pointer states are
+plain amplitude tensors, one axis per factor.  All values are immutable after
+construction, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ def _frozen_complex(values, shape_kind: str) -> np.ndarray:
 def _require_same_layout(a, b) -> None:
     if a.layout != b.layout:
         raise LayoutError(f"layout mismatch: {a.layout.dims} vs {b.layout.dims}")
+
+
+def _require_shape(tensor: np.ndarray, dims: tuple[int, ...]) -> None:
+    if tensor.shape != dims:
+        raise LayoutError(f"state shape {tensor.shape} does not match the layout {dims}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +152,6 @@ class StateVector:
             )
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
@@ -178,9 +179,10 @@ def kron(factors: Sequence[Operator]) -> Operator:
 
     The result layout is the concatenation of the factor layouts.  Each
     extra factor takes one broadcast multiply, ``P[i, k, j, l] = P[i, j] F[k, l]``,
-    the same products in the same order as ``np.kron``, so the result has the
-    same bits.  Raises :class:`CapacityError` when the product would take
-    more than :data:`MAX_ARRAY_BYTES`.
+    on operands shaped as ``np.kron`` shapes them, so numpy runs the same
+    multiply loop and the result has the same bits, signed zeros included.
+    Raises :class:`CapacityError` when the product would take more than
+    :data:`MAX_ARRAY_BYTES`.
     """
     if not factors:
         raise LayoutError("kron needs at least one factor")
@@ -189,7 +191,7 @@ def kron(factors: Sequence[Operator]) -> Operator:
     product = factors[0].matrix
     for op in factors[1:]:
         rows = product.shape[0] * op.dim
-        product = (product[:, None, :, None] * op.matrix[:, None, :]).reshape(rows, rows)
+        product = (product[:, None, :, None] * op.matrix[None, :, None, :]).reshape(rows, rows)
     return Operator(layout, product)
 
 
@@ -253,14 +255,15 @@ def hermitian_propagator(hamiltonian: Operator, tau: float) -> Operator:
     return Operator(hamiltonian.layout, unitary)
 
 
-def expectation(state: StateVector, op: Operator) -> complex:
-    """Expectation value <psi|O|psi> / <psi|psi>.
+def expectation(state: np.ndarray, op: Operator) -> complex:
+    """Expectation value <psi|O|psi> / <psi|psi> of an amplitude tensor.
 
-    The state need not be normalized.  The operator may be non-Hermitian,
-    in which case the full complex value is returned.
+    The state's shape must equal ``op.layout.dims``, one axis per factor; it
+    need not be normalized.  The operator may be non-Hermitian, in which case
+    the full complex value is returned.
     """
-    _require_same_layout(state, op)
-    norm_sq = float(np.vdot(state.amps, state.amps).real)
+    _require_shape(state, op.layout.dims)
+    norm_sq = float(np.vdot(state, state).real)
     if norm_sq == 0.0:
         raise ZeroNormError("expectation value of a zero-norm state is undefined")
-    return complex(np.vdot(state.amps, op.matrix @ state.amps) / norm_sq)
+    return complex(np.vdot(state, op.matrix @ state.reshape(-1)) / norm_sq)

@@ -59,7 +59,6 @@ from .evolution import (
     PostSelectionResult,
     _rotate,
     _system_frame,
-    _system_pointer_tensor,
     evolve_exact,
     scenario_frame,
 )
@@ -207,15 +206,6 @@ def _route_pointers(
     return pointers
 
 
-def _expectations(points: Sequence[ConditionedPoint], operator: Operator) -> list[complex]:
-    """``expectation`` of one operator on every conditioned state.
-
-    The routes pass each product straight from ``kron``, so it is freed when
-    this returns and at most one dense product is alive at a time.
-    """
-    return [expectation(result.conditioned, operator) for result, _ in points]
-
-
 def _route_scale(scenario: Scenario) -> float:
     return math.prod(p.route_scale(gt) for p, gt in zip(scenario.pointers, scenario.couplings))
 
@@ -226,8 +216,8 @@ def _ladder_route(points: Sequence[ConditionedPoint], *guard) -> list[complex]:
     The product is built once; ``guard`` is the kind and message of :func:`_route_pointers`.
     """
     pointers = _route_pointers([scenario for _, scenario in points], *guard)
-    values = _expectations(points, kron([p.lowering() for p in pointers]))
-    return [complex(value * _route_scale(s)) for value, (_, s) in zip(values, points)]
+    product = kron([p.lowering() for p in pointers])
+    return [complex(expectation(r.conditioned, product) * _route_scale(s)) for r, s in points]
 
 
 def extract_joint_fock(points: Sequence[ConditionedPoint]) -> list[complex]:
@@ -272,9 +262,12 @@ def correlator_decomposition(
                 factors.append(ops.p)
                 weight *= 1j * spec.sigma
         key = "".join(signature)
-        for i, value in enumerate(_expectations(points, kron(factors))):
+        product = kron(factors)
+        for i, (result, _) in enumerate(points):
+            value = expectation(result.conditioned, product)
             tables[i][key] = float(value.real)
             recombined[i] += weight * value
+        del product
     return [
         (table, complex(value * _route_scale(scenario)))
         for table, value, (_, scenario) in zip(tables, recombined, points)
@@ -318,15 +311,15 @@ def strong_position_estimate(scenario: Scenario) -> complex:
     For commuting observables (a diagonal system frame; others are refused)
     and independent zero-mean pointers the position correlation of the evolved
     (un-projected) state equals ``<I|prod_j A_j|I>`` exactly, up to truncation
-    leakage.  Each ``X_j`` acts on its own axis of the ``(S, d_1, ..., d_N)``
-    amplitudes, so no full-space operator is formed.
+    leakage.  Each ``X_j`` acts on its own axis of the evolved
+    ``(S, d_1, ..., d_N)`` tensor, so no full-space operator is formed.
     """
     _route_pointers([scenario])
     if not scenario_frame(scenario)[2]:
         raise UnsupportedScenarioError(
             "the strong-measurement analog requires commuting observables"
         )
-    tensor = _system_pointer_tensor(evolve_exact(scenario), scenario)
+    tensor = evolve_exact(scenario)
     moved = tensor
     for axis, pointer in enumerate(scenario.pointers, start=1):
         moved = _rotate(fock_operators(pointer).x.matrix, moved, axis)

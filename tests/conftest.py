@@ -27,11 +27,12 @@ def state(amps, *dims):
 
 
 def initial_joint_state(scenario):
-    """Pre-selected system state joined with every pointer in its level 0."""
+    """Pre-selected system state joined with every pointer in its level 0, as the
+    ``(S, d_1, ..., d_N)`` tensor that ``evolve_exact`` returns."""
     amps = scenario.pre.amps
     for pointer in scenario.pointers:
         amps = np.kron(amps, np.eye(pointer.dim)[0])
-    return StateVector(scenario.full_layout, amps)
+    return amps.reshape((scenario.system_layout.dim,) + scenario.pointer_layout.dims)
 
 
 def random_hermitian(rng, dim):

@@ -44,20 +44,34 @@ DENSE_REFERENCE_MAX_DIM = 1024
 
 
 def dense_evolved(s):
-    """Reference amplitudes: the dense full-space propagator exp(-i H) on |initial>."""
+    """Reference amplitudes: the dense full-space propagator exp(-i H) on |initial>,
+    as an ``(S, d_1, ..., d_N)`` tensor."""
+    initial = initial_joint_state(s)
     propagator = wm.hermitian_propagator(wm.build_hamiltonian(s), 1.0)
-    return propagator.matrix @ initial_joint_state(s).amps
+    return (propagator.matrix @ initial.reshape(-1)).reshape(initial.shape)
 
 
 def dense_series(s, order):
-    """Unnormalized series sum_{k<=order} (-i H)^k / k! |initial> of the dense H."""
+    """Unnormalized series sum_{k<=order} (-i H)^k / k! |initial> of the dense H,
+    as an ``(S, d_1, ..., d_N)`` tensor."""
     h = wm.build_hamiltonian(s).matrix
-    term = initial_joint_state(s).amps
+    initial = initial_joint_state(s)
+    term = initial.reshape(-1)
     total = term.copy()
     for k in range(1, order + 1):
         term = (-1j / k) * (h @ term)
         total = total + term
-    return total
+    return total.reshape(initial.shape)
+
+
+def catalog_at_dense_size():
+    """Every catalog scenario, at Fock dim 5 where its full space exceeds
+    :data:`DENSE_REFERENCE_MAX_DIM`."""
+    for name in wm.catalog_names():
+        s = wm.resolve_scenario(name)
+        if s.full_layout.dim > DENSE_REFERENCE_MAX_DIM:
+            s = s.with_fock_dim(5)
+        yield name, s
 
 
 def single_scenario(gt, *, dim=12, sigma=1.0, pre=(R2, R2), post=None, kind="fock"):
@@ -135,7 +149,7 @@ class TestEvolveExact:
         scenarios = (single_scenario(0.0), single_scenario(0.0, kind="spin"), pair_scenario(0.0))
         for s in scenarios:
             evolved = wm.evolve_exact(s)
-            np.testing.assert_allclose(evolved.amps, initial_joint_state(s).amps, atol=1e-15)
+            np.testing.assert_allclose(evolved, initial_joint_state(s), atol=1e-15)
 
     def test_start_is_refused_past_the_cap(self, monkeypatch):
         # joint_pair starts as a (4, 12, 12) complex tensor of 9216 bytes
@@ -155,29 +169,25 @@ class TestEvolveExact:
         # amplitude gt/(2 sigma) and mean position gt
         gt, sigma = 0.1, 1.0
         s = single_scenario(gt, pre=(1.0, 0.0))
-        evolved = wm.evolve_exact(s)
-        amps = evolved.amps.reshape(2, 12)
+        amps = wm.evolve_exact(s)
+        assert amps.shape == (2, 12)
         np.testing.assert_allclose(amps[1], 0.0, atol=1e-15)
         oracle = coherent_amplitudes(gt / (2 * sigma), 12)
         np.testing.assert_allclose(amps[0], oracle, atol=1e-8)
         x = wm.fock_operators(s.pointers[0]).x
-        pointer_state = wm.StateVector(wm.FactorLayout((12,)), amps[0])
-        assert wm.expectation(pointer_state, x).real == pytest.approx(gt, abs=1e-8)
+        assert wm.expectation(amps[0], x).real == pytest.approx(gt, abs=1e-8)
 
     @pytest.mark.parametrize(
         "name", ["aav_qubit", "joint_pair_entangled", "pair_anticommuting", "aav_qubit_spinptr"]
     )
     def test_norm_preserved(self, name):
         evolved = wm.evolve_exact(wm.resolve_scenario(name))
-        assert evolved.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(evolved) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_propagator_on_every_catalog_scenario(self):
-        for name in wm.catalog_names():
-            s = wm.resolve_scenario(name)
-            if s.full_layout.dim > DENSE_REFERENCE_MAX_DIM:
-                s = s.with_fock_dim(5)
+        for name, s in catalog_at_dense_size():
             np.testing.assert_allclose(
-                wm.evolve_exact(s).amps, dense_evolved(s), rtol=0, atol=1e-12, err_msg=name
+                wm.evolve_exact(s), dense_evolved(s), rtol=0, atol=1e-12, err_msg=name
             )
 
     def test_matches_dense_propagator_off_the_phase_shortcut(self):
@@ -196,9 +206,7 @@ class TestEvolveExact:
         )
         for s in (pair_scenario(gt=0.08, dim=8, same_qubit=True), spin_pair):
             assert not _system_frame(s.embedded_observables())[2]
-            np.testing.assert_allclose(
-                wm.evolve_exact(s).amps, dense_evolved(s), rtol=0, atol=1e-12
-            )
+            np.testing.assert_allclose(wm.evolve_exact(s), dense_evolved(s), rtol=0, atol=1e-12)
 
     def test_degenerate_weight_combination_stays_diagonal(self, monkeypatch):
         # three commuting +-1 observables on separate qubits.  With weights
@@ -222,7 +230,7 @@ class TestEvolveExact:
         )
         reference = dense_evolved(s)
         assert _system_frame(s.embedded_observables())[2]
-        np.testing.assert_allclose(wm.evolve_exact(s).amps, reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wm.evolve_exact(s), reference, rtol=0, atol=1e-12)
         golden = (np.sqrt(5.0) - 1.0) / 2.0
         monkeypatch.setattr(evolution, "FRAME_WEIGHT_RATIO", golden)
         matrices = np.stack([o.matrix for o in s.embedded_observables()])
@@ -230,7 +238,7 @@ class TestEvolveExact:
         rotated = basis.conj().T @ matrices @ basis
         assert np.abs(rotated * (1.0 - np.eye(8))).max() > 1e-3
         assert _system_frame(s.embedded_observables())[2]
-        np.testing.assert_allclose(wm.evolve_exact(s).amps, reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wm.evolve_exact(s), reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "seed, detuning", [(None, 0.0), (1, 0.0), (2, 0.0), (3, 0.0), (4, 1e-8)]
@@ -255,7 +263,7 @@ class TestEvolveExact:
             post=state(random_state(rng, 2)),
         )
         assert _system_frame(s.embedded_observables())[2]
-        np.testing.assert_allclose(wm.evolve_exact(s).amps, dense_evolved(s), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wm.evolve_exact(s), dense_evolved(s), rtol=0, atol=1e-12)
         assert np.isfinite(wm.strong_position_estimate(s))
         plain = wm.analytic_weak_value(op(a1 @ a2), s.pre, s.post)
         joint = wm.symmetrized_joint_weak_value([op(a1), op(a2)], s.pre, s.post)
@@ -295,7 +303,8 @@ class TestEvolveExact:
             pre=wm.StateVector(layout, np.eye(8)[0]),
             post=wm.StateVector(layout, np.full(8, 1.0 / np.sqrt(8.0))),
         )
-        amps = wm.evolve_exact(s).amps.reshape(8, 8, 8, 8)
+        amps = wm.evolve_exact(s)
+        assert amps.shape == (8, 8, 8, 8)
         p = wm.fock_operators(s.pointers[0]).p
         single = wm.hermitian_propagator(p, 0.02).matrix[:, 0]
         product = np.einsum("a,b,c->abc", single[:2], single[:2], single[:2])
@@ -358,12 +367,9 @@ class TestEvolveTaylor:
         np.testing.assert_allclose(amps[:, 1, 1], oracle, atol=1e-15)
 
     def test_series_converges_to_exact_on_every_catalog_scenario(self):
-        for name in wm.catalog_names():
-            s = wm.resolve_scenario(name)
+        for name, s in catalog_at_dense_size():
             assert s.lambda_max <= 0.1, name
-            if s.full_layout.dim > DENSE_REFERENCE_MAX_DIM:
-                s = s.with_fock_dim(5)
-            exact = wm.evolve_exact(s).amps
+            exact = wm.evolve_exact(s)
             assert np.linalg.norm(exact - dense_series(s, order=12)) <= 1e-10, name
 
 
@@ -374,8 +380,8 @@ class TestPostSelect:
         result = wm.post_select(wm.evolve_exact(s), s)
         expected = abs(s.post.inner(s.pre)) ** 2
         assert result.prob_success == pytest.approx(expected, rel=1e-12)
-        np.testing.assert_allclose(result.conditioned.amps[0], 1.0, atol=1e-12)
-        np.testing.assert_allclose(result.conditioned.amps[1:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(result.conditioned[0], 1.0, atol=1e-12)
+        np.testing.assert_allclose(result.conditioned[1:], 0.0, atol=1e-12)
 
     def test_amplified_probability_matches_overlap_limit(self):
         s = wm.resolve_scenario("aav_amplified")
@@ -428,4 +434,39 @@ class TestPostSelect:
     def test_conditioned_state_is_unit_normalized(self):
         s = wm.resolve_scenario("aav_qubit")
         result = wm.post_select(wm.evolve_exact(s), s)
-        assert result.conditioned.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(result.conditioned) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_dense_projection_on_every_catalog_scenario(self):
+        # (<F| (x) 1) psi / ||.|| on the dense-propagator state, as a (d_1..d_N) tensor
+        for name, s in catalog_at_dense_size():
+            projector = np.kron(s.post.amps.conj(), np.eye(s.pointer_layout.dim))
+            projected = projector @ dense_evolved(s).reshape(-1)
+            reference = projected / np.linalg.norm(projected)
+            result = wm.post_select(wm.evolve_exact(s), s)
+            np.testing.assert_allclose(
+                result.conditioned,
+                reference.reshape(s.pointer_layout.dims),
+                rtol=0,
+                atol=1e-12,
+                err_msg=name,
+            )
+            assert result.prob_success == pytest.approx(
+                np.vdot(projected, projected).real, rel=1e-10
+            ), name
+
+    @pytest.mark.parametrize("name", ["aav_qubit", "joint_pair", "triple_ghz_mix"])
+    def test_evolved_and_conditioned_are_read_only_tensors(self, name):
+        # evolved: the system on axis 0, then one axis per pointer in
+        # declaration order; conditioned: the pointer axes alone
+        s = wm.resolve_scenario(name)
+        evolved = wm.evolve_exact(s)
+        conditioned = wm.post_select(evolved, s).conditioned
+        pointer_dims = tuple(p.dim for p in s.pointers)
+        shapes = ((s.system_layout.dim,) + pointer_dims, pointer_dims)
+        for array, shape in zip((evolved, conditioned), shapes):
+            assert array.shape == shape
+            assert array.dtype == np.complex128
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
+            with pytest.raises(ValueError):
+                array.reshape(-1)[0] = 0.0

@@ -31,7 +31,7 @@ class TestFockOperators:
         # sigma = 1/2 means x = (a + adag)/2 and <0|x^2|0> = sigma^2 = 1/4
         spec = FockPointerSpec(sigma=0.5, dim=6)
         ops = wm.fock_operators(spec)
-        ground = wm.StateVector(spec.layout, np.eye(6)[0])
+        ground = np.eye(6, dtype=complex)[0]
         np.testing.assert_allclose(
             wm.expectation(ground, ops.x @ ops.x).real, 0.25, atol=1e-14
         )
@@ -110,7 +110,9 @@ def start_of(pointer):
         pre=state([1.0, 0.0]),
         post=state([1.0, 0.0]),
     )
-    return wm.evolve_exact(s).amps.reshape(2, pointer.dim)[0]
+    evolved = wm.evolve_exact(s)
+    assert evolved.shape == (2, pointer.dim)
+    return evolved[0]
 
 
 class TestInitialStates:

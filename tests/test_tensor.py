@@ -199,39 +199,53 @@ class TestPropagator:
             wm.hermitian_propagator(skew, 1.0)
 
 
+def amplitudes(values):
+    return np.asarray(values, dtype=complex)
+
+
 class TestExpectation:
     def test_eigenstate(self):
-        assert wm.expectation(state([1.0, 0.0]), op(SZ)) == pytest.approx(1.0)
+        assert wm.expectation(amplitudes([1.0, 0.0]), op(SZ)) == pytest.approx(1.0)
 
     def test_plus_state(self):
-        plus = state(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        plus = amplitudes([1.0, 1.0]) / np.sqrt(2.0)
         assert wm.expectation(plus, op(SX)) == pytest.approx(1.0)
 
     def test_lowering_shifts_level(self):
         lower = op(np.diag(np.sqrt([1.0, 2.0]), 1))
-        fock1 = state([0.0, 1.0, 0.0])
+        fock1 = amplitudes([0.0, 1.0, 0.0])
         assert wm.expectation(fock1, lower) == 0.0
 
     def test_normalization_invariance(self, rng):
         h = op(random_hermitian(rng, 4))
         psi = random_state(rng, 4)
-        scaled = state(3.7j * psi)
-        np.testing.assert_allclose(
-            wm.expectation(scaled, h), wm.expectation(state(psi), h), atol=1e-12
-        )
+        scaled = 3.7j * psi
+        np.testing.assert_allclose(wm.expectation(scaled, h), wm.expectation(psi, h), atol=1e-12)
 
     def test_hermitian_gives_real(self, rng):
         h = op(random_hermitian(rng, 5))
-        value = wm.expectation(state(random_state(rng, 5)), h)
+        value = wm.expectation(random_state(rng, 5), h)
         assert abs(value.imag) <= 1e-12 * max(1.0, abs(value))
 
     def test_zero_norm_rejected(self):
         with pytest.raises(wm.ZeroNormError):
-            wm.expectation(state([0.0, 0.0]), op(SZ))
+            wm.expectation(amplitudes([0.0, 0.0]), op(SZ))
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(wm.LayoutError):
-            wm.expectation(state([1.0, 0.0, 0.0]), op(SZ))
+            wm.expectation(amplitudes([1.0, 0.0, 0.0]), op(SZ))
+
+    def test_tensor_takes_one_axis_per_factor(self, rng):
+        # a (2, 3) tensor against a two-factor operator equals the flat vector
+        # against its matrix; the flat vector itself does not match the layout
+        h = op(random_hermitian(rng, 6), 2, 3)
+        psi = random_state(rng, 6)
+        value = wm.expectation(psi.reshape(2, 3), h)
+        assert value == np.vdot(psi, h.matrix @ psi) / np.vdot(psi, psi).real
+        with pytest.raises(wm.LayoutError):
+            wm.expectation(psi, h)
+        with pytest.raises(wm.LayoutError):
+            wm.expectation(psi.reshape(3, 2), h)
 
 
 class TestInvariants:
