@@ -258,10 +258,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sample(args) -> int:
     with harness._naming(args.scenario):
-        scenario = scen.resolve_scenario(args.scenario)
-        if args.dim is not None:
-            scenario = scenario.with_fock_dim(args.dim)
-        scen.ensure_valid(scenario)
+        scenario = scen.ensure_valid(harness._load(args.scenario, args.dim))
         harness.check_sample_request(scenario, args.pointer, args.shots, args.seed)
         result = post_select(evolve_exact(scenario), scenario)
         positions = harness.sample_positions(

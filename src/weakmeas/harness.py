@@ -1,15 +1,14 @@
 """Experiment orchestration: single runs, coupling sweeps, and pointer sampling.
 
 A run evolves a scenario, post-selects, applies every extraction route that
-fits the pointer kind, and compares each against the analytic oracle under
-the quadratic tolerance model.  A sweep reruns a scenario over a grid of
-expansion parameters and fits the log-log slope of the extraction error,
-which should be 2 (the next-order correction is quadratic in the coupling).
-It validates, evolves and post-selects every grid point on its own.  Runs
-and sweeps share one extraction step over a list of conditioned points: it
-applies every route that fits the pointer kind, builds each dense product
-once for all points (those operators do not depend on lambda), and checks
-the route identity at each point.
+fits the pointers, and compares each against the analytic oracle under the
+quadratic tolerance model.  A sweep reruns a scenario over a grid of
+expansion parameters, validating, evolving and post-selecting every point on
+its own, and fits the log-log slope of the extraction error, which should be
+2 (the next-order correction is quadratic in the coupling).  Runs and sweeps
+share one extraction step over a list of conditioned points: it builds each
+dense product once for all points (those operators do not depend on lambda)
+and checks the route identity at each point.
 Sampling draws pointer positions from the conditioned marginal density by
 inverse-CDF lookup, reproducing the statistics an ensemble would record.
 """
@@ -99,9 +98,10 @@ _CSV_COLUMNS = (
 class WeakValueReport:
     """Extracted weak values by route, against the analytic oracle.
 
-    ``extracted`` maps each route that fits the pointer kind to its value,
-    in route order: ``lowering`` and ``correlators`` for Fock pointers,
-    ``spin`` for spin pointers.
+    ``extracted`` maps each route that fits the pointers to its value, in
+    route order: ``lowering`` and ``correlators`` when every pointer is Fock,
+    ``spin`` (the same ladder route) for any scenario with a spin pointer,
+    mixed Fock/spin ones included.
     """
 
     scenario: str
@@ -139,13 +139,15 @@ class SweepResult:
 
 
 def _extract(points: list[ConditionedPoint], analytic: complex) -> list[dict[str, complex]]:
-    """Every extraction route that fits the pointer kind, at every point.
+    """Every extraction route that fits the pointers, at every point.
 
-    The points share their pointers.  Fock pointers take the lowering and
+    The points share their pointers.  All-Fock pointers take the lowering and
     correlator routes, and a point whose two values differ by more than
     :data:`ROUTE_IDENTITY_TOL` ``(1 + |A_w|)`` raises
-    :class:`WeakMeasurementError`; spin pointers take the spin route.  Each
-    point's values are keyed by method, the lowering or spin route first.
+    :class:`WeakMeasurementError`.  Any spin pointer, mixed with Fock ones or
+    not, leaves no quadratures to correlate, so the ladder route alone is
+    reported, as the spin route.  Each point's values are keyed by method, the
+    lowering or spin route first.
     """
     if not all(isinstance(p, FockPointerSpec) for p in points[0][1].pointers):
         return [{"spin": value} for value in extract_joint_spin(points)]
@@ -210,6 +212,12 @@ def _naming(scenario_ref: str | Path):
         raise
 
 
+def _load(scenario_ref: str | Path, dim: int | None) -> Scenario:
+    """The scenario a command names, with every Fock pointer at ``dim`` levels if given."""
+    scenario = resolve_scenario(scenario_ref)
+    return scenario if dim is None else scenario.with_fock_dim(dim)
+
+
 def run_experiment(
     scenario_ref: str | Path,
     dim: int | None = None,
@@ -230,9 +238,7 @@ def run_experiment(
         Override the absolute pass/fail tolerance.
     """
     with _naming(scenario_ref):
-        scenario = resolve_scenario(scenario_ref)
-        if dim is not None:
-            scenario = scenario.with_fock_dim(dim)
+        scenario = _load(scenario_ref, dim)
         return run_scenario(scenario, tolerance=tolerance, label=str(scenario_ref))
 
 
@@ -250,13 +256,13 @@ def sweep_lambda(
     Couplings are rescaled to realize each grid value while pointer widths
     and truncations stay fixed; if the largest grid point trips the
     truncation guard, every Fock pointer is escalated to
-    :data:`SWEEP_ESCALATED_DIM` levels before any other point is evolved.
-    Every grid point is validated, checked for leakage and post-selected on
-    its own; then the whole grid goes through the extraction step of
-    :func:`run_scenario`, which builds each dense product once and checks
-    the route identity at every point.  The error at each point is that of
-    the lowering route (the spin route for spin pointers) and equals that
-    of :func:`run_scenario` at the same lambda.  As in
+    :data:`SWEEP_ESCALATED_DIM` levels (or its largest Fock truncation) before
+    any other point is evolved.  Every grid point is validated, checked for
+    leakage and post-selected on its own; then the whole grid goes through
+    the extraction step of :func:`run_scenario`, which builds each dense
+    product once and checks the route identity at every point.  The error at
+    each point is that of the ladder route (lowering, or spin when any pointer
+    is spin) and equals that of :func:`run_scenario` at the same lambda.  As in
     :func:`run_experiment`, a :class:`WeakMeasurementError` or ``ValueError``
     raised after the grid is checked names ``scenario_ref`` first.
     """
@@ -273,16 +279,13 @@ def sweep_lambda(
     grid = sorted(grid, reverse=True)
 
     with _naming(scenario_ref):
-        scenario = resolve_scenario(scenario_ref)
-        if dim is not None:
-            scenario = scenario.with_fock_dim(dim)
+        scenario = _load(scenario_ref, dim)
 
         try:
             first = _conditioned_point(scenario, grid[0])
         except TruncationLeakageError:
-            scenario = scenario.with_fock_dim(
-                max([SWEEP_ESCALATED_DIM] + [p.dim for p in scenario.pointers])
-            )
+            fock_dims = [p.dim for p in scenario.pointers if isinstance(p, FockPointerSpec)]
+            scenario = scenario.with_fock_dim(max([SWEEP_ESCALATED_DIM] + fock_dims))
             first = _conditioned_point(scenario, grid[0])
         points = [first] + [_conditioned_point(scenario, lam) for lam in grid[1:]]
 

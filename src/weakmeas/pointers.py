@@ -12,12 +12,13 @@ Two pointer families are supported, in natural units (hbar = 1):
   in the lowest eigenstate |m = -s>.
 
 Each spec carries its own lambda and its inverse, coupling operator (P or
--S_y), ladder operator (a or S-) and route scale, so
-``evolution.evolve_exact`` never tests the pointer kind.  Other code still
-does: ``evolution.top_level_leakage``, ``scenario.with_fock_dim``,
-``scenario.dump_scenario``, ``harness._extract``, ``harness._sampled_pointer``
-and the ``kind`` parameter of ``weak_values._route_pointers`` (ROADMAP
-item 9).  A spec whose operators would pass the array cap cannot be built.
+-S_y), ladder operator (a or S-) and route scale, so neither evolution nor
+the ladder route tests the kind, and one scenario may mix kinds.  Only what a
+Fock pointer alone has tests it: leakage (``evolution.top_level_leakage``),
+``--dim`` (``scenario.with_fock_dim``, ``harness.sweep_lambda``), the document
+form (``scenario.dump_scenario``), quadratures (``weak_values._fock_pointers``,
+``harness._extract``) and sampling (``harness._sampled_pointer``).  A spec
+whose operators would pass the array cap cannot be built.
 
 A Fock spec's ``coupling()`` and ``lowering()`` build only the operator they
 return, with the same bits as the matching :func:`fock_operators` entry,

@@ -214,10 +214,6 @@ def _violations(scenario: Scenario) -> tuple[list[str], bool]:
             if not obs.matrix.is_hermitian():
                 v.append(f"observables[{i}].matrix: observable not Hermitian")
 
-        kinds = {type(p) for p in scenario.pointers}
-        if len(kinds) > 1:
-            v.append("pointers: mixed Fock/spin pointer kinds in one scenario are unsupported")
-
         for i, (gt, p) in enumerate(zip(scenario.couplings, scenario.pointers)):
             if not math.isfinite(gt):
                 v.append(f"couplings[{i}].gt: must be finite")

@@ -13,7 +13,9 @@ routes recover it from simulated pointer states:
   Its recombined value equals the lowering route identically (same state,
   same operator algebra), and that forced equality is a standing self-test;
 * the spin route, ``prod_j 1/(gt_j s_j) <prod_j S-_j>``: the lowering route
-  for spin pointers, with each pointer's own ladder operator and scale.
+  with each pointer's own ladder operator and scale, so one ladder route
+  takes Fock, spin and mixed pointer lists alike.  The correlator route and
+  the Fock diagnostics read quadratures and refuse any other pointer.
 
 Each route is one function over a sequence of (conditioned result, scenario)
 points that share their pointers (:func:`extract_joint_fock`,
@@ -62,7 +64,7 @@ from .evolution import (
     evolve_exact,
     scenario_frame,
 )
-from .pointers import FockPointerSpec, SpinPointerSpec, fock_operators
+from .pointers import FockPointerSpec, fock_operators
 from .scenario import Scenario, weak_value_denominator
 from .tensor import Operator, StateVector, expectation, kron
 
@@ -173,21 +175,15 @@ def _joint_value(observables, pre, post, commuting, vectors=None) -> complex:
     return value
 
 
-def _route_pointers(
-    scenarios: Sequence[Scenario],
-    kind: type = FockPointerSpec,
-    message: str = "this extraction route requires Fock pointers",
-) -> tuple:
-    """The pointers the scenarios share.
+def _route_pointers(scenarios: Sequence[Scenario]) -> tuple:
+    """The pointers the scenarios share, of any kind.
 
-    Every pointer must be of ``kind``, every gt non-zero and every route scale
-    finite; a scale that overflows would print the extracted value as inf or NaN.
+    Every gt must be non-zero and every route scale finite; a scale that
+    overflows would print the extracted value as inf or NaN.
     """
     if not scenarios:
         raise ValueError("extraction needs at least one conditioned state")
     for scenario in scenarios:
-        if not all(isinstance(p, kind) for p in scenario.pointers):
-            raise UnsupportedScenarioError(message)
         if any(gt == 0.0 for gt in scenario.couplings):
             raise ZeroCouplingError(
                 "extraction divides by gt; the weak limit is taken by shrinking a "
@@ -206,16 +202,24 @@ def _route_pointers(
     return pointers
 
 
+def _fock_pointers(scenarios: Sequence[Scenario]) -> tuple:
+    """:func:`_route_pointers` for a route that reads Fock quadratures; refuses other kinds."""
+    if not all(isinstance(p, FockPointerSpec) for s in scenarios for p in s.pointers):
+        raise UnsupportedScenarioError("this extraction route requires Fock pointers")
+    return _route_pointers(scenarios)
+
+
 def _route_scale(scenario: Scenario) -> float:
     return math.prod(p.route_scale(gt) for p, gt in zip(scenario.pointers, scenario.couplings))
 
 
-def _ladder_route(points: Sequence[ConditionedPoint], *guard) -> list[complex]:
+def _ladder_route(points: Sequence[ConditionedPoint]) -> list[complex]:
     """``prod_j route_scale_j <prod_j L_j>`` at every point, with ``L_j = lowering()``.
 
-    The product is built once; ``guard`` is the kind and message of :func:`_route_pointers`.
+    Each pointer brings its own ladder operator and scale, so the pointers may
+    be of any kinds, mixed included.  The product is built once.
     """
-    pointers = _route_pointers([scenario for _, scenario in points], *guard)
+    pointers = _route_pointers([scenario for _, scenario in points])
     product = kron([p.lowering() for p in pointers])
     return [complex(expectation(r.conditioned, product) * _route_scale(s)) for r, s in points]
 
@@ -227,7 +231,8 @@ def extract_joint_fock(points: Sequence[ConditionedPoint]) -> list[complex]:
     operators isolate the component displaced by the interaction) and
     rescales by ``prod_j (2 sigma_j / gt_j)``.  The product depends only on
     each pointer's sigma and truncation, so it is built once and applied to
-    every point.
+    every point.  The same ladder route as :func:`extract_joint_spin`; the
+    two stay separate functions while the benchmark traces each by name.
     """
     return _ladder_route(points)
 
@@ -247,7 +252,7 @@ def correlator_decomposition(
     freed before the next one is built, so one dense product is alive at a
     time.
     """
-    pointers = _route_pointers([scenario for _, scenario in points])
+    pointers = _fock_pointers([scenario for _, scenario in points])
     pointer_ops = [fock_operators(p) for p in pointers]
     tables: list[CorrelatorTable] = [{} for _ in points]
     recombined = [0.0 + 0.0j for _ in points]
@@ -285,7 +290,7 @@ def pointer_shift_check(
     """
     if scenario.n_pointers != 1:
         raise UnsupportedScenarioError("quadrature shifts are a single-pointer diagnostic")
-    _route_pointers([scenario])
+    _fock_pointers([scenario])
     ops = fock_operators(scenario.pointers[0])
     x_mean = expectation(result.conditioned, ops.x).real
     p_mean = expectation(result.conditioned, ops.p).real
@@ -295,14 +300,11 @@ def pointer_shift_check(
 def extract_joint_spin(points: Sequence[ConditionedPoint]) -> list[complex]:
     """Joint weak values from spin pointers: ``prod_j 1/(gt_j s_j) <prod_j S-_j>``.
 
-    The product ``prod_j S-_j`` is built once and applied to every state.
+    The product is built once and applied to every state.  The same ladder
+    route as :func:`extract_joint_fock`, kept apart while the benchmark traces
+    each; runs report it for any scenario with a spin pointer, mixed included.
     """
-    return _ladder_route(
-        points,
-        SpinPointerSpec,
-        "the spin route requires spin pointers throughout (mixed pointer kinds are "
-        "unsupported)",
-    )
+    return _ladder_route(points)
 
 
 def strong_position_estimate(scenario: Scenario) -> complex:
@@ -314,7 +316,7 @@ def strong_position_estimate(scenario: Scenario) -> complex:
     leakage.  Each ``X_j`` acts on its own axis of the evolved
     ``(S, d_1, ..., d_N)`` tensor, so no full-space operator is formed.
     """
-    _route_pointers([scenario])
+    _fock_pointers([scenario])
     if not scenario_frame(scenario)[2]:
         raise UnsupportedScenarioError(
             "the strong-measurement analog requires commuting observables"
@@ -357,7 +359,7 @@ def second_order_error(scenario: Scenario) -> complex:
     embedded observables, continuing the scenario's word sums, so after
     :func:`analytic_oracle` only the longer words are new.
     """
-    _route_pointers([scenario])
+    _fock_pointers([scenario])
     observables = scenario.embedded_observables()
     n = len(observables)
     ones = (1,) * n

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weakmeas import FactorLayout, Operator, StateVector
+from weakmeas import FactorLayout, Operator, StateVector, build_hamiltonian, hermitian_propagator
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -33,6 +33,14 @@ def initial_joint_state(scenario):
     for pointer in scenario.pointers:
         amps = np.kron(amps, np.eye(pointer.dim)[0])
     return amps.reshape((scenario.system_layout.dim,) + scenario.pointer_layout.dims)
+
+
+def dense_evolved(s):
+    """Reference amplitudes: the dense full-space propagator exp(-i H) on |initial>,
+    as an ``(S, d_1, ..., d_N)`` tensor."""
+    initial = initial_joint_state(s)
+    propagator = hermitian_propagator(build_hamiltonian(s), 1.0)
+    return (propagator.matrix @ initial.reshape(-1)).reshape(initial.shape)
 
 
 def random_hermitian(rng, dim):

@@ -28,6 +28,7 @@ from conftest import (
     SY,
     SZ,
     coherent_amplitudes,
+    dense_evolved,
     haar_unitary,
     initial_joint_state,
     op,
@@ -41,14 +42,6 @@ R2 = 1.0 / np.sqrt(2.0)
 #: shipped truncation is 4096-dimensional, a ~30 s eigh; it is checked at
 #: Fock dim 5 (1000 dimensions) instead.
 DENSE_REFERENCE_MAX_DIM = 1024
-
-
-def dense_evolved(s):
-    """Reference amplitudes: the dense full-space propagator exp(-i H) on |initial>,
-    as an ``(S, d_1, ..., d_N)`` tensor."""
-    initial = initial_joint_state(s)
-    propagator = wm.hermitian_propagator(wm.build_hamiltonian(s), 1.0)
-    return (propagator.matrix @ initial.reshape(-1)).reshape(initial.shape)
 
 
 def dense_series(s, order):

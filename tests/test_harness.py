@@ -246,6 +246,10 @@ class TestSweep:
         ("joint_pair_spinptr", None, (0.16, 0.08, 0.04, 0.02)),
         ("triple_ghz_mix", None, (0.16, 0.08, 0.04, 0.02)),
         ("aav_qubit", 4, (0.2, 0.1, 0.05, 0.025)),  # escalates to d=16
+        *(
+            pytest.param(str(DATA / f"{name}.json"), None, (0.16, 0.08, 0.04, 0.02), id=name)
+            for name in ("joint_pair_fock_spin", "joint_pair_spin_fock")
+        ),
     ]
 
     @pytest.mark.parametrize("name,dim,grid", SWEPT)

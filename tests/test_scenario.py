@@ -80,7 +80,7 @@ class TestValidate:
         with pytest.warns(wm.WeakRegimeWarning):
             wm.validate(qubit_scenario(gt=0.6))  # lambda = 0.3
 
-    def test_mixed_pointer_kinds_rejected(self):
+    def test_mixed_pointer_kinds_valid(self):
         mixed = Scenario(
             system_dims=(2, 2),
             observables=(
@@ -92,7 +92,8 @@ class TestValidate:
             pre=state(np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0), 2, 2),
             post=state(np.full(4, 0.5), 2, 2),
         )
-        assert any("mixed" in v for v in wm.validate(mixed))
+        assert wm.validate(mixed) == []
+        assert wm.ensure_valid(mixed) is mixed
 
     def test_target_out_of_range(self):
         s = qubit_scenario()

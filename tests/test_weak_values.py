@@ -276,10 +276,13 @@ class TestFockExtraction:
         with pytest.raises(wm.ZeroCouplingError):
             wm.extract_joint_fock([(result, frozen)])
 
-    def test_spin_scenario_rejected(self):
+    def test_spin_scenario_takes_the_ladder_route(self):
+        # S- and 1/(gt s) stand in for a and 2 sigma / gt: the spin route's value
         result, s = conditioned("aav_qubit_spinptr")
-        with pytest.raises(wm.UnsupportedScenarioError):
-            wm.extract_joint_fock([(result, s)])
+        [extracted] = wm.extract_joint_fock([(result, s)])
+        assert extracted == wm.extract_joint_spin([(result, s)])[0]
+        ladder = wm.expectation(result.conditioned, s.pointers[0].lowering())
+        assert extracted == pytest.approx(ladder / (s.couplings[0] * s.pointers[0].s), abs=1e-12)
 
 
 class TestCorrelatorDecomposition:
@@ -364,10 +367,33 @@ class TestSpinExtraction:
         gt = s.couplings[0]
         assert abs(extracted - (-1.0)) <= 3 * gt**2
 
-    def test_fock_scenario_rejected(self):
+    def test_fock_scenario_takes_the_ladder_route(self):
+        # a and 2 sigma / gt stand in for S- and 1/(gt s): the lowering route's value
         result, s = conditioned("aav_qubit")
-        with pytest.raises(wm.UnsupportedScenarioError):
-            wm.extract_joint_spin([(result, s)])
+        [extracted] = wm.extract_joint_spin([(result, s)])
+        assert extracted == wm.extract_joint_fock([(result, s)])[0]
+        ladder = wm.expectation(result.conditioned, s.pointers[0].lowering())
+        sigma, gt = s.pointers[0].sigma, s.couplings[0]
+        assert extracted == pytest.approx(ladder * 2 * sigma / gt, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda point: wm.correlator_decomposition([point]),
+            lambda point: wm.pointer_shift_check(*point),
+            lambda point: wm.strong_position_estimate(point[1]),
+        ],
+        ids=["correlators", "shift", "strong"],
+    )
+    def test_fock_only_routes_refuse_spin_before_evolving(self, route, monkeypatch):
+        result, s = conditioned("aav_qubit_spinptr")
+
+        def no_evolution(*args):
+            raise AssertionError("evolved before refusing the pointer kind")
+
+        monkeypatch.setattr(wm.weak_values, "evolve_exact", no_evolution)
+        with pytest.raises(wm.UnsupportedScenarioError, match="requires Fock pointers"):
+            route((result, s))
 
 
 def dense_strong_position_estimate(scenario):
