@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, scenario as scen
-from .errors import WeakMeasurementError
+from .errors import CapacityError, WeakMeasurementError
 from .evolution import evolve_exact, post_select
 
 #: Shots that ``sample`` reduces to squared deviations, and ``sample --out``
@@ -264,12 +264,19 @@ def _cmd_sample(args) -> int:
         positions = harness.sample_positions(
             result, scenario, args.pointer, args.shots, args.seed
         )
-    mean = float(np.mean(positions))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(positions))
+        if not math.isfinite(mean):
+            raise CapacityError(f"the sampled positions' mean is {mean}, past the float range")
+    # Deviations scaled by 2^-e, 2^e just above the largest |position|, square without
+    # overflow or underflow (std < 2^e); a power-of-two scale is exact, so in range
+    # the bits are those of the unscaled sum.
+    e = math.frexp(max(-positions.min(), positions.max()))[1]
     squares = math.fsum(
-        float(np.sum((positions[start : start + SAMPLE_WRITE_CHUNK] - mean) ** 2))
+        float(np.sum(np.ldexp(positions[start : start + SAMPLE_WRITE_CHUNK] - mean, -e) ** 2))
         for start in range(0, args.shots, SAMPLE_WRITE_CHUNK)
     )
-    std = math.sqrt(squares / args.shots)
+    std = math.ldexp(math.sqrt(squares / args.shots), e)
     summary = {
         "scenario": args.scenario,
         "pointer_index": args.pointer,

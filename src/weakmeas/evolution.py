@@ -42,7 +42,7 @@ import numpy as np
 from .errors import PostSelectionFailureError, TruncationLeakageError
 from .pointers import FockPointerSpec
 from .scenario import Scenario
-from .tensor import Operator, _check_capacity, _require_shape, embed_factors
+from .tensor import FactorLayout, Operator, _check_capacity, _require_shape, embed_factors
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
 LEAKAGE_GUARD = 1e-8
@@ -108,7 +108,8 @@ def build_hamiltonian(scenario: Scenario) -> Operator:
         block = embed_factors(pointer.coupling(), (j,), scenario.pointer_layout)
         term = gt * np.kron(obs_full.matrix, block.matrix)
         terms = term if terms is None else terms + term
-    return Operator(scenario.full_layout, terms).require_hermitian()
+    layout = FactorLayout(scenario.system_layout.dims + scenario.pointer_layout.dims)
+    return Operator(layout, terms).require_hermitian()
 
 
 def top_level_leakage(tensor: np.ndarray, scenario: Scenario) -> list[float]:

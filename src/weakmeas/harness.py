@@ -354,19 +354,20 @@ def position_density(
     """Marginal position density of one conditioned pointer on its sampling grid.
 
     Synthesizes the reduced density matrix of the chosen pointer in the
-    oscillator eigenbasis on :func:`sampling_grid`.  Raises
-    :class:`GridError` if more than :data:`DENSITY_MASS_TOL` of the
-    probability mass falls off the grid.
+    oscillator eigenbasis on :func:`sampling_grid`.  Raises :class:`GridError`
+    if more than :data:`DENSITY_MASS_TOL` of the probability mass falls off the
+    grid, or if the mass is not finite (a grid past the float range).
     """
     spec = _sampled_pointer(scenario, pointer_index)
-    grid = sampling_grid(spec)
     moved = np.moveaxis(result.conditioned, pointer_index, 0)
     moved = moved.reshape(len(moved), -1)
     reduced = moved @ moved.conj().T
-    basis = position_wavefunctions(spec, grid)
-    density = np.einsum("mx,mn,nx->x", basis, reduced, basis).real
-    mass = float(np.trapezoid(density, grid))
-    if abs(1.0 - mass) > DENSITY_MASS_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = sampling_grid(spec)
+        basis = position_wavefunctions(spec, grid)
+        density = np.einsum("mx,mn,nx->x", basis, reduced, basis).real
+        mass = float(np.trapezoid(density, grid))
+    if not abs(1.0 - mass) <= DENSITY_MASS_TOL:
         raise GridError(
             f"density mass off the sampling grid: 1 - integral = {1.0 - mass:.3e}"
         )

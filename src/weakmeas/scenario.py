@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DivergentWeakValueError,
+    HermiticityError,
     ScenarioValidationError,
     SchemaError,
     WeakRegimeWarning,
@@ -103,10 +104,6 @@ class Scenario:
     @property
     def pointer_layout(self) -> FactorLayout:
         return FactorLayout(tuple(p.dim for p in self.pointers))
-
-    @property
-    def full_layout(self) -> FactorLayout:
-        return self.system_layout + self.pointer_layout
 
     @property
     def lambdas(self) -> tuple[float, ...]:
@@ -211,7 +208,9 @@ def _violations(scenario: Scenario) -> tuple[list[str], bool]:
                     f"observables[{i}].matrix: dims {obs.matrix.layout.dims} do not match "
                     f"target factors {expected_dims}"
                 )
-            if not obs.matrix.is_hermitian():
+            try:
+                obs.matrix.require_hermitian()
+            except HermiticityError:
                 v.append(f"observables[{i}].matrix: observable not Hermitian")
 
         for i, (gt, p) in enumerate(zip(scenario.couplings, scenario.pointers)):
@@ -354,7 +353,7 @@ def load_scenario(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge integer, deep nesting
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")

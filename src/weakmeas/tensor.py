@@ -3,8 +3,12 @@
 Operators and system states are ``complex128`` arrays tagged with a
 :class:`FactorLayout` of ordered factor dimensions: system factors first, then
 one per measurement pointer in declaration order.  Joint and pointer states are
-plain amplitude tensors, one axis per factor.  All values are immutable after
-construction, so they are safe to share across threads.
+plain amplitude tensors, one axis per factor.  :class:`Operator`,
+:class:`StateVector` and :class:`FactorLayout` only check and hold their
+contents (finite, square, matching the layout, read-only); they define no
+arithmetic, so products and sums are taken on the ``.matrix`` and ``.amps``
+arrays.  All values are immutable after construction, so they are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -51,24 +55,19 @@ class FactorLayout:
     def __len__(self) -> int:
         return len(self.dims)
 
-    def __add__(self, other: "FactorLayout") -> "FactorLayout":
-        return FactorLayout(self.dims + other.dims)
 
-
-def _frozen_complex(values, shape_kind: str) -> np.ndarray:
+def _frozen_complex(values, kind: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a read-only complex array; raises unless finite and of ``shape``."""
     arr = np.ascontiguousarray(values, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{shape_kind} contains non-finite entries")
+        raise ValueError(f"{kind} contains non-finite entries")
+    if arr.shape != shape:
+        raise LayoutError(f"{kind} shape {arr.shape} does not match the layout's {shape}")
     if arr.flags.writeable:
         if np.shares_memory(arr, values):
             arr = arr.copy()
         arr.flags.writeable = False
     return arr
-
-
-def _require_same_layout(a, b) -> None:
-    if a.layout != b.layout:
-        raise LayoutError(f"layout mismatch: {a.layout.dims} vs {b.layout.dims}")
 
 
 def _require_shape(tensor: np.ndarray, dims: tuple[int, ...]) -> None:
@@ -92,26 +91,12 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_complex(self.matrix, "operator")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise LayoutError(f"operator matrix must be square, got shape {mat.shape}")
-        if mat.shape[0] != self.layout.dim:
-            raise LayoutError(
-                f"matrix dimension {mat.shape[0]} does not match layout "
-                f"dimension {self.layout.dim}"
-            )
-        object.__setattr__(self, "matrix", mat)
+        matrix = _frozen_complex(self.matrix, "operator", (self.layout.dim,) * 2)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-    def is_hermitian(self) -> bool:
-        try:
-            self.require_hermitian()
-        except HermiticityError:
-            return False
-        return True
 
     def require_hermitian(self) -> "Operator":
         """Return ``self``, or raise unless max|M - M^dag| <= HERMITIAN_TOL * max|M|."""
@@ -121,12 +106,6 @@ class Operator:
                 f"operator fails the Hermiticity check (max|M - M^dag| = {defect:.3e})"
             )
         return self
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            _require_same_layout(self, other)
-            return Operator(self.layout, self.matrix @ other.matrix)
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
@@ -142,14 +121,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen_complex(self.amps, "state vector")
-        if amps.ndim != 1:
-            raise LayoutError(f"state amplitudes must be a vector, got shape {amps.shape}")
-        if amps.shape[0] != self.layout.dim:
-            raise LayoutError(
-                f"state length {amps.shape[0]} does not match layout dimension "
-                f"{self.layout.dim}"
-            )
+        amps = _frozen_complex(self.amps, "state vector", (self.layout.dim,))
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
@@ -160,7 +132,8 @@ class StateVector:
 
     def inner(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
-        _require_same_layout(self, other)
+        if self.layout != other.layout:
+            raise LayoutError(f"layout mismatch: {self.layout.dims} vs {other.layout.dims}")
         return complex(np.vdot(self.amps, other.amps))
 
     def __eq__(self, other) -> bool:
@@ -230,8 +203,6 @@ def embed_factors(op: Operator, slots: Iterable[int], layout: FactorLayout) -> O
     rest = tuple(i for i in range(k) if i not in slots)
     rest_dim = math.prod(layout.dims[i] for i in rest) if rest else 1
     big = np.kron(op.matrix, np.eye(rest_dim, dtype=np.complex128))
-    if not rest and len(slots) == k and slots == tuple(range(k)):
-        return Operator(layout, big)
 
     # big is ordered (slots..., rest...); permute tensor axes back to layout order
     order_from = slots + rest

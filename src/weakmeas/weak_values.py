@@ -165,8 +165,8 @@ def _joint_value(observables, pre, post, commuting, vectors=None) -> complex:
     value = _symmetrized_values(observables, pre, post, [ones], vectors)[ones]
 
     if commuting():
-        product = reduce(lambda a, b: a @ b, observables)
-        direct = analytic_weak_value(product, pre, post)
+        product = reduce(np.matmul, [op.matrix for op in observables])
+        direct = analytic_weak_value(Operator(observables[0].layout, product), pre, post)
         if abs(value - direct) > 1e-12 * (1.0 + abs(direct)):
             raise WeakMeasurementError(
                 f"symmetrized value {value} does not reduce to the plain-product "

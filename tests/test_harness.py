@@ -687,6 +687,26 @@ class TestCli:
             "268435456 bytes\n"
         )
 
+    def test_run_refuses_nesting_past_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not valid JSON: maximum recursion depth")
+        assert captured.err.count("\n") == 1
+
+    def test_catalog_list_refuses_nesting_past_the_recursion_limit(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "deep.json").write_text("[" * 200_000)
+        monkeypatch.setenv("WEAKMEAS_CATALOG", str(tmp_path))
+        assert cli.main(["catalog", "list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: deep: not valid JSON: maximum recursion depth")
+        assert captured.err.count("\n") == 1
+
     def test_catalog_list_missing_directory_errors(self, capsys, tmp_path, monkeypatch):
         missing = tmp_path / "absent"
         monkeypatch.setenv("WEAKMEAS_CATALOG", str(missing))
@@ -727,3 +747,51 @@ class TestCli:
 
     def test_dim_override_flows_through(self, capsys):
         assert cli.main(["run", "aav_qubit", "--dim", "8"]) == 0
+
+
+def aav_at_width(tmp_path, sigma):
+    """``aav_qubit`` with its pointer width set to ``sigma`` and gt scaled with it."""
+    doc = catalog_doc("aav_qubit")
+    doc["pointers"][0]["sigma"] = sigma
+    doc["couplings"][0]["gt"] *= sigma
+    path = tmp_path / f"aav_sigma_{sigma:.3g}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestSampleSummary:
+    KEYS = ("mean", "std", "stderr")
+
+    def summary(self, capsys, path):
+        assert cli.main(["sample", str(path), "--shots", "2000", "--seed", "1"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_summary_scales_with_the_pointer_width(self, capsys, tmp_path, k):
+        # unscaled squared deviations underflow to 0 at 2^-600 and overflow at 2^600
+        unit = self.summary(capsys, aav_at_width(tmp_path, 1.0))
+        scaled = self.summary(capsys, aav_at_width(tmp_path, 2.0**k))
+        for key in self.KEYS:
+            assert scaled[key] == pytest.approx(2.0**k * unit[key], rel=1e-9, abs=0), key
+
+    @pytest.mark.parametrize(
+        "sigma, shots, reason",
+        [
+            (1e307, 1000, "density mass off the sampling grid: 1 - integral = nan"),
+            (1e305, 200_000, "past the float range"),
+        ],
+        ids=["grid-overflows", "mean-overflows"],
+    )
+    def test_widths_past_the_float_range_are_refused(
+        self, capsys, tmp_path, sigma, shots, reason
+    ):
+        path = aav_at_width(tmp_path, sigma)
+        out = tmp_path / "positions.csv"
+        args = ["sample", str(path), "--shots", str(shots), "--seed", "1", "--out", str(out)]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()

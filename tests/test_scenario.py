@@ -180,6 +180,11 @@ class TestLoadErrors:
         with pytest.raises(wm.SchemaError, match="4300 digits"):
             wm.load_scenario('{"system_dims": [' + "1" * 5000 + "]}")
 
+    def test_nesting_past_the_recursion_limit(self):
+        # json.loads raises RecursionError, not ValueError, on nesting this deep
+        with pytest.raises(wm.SchemaError, match="not valid JSON: maximum recursion depth"):
+            wm.load_scenario("[" * 200_000)
+
     def test_malformed_amplitude_pair(self):
         doc = self.base_doc()
         doc["post"][0] = [1.0]

@@ -132,7 +132,7 @@ class TestSymmetrizedJointWeakValue:
     def test_commuting_triple_reduces_to_product(self, rng):
         layout = FactorLayout((2, 2, 2))
         ops = [wm.embed_factors(op(SZ), (k,), layout) for k in range(3)]
-        product = ops[0] @ ops[1] @ ops[2]
+        product = op(ops[0].matrix @ ops[1].matrix @ ops[2].matrix, 2, 2, 2)
         for _ in range(5):
             pre = state(random_state(rng, 8), 2, 2, 2)
             post = state(random_state(rng, 8), 2, 2, 2)
@@ -430,7 +430,7 @@ class TestStrongEstimate:
         # no time evolution involved
         s = wm.resolve_scenario("strong_pair_entangled")
         gt = s.couplings[0]
-        layout = s.full_layout
+        layout = FactorLayout(s.system_layout.dims + s.pointer_layout.dims)
         x_ops = [wm.fock_operators(p).x for p in s.pointers]
         shifted = []
         for j, obs in enumerate(s.embedded_observables()):
