@@ -29,11 +29,6 @@ from . import harness, scenario as scen
 from .errors import CapacityError, WeakMeasurementError
 from .evolution import evolve_exact, post_select
 
-#: Shots that ``sample`` reduces to squared deviations, and ``sample --out``
-#: formats and writes, per call.  The formatter peaks at about 180 bytes per
-#: shot, so one chunk holds about 1.4 MB whatever the shot count.
-SAMPLE_WRITE_CHUNK = 2**13
-
 
 @functools.cache
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -272,10 +267,9 @@ def _cmd_sample(args) -> int:
     # overflow or underflow (std < 2^e); a power-of-two scale is exact, so in range
     # the bits are those of the unscaled sum.
     e = math.frexp(max(-positions.min(), positions.max()))[1]
-    squares = math.fsum(
-        float(np.sum(np.ldexp(positions[start : start + SAMPLE_WRITE_CHUNK] - mean, -e) ** 2))
-        for start in range(0, args.shots, SAMPLE_WRITE_CHUNK)
-    )
+    step = harness.SAMPLE_CHUNK
+    chunks = [positions[start : start + step] for start in range(0, args.shots, step)]
+    squares = math.fsum(float(np.sum(np.ldexp(chunk - mean, -e) ** 2)) for chunk in chunks)
     std = math.ldexp(math.sqrt(squares / args.shots), e)
     summary = {
         "scenario": args.scenario,
@@ -289,8 +283,8 @@ def _cmd_sample(args) -> int:
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(b"position\n")
-            for start in range(0, args.shots, SAMPLE_WRITE_CHUNK):
-                fh.write(_format_g12(positions[start : start + SAMPLE_WRITE_CHUNK]))
+            for chunk in chunks:
+                fh.write(_format_g12(chunk))
     print(json.dumps(summary, indent=2))
     return 0
 

@@ -55,12 +55,12 @@ SAMPLING_GRID_POINTS = 2**12
 #: ``weakmeas sample`` adds only chunk-sized temporaries (+137 MB at 2^24 shots).
 MAX_SHOTS = 2**24
 
-#: Draws that inverse-CDF sampling takes and sorts at once.  Philox hands out
-#: the same stream in chunks as in one call, and ``np.interp`` maps every draw
-#: on its own (finding each grid cell faster when the draws come in order), so
-#: drawing, sorting and scattering back one chunk at a time leaves every bit as
-#: a whole-array draw would, while holding only one chunk of draws and indices.
-SAMPLE_SORT_CHUNK = 2**13
+#: Shots that sampling draws and sorts, and ``weakmeas sample`` squares and
+#: writes (about 1.4 MB of formatter peak), at once.  Philox hands out the same
+#: stream in chunks as in one call, and ``np.interp`` maps every draw on its own
+#: (finding grid cells faster for sorted draws), so a chunked draw leaves every
+#: bit as a whole-array draw would, while holding one chunk of draws and indices.
+SAMPLE_CHUNK = 2**13
 
 #: Probability mass a position density may leave off its grid.
 DENSITY_MASS_TOL = 1e-9
@@ -396,8 +396,8 @@ def sample_positions(
     rng = np.random.Generator(np.random.Philox(int(seed)))
     _check_capacity(int(n_shots) * 8)
     positions = np.empty(int(n_shots))
-    for start in range(0, positions.size, SAMPLE_SORT_CHUNK):
-        chunk = positions[start : start + SAMPLE_SORT_CHUNK]
+    for start in range(0, positions.size, SAMPLE_CHUNK):
+        chunk = positions[start : start + SAMPLE_CHUNK]
         draws = rng.random(chunk.size)
         order = np.argsort(draws)
         chunk[order] = np.interp(draws[order], cdf, grid)

@@ -18,7 +18,8 @@ Fock pointer alone has tests it: leakage (``evolution.top_level_leakage``),
 ``--dim`` (``scenario.with_fock_dim``, ``harness.sweep_lambda``), the document
 form (``scenario.dump_scenario``), quadratures (``weak_values._fock_pointers``,
 ``harness._extract``) and sampling (``harness._sampled_pointer``).  A spec
-whose operators would pass the array cap cannot be built.
+whose operators would pass the array cap, or whose quadratures would overflow
+the float range, cannot be built.
 
 A Fock spec's ``coupling()`` and ``lowering()`` build only the operator they
 return, with the same bits as the matching :func:`fock_operators` entry,
@@ -67,6 +68,9 @@ class FockPointerSpec:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "dim", dim)
         _check_dim(self)
+        top = math.sqrt(dim - 1)  # the largest entry of a + a^dag and of a^dag - a
+        if not (math.isfinite(top * sigma) and math.isfinite(top * (0.5 / sigma))):
+            raise ValueError(f"sigma {sigma} overflows the quadratures of a {dim}-level pointer")
 
     @property
     def layout(self) -> FactorLayout:

@@ -7,6 +7,7 @@ coupling builds up the joint pointer amplitudes.
 
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from weakmeas import (
     SpinPointerSpec,
 )
 
-from weakmeas import evolution
 from weakmeas.evolution import _system_frame
 
 from conftest import (
@@ -37,6 +37,8 @@ from conftest import (
 )
 
 R2 = 1.0 / np.sqrt(2.0)
+
+DATA = Path(__file__).parent / "data"
 
 #: Largest full space the dense reference diagonalizes.  triple_ghz_mix at its
 #: shipped truncation is 4096-dimensional, a ~30 s eigh; it is checked at
@@ -202,12 +204,10 @@ class TestEvolveExact:
             assert not _system_frame(s.embedded_observables())[2]
             np.testing.assert_allclose(wm.evolve_exact(s), dense_evolved(s), rtol=0, atol=1e-12)
 
-    def test_degenerate_weight_combination_stays_diagonal(self, monkeypatch):
-        # three commuting +-1 observables on separate qubits.  With weights
-        # q^j and q = 1/golden ratio, q + q^2 = 1, so the sign patterns
-        # (+, -, -) and (-, +, +) give the same weighted sum: the combination
-        # is degenerate and its eigenbasis does not diagonalize each
-        # observable.  The refined frame must, and the phase path stays exact
+    def test_degenerate_weight_combination_stays_diagonal(self):
+        # three commuting +-1 observables on separate qubits, each eigenvalue
+        # four-fold degenerate: the frame must diagonalize all three, and the
+        # phase path stays exact
         axes = (SX, (SX + SZ) / np.sqrt(2.0), SY)
         rng = np.random.default_rng(7)
         pre, post = random_state(rng, 8), random_state(rng, 8)
@@ -223,14 +223,6 @@ class TestEvolveExact:
             post=state(post, 2, 2, 2),
         )
         reference = dense_evolved(s)
-        assert _system_frame(s.embedded_observables())[2]
-        np.testing.assert_allclose(wm.evolve_exact(s), reference, rtol=0, atol=1e-12)
-        golden = (np.sqrt(5.0) - 1.0) / 2.0
-        monkeypatch.setattr(evolution, "FRAME_WEIGHT_RATIO", golden)
-        matrices = np.stack([o.matrix for o in s.embedded_observables()])
-        _, basis = np.linalg.eigh(np.tensordot(golden ** np.arange(3), matrices, axes=1))
-        rotated = basis.conj().T @ matrices @ basis
-        assert np.abs(rotated * (1.0 - np.eye(8))).max() > 1e-3
         assert _system_frame(s.embedded_observables())[2]
         np.testing.assert_allclose(wm.evolve_exact(s), reference, rtol=0, atol=1e-12)
 
@@ -265,11 +257,10 @@ class TestEvolveExact:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_many_commuting_observables_are_diagonal(self, n):
-        # one +-1 observable per qubit in a random basis.  Up to 8 of them the
-        # weighted sum is nondegenerate, but its levels come within about
-        # q^(n-1) of each other, and eigh on the 2^n-dimensional sum leaves
-        # the observables up to 3e-12 off-diagonal; the frame must not
-        # mistake that for non-commutation
+        # one +-1 observable per qubit in a random basis.  Each level of the
+        # first is 2^(n-1)-fold degenerate, so the frame is refined n - 1 times
+        # within ever smaller clusters, and the rounding it gathers must not be
+        # mistaken for non-commutation
         rng = np.random.default_rng(n)
         observables = []
         for j in range(n):
@@ -329,6 +320,39 @@ class TestEvolveExact:
         monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 9215)
         with pytest.raises(wm.CapacityError, match="^9216 bytes exceed the array cap 9215$"):
             wm.evolve_exact(s)
+
+
+class TestSystemFrame:
+    """One construction, the nested eigenbasis, for commuting and non-commuting sets."""
+
+    @pytest.mark.parametrize("name", sorted(set(wm.catalog_names()) - {"pair_anticommuting"}))
+    def test_commuting_catalog_scenarios_are_diagonal(self, name):
+        s = wm.resolve_scenario(name)
+        basis, rotated, diagonal = _system_frame(s.embedded_observables())
+        assert diagonal
+        for matrix, in_frame in zip((o.matrix for o in s.embedded_observables()), rotated):
+            np.testing.assert_allclose(basis @ in_frame @ basis.conj().T, matrix, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "ref",
+        ["pair_anticommuting", str(DATA / "noncommuting_s11_p399_5.json")],
+        ids=["pair_anticommuting", "noncommuting_s11_p399_5"],
+    )
+    def test_non_commuting_frame_takes_one_eigh(self, monkeypatch, ref):
+        # A_0 is non-degenerate, so its eigenbasis is the whole frame
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        s = wm.resolve_scenario(ref)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        basis, _, diagonal = _system_frame(s.embedded_observables())
+        assert not diagonal
+        assert calls == [basis.shape]
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(len(basis)), atol=1e-13)
 
 
 class TestEvolveTaylor:

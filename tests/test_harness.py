@@ -477,7 +477,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "shots",
-        [1, 4095, 4096, 4097, *(cli.SAMPLE_WRITE_CHUNK + d for d in (-1, 0, 1)), 10_001],
+        [1, 4095, 4096, 4097, *(wm.harness.SAMPLE_CHUNK + d for d in (-1, 0, 1)), 10_001],
     )
     def test_sample_out_bytes_match_per_shot_format(self, capsys, tmp_path, shots):
         out = tmp_path / "positions.csv"
@@ -773,6 +773,23 @@ class TestSampleSummary:
         scaled = self.summary(capsys, aav_at_width(tmp_path, 2.0**k))
         for key in self.KEYS:
             assert scaled[key] == pytest.approx(2.0**k * unit[key], rel=1e-9, abs=0), key
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sample", "--shots", "10", "--seed", "1"]], ids=["run", "sample"]
+    )
+    @pytest.mark.parametrize("sigma", [1e-310, 1e308])
+    def test_widths_whose_quadratures_overflow_are_refused(
+        self, capsys, tmp_path, command, sigma
+    ):
+        # refused when the file loads, before numpy can warn about the overflow
+        path = aav_at_width(tmp_path, sigma)
+        assert cli.main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: pointers[0]: sigma {sigma} overflows the quadratures "
+            "of a 12-level pointer\n"
+        )
 
     @pytest.mark.parametrize(
         "sigma, shots, reason",

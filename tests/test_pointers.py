@@ -1,5 +1,7 @@
 """Pointer factories: Fock quadratures, spin ladders, the level-0 start."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,32 @@ class TestSpecValidation:
     def test_bad_sigma(self, sigma):
         with pytest.raises(ValueError):
             FockPointerSpec(sigma=sigma, dim=8)
+
+    @pytest.mark.parametrize("sigma", [1e-310, 1e-320, 1e308])
+    def test_sigma_whose_quadratures_overflow(self, sigma):
+        with pytest.raises(ValueError, match=re.escape(f"sigma {sigma} overflows the quadratures")):
+            FockPointerSpec(sigma=sigma, dim=12)
+
+    @pytest.mark.parametrize("dim", [2, 12, 101])
+    def test_widths_at_the_overflow_edge(self, dim):
+        # each width either builds finite quadratures, with no numpy warning,
+        # or is refused when the spec is built
+        top, big = np.sqrt(dim - 1.0), np.finfo(float).max
+        for edge in (0.5 * top / big, big / top):
+            sigma = edge
+            for _ in range(4):
+                sigma = np.nextafter(sigma, 0.0)
+            for _ in range(8):
+                try:
+                    spec = FockPointerSpec(sigma=float(sigma), dim=dim)
+                except ValueError:
+                    pass
+                else:
+                    ops = wm.fock_operators(spec)
+                    assert np.isfinite(ops.x.matrix).all() and np.isfinite(ops.p.matrix).all()
+                if sigma == big:
+                    break
+                sigma = np.nextafter(sigma, np.inf)
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
