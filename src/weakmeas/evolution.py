@@ -41,7 +41,14 @@ import numpy as np
 from .errors import PostSelectionFailureError, TruncationLeakageError
 from .pointers import FockPointerSpec
 from .scenario import Scenario
-from .tensor import FactorLayout, Operator, _check_capacity, _require_shape, embed_factors
+from .tensor import (
+    FactorLayout,
+    Operator,
+    _check_capacity,
+    _require_shape,
+    _rotate,
+    embed_factors,
+)
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
 LEAKAGE_GUARD = 1e-8
@@ -72,11 +79,6 @@ class PostSelectionResult:
 
     conditioned: np.ndarray
     prob_success: float
-
-
-def _rotate(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    """Apply ``matrix`` to one axis of ``tensor``."""
-    return np.moveaxis(np.tensordot(matrix, tensor, axes=(1, axis)), 0, axis)
 
 
 def _apply(blocks: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -168,7 +170,8 @@ def _system_frame(observables) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def scenario_frame(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, bool]:
-    """:func:`_system_frame` of the scenario's embedded observables, built once per scenario."""
+    """:func:`_system_frame` of the scenario's embedded observables, built once per scenario
+    and shared with its ``with_lambda``/``with_fock_dim`` copies."""
     return scenario._once("_frame", lambda: _system_frame(scenario.embedded_observables()))
 
 

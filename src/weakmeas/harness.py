@@ -7,8 +7,10 @@ expansion parameters, validating, evolving and post-selecting every point on
 its own, and fits the log-log slope of the extraction error, which should be
 2 (the next-order correction is quadratic in the coupling).  Runs and sweeps
 share one extraction step over a list of conditioned points: it builds each
-dense product once for all points (those operators do not depend on lambda)
-and checks the route identity at each point.
+pointer operator and each dense correlator product once for all points (those
+operators do not depend on lambda) and checks the route identity at each
+point.  A sweep's points are copies of one scenario that share its system
+frame, so the frame is built once per sweep.
 Sampling draws pointer positions from the conditioned marginal density by
 inverse-CDF lookup, reproducing the statistics an ensemble would record.
 """
@@ -259,8 +261,8 @@ def sweep_lambda(
     :data:`SWEEP_ESCALATED_DIM` levels (or its largest Fock truncation) before
     any other point is evolved.  Every grid point is validated, checked for
     leakage and post-selected on its own; then the whole grid goes through
-    the extraction step of :func:`run_scenario`, which builds each dense
-    product once and checks the route identity at every point.  The error at
+    the extraction step of :func:`run_scenario`, which builds each operator
+    once and checks the route identity at every point.  The error at
     each point is that of the ladder route (lowering, or spin when any pointer
     is spin) and equals that of :func:`run_scenario` at the same lambda.  As in
     :func:`run_experiment`, a :class:`WeakMeasurementError` or ``ValueError``

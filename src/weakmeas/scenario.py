@@ -92,6 +92,7 @@ class Scenario:
         object.__setattr__(self, "observables", tuple(self.observables))
         object.__setattr__(self, "pointers", tuple(self.pointers))
         object.__setattr__(self, "couplings", tuple(float(gt) for gt in self.couplings))
+        object.__setattr__(self, "_kept", {})
 
     @property
     def n_pointers(self) -> int:
@@ -116,7 +117,7 @@ class Scenario:
     def with_lambda(self, lam: float) -> "Scenario":
         """Copy of the scenario with every coupling rescaled to the given lambda."""
         couplings = tuple(p.coupling_for(lam) for p in self.pointers)
-        return replace(self, couplings=couplings)
+        return self._sharing_copy(couplings=couplings)
 
     def with_fock_dim(self, dim: int) -> "Scenario":
         """Copy with every Fock pointer truncated at ``dim`` levels.
@@ -130,18 +131,31 @@ class Scenario:
             FockPointerSpec(sigma=p.sigma, dim=dim) if isinstance(p, FockPointerSpec) else p
             for p in self.pointers
         )
-        return replace(self, pointers=pointers)
+        return self._sharing_copy(pointers=pointers)
+
+    def _sharing_copy(self, **changes) -> "Scenario":
+        """``replace(self, **changes)``, sharing what :meth:`_once` keeps.
+
+        What is kept reads only the observables and the pre-selection, never
+        the couplings or the pointers, so it holds for these copies too.  The
+        store itself is shared, so a copy that builds something first builds
+        it for the scenario and every other copy: a sweep builds its system
+        frame once, at its first grid point.
+        """
+        copy = replace(self, **changes)
+        object.__setattr__(copy, "_kept", self._kept)
+        return copy
 
     def _once(self, key: str, build):
         """``build()``, called on the first request for ``key`` and kept on the scenario.
 
-        A scenario is immutable, so what it derives stays valid for its lifetime;
-        copies made by :meth:`with_lambda` or :meth:`with_fock_dim` start empty.
+        A scenario is immutable, so what it derives stays valid for its lifetime.
+        Copies made by :meth:`with_lambda` or :meth:`with_fock_dim` share the
+        store (:meth:`_sharing_copy`); any other copy starts empty.
         """
-        value = self.__dict__.get(key)
+        value = self._kept.get(key)
         if value is None:
-            value = build()
-            object.__setattr__(self, key, value)
+            value = self._kept[key] = build()
         return value
 
     def embedded_observables(self) -> tuple[Operator, ...]:

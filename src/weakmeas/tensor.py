@@ -226,6 +226,13 @@ def hermitian_propagator(hamiltonian: Operator, tau: float) -> Operator:
     return Operator(hamiltonian.layout, unitary)
 
 
+def _norm_sq(state: np.ndarray) -> float:
+    norm_sq = float(np.vdot(state, state).real)
+    if norm_sq == 0.0:
+        raise ZeroNormError("expectation value of a zero-norm state is undefined")
+    return norm_sq
+
+
 def expectation(state: np.ndarray, op: Operator) -> complex:
     """Expectation value <psi|O|psi> / <psi|psi> of an amplitude tensor.
 
@@ -234,7 +241,31 @@ def expectation(state: np.ndarray, op: Operator) -> complex:
     the full complex value is returned.
     """
     _require_shape(state, op.layout.dims)
-    norm_sq = float(np.vdot(state, state).real)
-    if norm_sq == 0.0:
-        raise ZeroNormError("expectation value of a zero-norm state is undefined")
+    norm_sq = _norm_sq(state)
     return complex(np.vdot(state, op.matrix @ state.reshape(-1)) / norm_sq)
+
+
+def _rotate(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """Apply ``matrix`` to one axis of ``tensor``."""
+    return np.moveaxis(np.tensordot(matrix, tensor, axes=(1, axis)), 0, axis)
+
+
+def product_expectation(state: np.ndarray, factors: Sequence[Operator]) -> complex:
+    """Expectation <psi|F_1 x ... x F_n|psi> / <psi|psi> of a product of one-axis operators.
+
+    Factor k acts on axis ``state.ndim - n + k``, so the factors take the
+    trailing axes in order and any leading axis (a system held beside its
+    pointers) carries the identity.  Each factor is one ``tensordot`` along
+    its own axis: no operator over the product space is formed, and the cost
+    is that of n state-sized products rather than one D x D matrix.  The
+    shape and zero-norm checks are those of :func:`expectation`.
+    """
+    lead = state.ndim - len(factors)
+    dims = tuple(f.dim for f in factors)
+    if not factors or lead < 0 or state.shape[lead:] != dims:
+        raise LayoutError(f"state shape {state.shape} does not end in the factor dims {dims}")
+    norm_sq = _norm_sq(state)
+    moved = state
+    for axis, factor in enumerate(factors, start=lead):
+        moved = _rotate(factor.matrix, moved, axis)
+    return complex(np.vdot(state, moved) / norm_sq)

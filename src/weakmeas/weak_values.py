@@ -20,9 +20,13 @@ routes recover it from simulated pointer states:
 Each route is one function over a sequence of (conditioned result, scenario)
 points that share their pointers (:func:`extract_joint_fock`,
 :func:`correlator_decomposition`, :func:`extract_joint_spin`), returning one
-value per point: the pointer-space products depend only on each pointer's
-width and truncation, so each is built once and applied to every point.  A
-run passes its one point, a coupling sweep all its grid points.
+value per point.  The operators depend only on each pointer's width and
+truncation, so each is built once and applied to every point.  The ladder
+routes apply each pointer's ``d_j x d_j`` operator to its own axis of the
+conditioned tensor and form no pointer-space matrix; the correlator route
+builds each of its 2^N products as a dense ``kron``, so the route identity
+compares two independent evaluations.  A run passes its one point, a
+coupling sweep all its grid points.
 
 Extraction always uses the exactly evolved, exactly projected state, so the
 residual error measures genuine higher-order coupling effects.  The leading
@@ -57,16 +61,10 @@ from .errors import (
     WeakMeasurementError,
     ZeroCouplingError,
 )
-from .evolution import (
-    PostSelectionResult,
-    _rotate,
-    _system_frame,
-    evolve_exact,
-    scenario_frame,
-)
+from .evolution import PostSelectionResult, _system_frame, evolve_exact, scenario_frame
 from .pointers import FockPointerSpec, fock_operators
 from .scenario import Scenario, weak_value_denominator
-from .tensor import Operator, StateVector, expectation, kron
+from .tensor import Operator, StateVector, expectation, kron, product_expectation
 
 #: Symmetrized weak values take at most this many observables.  The word-sum
 #: recursion visits 2^N multisets for the joint value and (N + 1) 2^N for the
@@ -217,11 +215,16 @@ def _ladder_route(points: Sequence[ConditionedPoint]) -> list[complex]:
     """``prod_j route_scale_j <prod_j L_j>`` at every point, with ``L_j = lowering()``.
 
     Each pointer brings its own ladder operator and scale, so the pointers may
-    be of any kinds, mixed included.  The product is built once.
+    be of any kinds, mixed included.  The product is never formed: each
+    ``L_j`` acts on its own axis of the conditioned ``(d_1, ..., d_N)`` tensor
+    (:func:`~weakmeas.tensor.product_expectation`), so the route holds only
+    state-sized arrays and the ``d_j x d_j`` factors, built once for all points.
     """
     pointers = _route_pointers([scenario for _, scenario in points])
-    product = kron([p.lowering() for p in pointers])
-    return [complex(expectation(r.conditioned, product) * _route_scale(s)) for r, s in points]
+    factors = [p.lowering() for p in pointers]
+    return [
+        complex(product_expectation(r.conditioned, factors) * _route_scale(s)) for r, s in points
+    ]
 
 
 def extract_joint_fock(points: Sequence[ConditionedPoint]) -> list[complex]:
@@ -229,10 +232,10 @@ def extract_joint_fock(points: Sequence[ConditionedPoint]) -> list[complex]:
 
     Evaluates ``<prod_j a_j>`` on each conditioned pointer state (the lowering
     operators isolate the component displaced by the interaction) and
-    rescales by ``prod_j (2 sigma_j / gt_j)``.  The product depends only on
-    each pointer's sigma and truncation, so it is built once and applied to
-    every point.  The same ladder route as :func:`extract_joint_spin`; the
-    two stay separate functions while the benchmark traces each by name.
+    rescales by ``prod_j (2 sigma_j / gt_j)``.  Each ``a_j`` is applied to its
+    own pointer's axis, so no pointer-space matrix is formed.  The same ladder
+    route as :func:`extract_joint_spin`; the two stay separate functions while
+    the benchmark traces each by name.
     """
     return _ladder_route(points)
 
@@ -248,9 +251,11 @@ def correlator_decomposition(
     Recombining them with weights ``1/(2 sigma_j)`` for X and ``i sigma_j``
     for P, times the ``2 sigma_j / gt_j`` scale, reproduces the lowering
     route exactly; the recombined value is returned alongside the table.
-    Each of the 2^N products is built once, applied to every state, and
-    freed before the next one is built, so one dense product is alive at a
-    time.
+    Each of the 2^N products is a dense ``kron`` over the pointer space,
+    built once, applied to every state, and freed before the next one is
+    built, so one dense product is alive at a time.  The lowering route
+    contracts axis by axis instead, so the route identity the harness checks
+    compares two independent evaluations.
     """
     pointers = _fock_pointers([scenario for _, scenario in points])
     pointer_ops = [fock_operators(p) for p in pointers]
@@ -300,9 +305,10 @@ def pointer_shift_check(
 def extract_joint_spin(points: Sequence[ConditionedPoint]) -> list[complex]:
     """Joint weak values from spin pointers: ``prod_j 1/(gt_j s_j) <prod_j S-_j>``.
 
-    The product is built once and applied to every state.  The same ladder
-    route as :func:`extract_joint_fock`, kept apart while the benchmark traces
-    each; runs report it for any scenario with a spin pointer, mixed included.
+    Each ``S-_j`` is applied to its own pointer's axis, so no pointer-space
+    matrix is formed.  The same ladder route as :func:`extract_joint_fock`,
+    kept apart while the benchmark traces each; runs report it for any
+    scenario with a spin pointer, mixed included.
     """
     return _ladder_route(points)
 
@@ -314,18 +320,16 @@ def strong_position_estimate(scenario: Scenario) -> complex:
     and independent zero-mean pointers the position correlation of the evolved
     (un-projected) state equals ``<I|prod_j A_j|I>`` exactly, up to truncation
     leakage.  Each ``X_j`` acts on its own axis of the evolved
-    ``(S, d_1, ..., d_N)`` tensor, so no full-space operator is formed.
+    ``(S, d_1, ..., d_N)`` tensor, as the ladder route applies its factors,
+    so no full-space operator is formed.
     """
     _fock_pointers([scenario])
     if not scenario_frame(scenario)[2]:
         raise UnsupportedScenarioError(
             "the strong-measurement analog requires commuting observables"
         )
-    tensor = evolve_exact(scenario)
-    moved = tensor
-    for axis, pointer in enumerate(scenario.pointers, start=1):
-        moved = _rotate(fock_operators(pointer).x.matrix, moved, axis)
-    value = np.vdot(tensor, moved) / np.vdot(tensor, tensor).real
+    xs = [fock_operators(pointer).x for pointer in scenario.pointers]
+    value = product_expectation(evolve_exact(scenario), xs)
     scale = math.prod(1.0 / gt for gt in scenario.couplings)
     return complex(value * scale)
 

@@ -263,8 +263,9 @@ class TestSweep:
             route = "spin" if "spin" in report.extracted else "lowering"
             assert error == report.abs_errors[route]
 
+    # The correlator route's 2^N dense products; the ladder route builds none.
     @pytest.mark.parametrize(
-        "name,products", [("aav_qubit", 2 + 1), ("joint_pair", 4 + 1), ("joint_pair_spinptr", 1)]
+        "name,products", [("aav_qubit", 2), ("joint_pair", 4), ("joint_pair_spinptr", 0)]
     )
     @pytest.mark.parametrize(
         "grid", [(0.16, 0.08, 0.04, 0.02), (0.16, 0.12, 0.08, 0.04, 0.02, 0.01)]
@@ -280,6 +281,35 @@ class TestSweep:
         monkeypatch.setattr(wm.weak_values, "kron", counted)
         wm.sweep_lambda(name, grid)
         assert len(calls) == products
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "triple_ghz_mix", "--grid", "0.16,0.08,0.04,0.02"],
+            # escalates every Fock pointer to SWEEP_ESCALATED_DIM after the first point
+            ["sweep", "aav_qubit", "--dim", "4", "--grid", "0.16,0.08,0.04,0.02"],
+        ],
+    )
+    def test_the_system_frame_is_built_once_per_sweep(self, monkeypatch, capsys, argv):
+        builds = []
+        frame = wm.evolution._system_frame
+
+        def counted(observables):
+            builds.append(len(observables))
+            return frame(observables)
+
+        monkeypatch.setattr(wm.evolution, "_system_frame", counted)
+        assert cli.main(argv) == 0
+        assert len(builds) == 1
+
+    def test_copies_share_what_the_scenario_keeps(self):
+        s = wm.resolve_scenario("joint_pair")
+        frame = wm.evolution.scenario_frame(s.with_lambda(0.05))
+        assert wm.evolution.scenario_frame(s) is frame
+        assert wm.evolution.scenario_frame(s.with_fock_dim(8).with_lambda(0.1)) is frame
+        assert s.with_lambda(0.1).embedded_observables() is s.embedded_observables()
+        # any other copy may change the observables, so it starts empty
+        assert wm.evolution.scenario_frame(replace(s, name="other")) is not frame
 
     @pytest.mark.parametrize("shifted_point", range(4))
     def test_route_identity_enforced_at_every_point(self, monkeypatch, capsys, shifted_point):

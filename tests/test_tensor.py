@@ -1,6 +1,7 @@
 """Tensor-core construction, embedding, propagation, and expectation values."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -246,6 +247,41 @@ class TestExpectation:
             wm.expectation(psi, h)
         with pytest.raises(wm.LayoutError):
             wm.expectation(psi.reshape(3, 2), h)
+
+
+class TestProductExpectation:
+    """Per-axis factors against the dense reference: one ``kron`` product and
+    :func:`weakmeas.expectation` on the flattened state."""
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 3), (4, 2, 3), (2, 2, 2, 2)])
+    def test_matches_the_dense_product(self, rng, dims):
+        factors = [op(random_hermitian(rng, d) + 1j * random_hermitian(rng, d)) for d in dims]
+        psi = random_state(rng, math.prod(dims)).reshape(dims)
+        dense = wm.expectation(psi, wm.kron(factors))
+        value = wm.tensor.product_expectation(psi, factors)
+        assert abs(value - dense) <= 1e-12 * abs(dense)
+
+    def test_leading_axes_carry_the_identity(self, rng):
+        # a (5, 2, 3) tensor: the factors take the two trailing axes
+        factors = [op(random_hermitian(rng, 2)), op(random_hermitian(rng, 3))]
+        psi = random_state(rng, 30).reshape(5, 2, 3)
+        dense = wm.expectation(psi, wm.kron([op(np.eye(5))] + factors))
+        value = wm.tensor.product_expectation(psi, factors)
+        assert abs(value - dense) <= 1e-12 * abs(dense)
+
+    def test_zero_norm_rejected(self):
+        with pytest.raises(wm.ZeroNormError):
+            wm.tensor.product_expectation(np.zeros((2, 3), dtype=complex), [op(SZ), op(np.eye(3))])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2,), (6,), (2, 3, 1)])
+    def test_shape_mismatch_rejected(self, shape):
+        psi = np.ones(shape, dtype=complex)
+        with pytest.raises(wm.LayoutError):
+            wm.tensor.product_expectation(psi, [op(SZ), op(np.eye(3))])
+
+    def test_needs_a_factor(self):
+        with pytest.raises(wm.LayoutError):
+            wm.tensor.product_expectation(np.ones(2, dtype=complex), [])
 
 
 class TestInvariants:

@@ -1,6 +1,7 @@
 """Analytic oracles and the three extraction routes."""
 
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -26,7 +27,9 @@ from conftest import (
     random_state,
     state,
 )
-from weakmeas.weak_values import _symmetrized_values, _word_sums
+from weakmeas.evolution import PostSelectionResult
+from weakmeas.scenario import catalog_dir
+from weakmeas.weak_values import _ladder_route, _symmetrized_values, _word_sums
 
 R2 = 1.0 / np.sqrt(2.0)
 
@@ -283,6 +286,76 @@ class TestFockExtraction:
         assert extracted == wm.extract_joint_spin([(result, s)])[0]
         ladder = wm.expectation(result.conditioned, s.pointers[0].lowering())
         assert extracted == pytest.approx(ladder / (s.couplings[0] * s.pointers[0].s), abs=1e-12)
+
+
+def dense_ladder_route(points):
+    """Reference: ``prod_j route_scale_j <prod_j L_j>`` with the product built as one
+    dense ``kron`` over the pointer space and applied to the flattened state."""
+    product = wm.kron([p.lowering() for p in points[0][1].pointers])
+    return [
+        wm.expectation(result.conditioned, product)
+        * math.prod(p.route_scale(gt) for p, gt in zip(s.pointers, s.couplings))
+        for result, s in points
+    ]
+
+
+#: Every scenario file the suite keeps beside the catalog.
+DATA_SCENARIOS = sorted(
+    str(path)
+    for path in DATA.glob("*.json")
+    if path.stem not in {"catalog_values", "sample_digests"}
+)
+
+
+def spin8_triple():
+    """``triple_ghz_mix`` read out by three spin-8 pointers: D = 17^3 = 4913, whose
+    dense ``D x D`` product would take 386 MB, past the array cap."""
+    doc = json.loads((catalog_dir() / "triple_ghz_mix.json").read_text(encoding="utf-8"))
+    doc["pointers"] = [{"kind": "spin", "s": 8}] * 3
+    doc["couplings"] = [{"gt": 0.0025}] * 3
+    return wm.load_scenario(json.dumps(doc))
+
+
+class TestContractedLadderRoute:
+    @pytest.mark.parametrize(
+        "ref", wm.catalog_names() + DATA_SCENARIOS, ids=lambda ref: Path(ref).name
+    )
+    def test_matches_the_dense_product(self, ref):
+        points = [conditioned(ref)]
+        [value] = _ladder_route(points)
+        [reference] = dense_ladder_route(points)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
+    def test_every_sweep_point_matches_the_dense_product(self):
+        s = wm.resolve_scenario("triple_ghz_mix")
+        points = [conditioned(s.with_lambda(lam)) for lam in (0.16, 0.08, 0.04, 0.02)]
+        for value, reference in zip(_ladder_route(points), dense_ladder_route(points)):
+            assert abs(value - reference) <= 1e-12 * abs(reference)
+
+    @pytest.mark.parametrize("route", [wm.extract_joint_fock, wm.extract_joint_spin])
+    def test_zero_norm_state_rejected(self, route):
+        s = wm.resolve_scenario("joint_pair")
+        zero = np.zeros(s.pointer_layout.dims, dtype=complex)
+        with pytest.raises(wm.ZeroNormError):
+            route([(PostSelectionResult(conditioned=zero, prob_success=1.0), s)])
+
+    def test_forms_no_pointer_space_matrix(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the ladder route formed a pointer-space operator")
+
+        monkeypatch.setattr(wm.weak_values, "kron", refused)
+        monkeypatch.setattr(wm.weak_values, "expectation", refused)
+        for name in ("triple_ghz_mix", "joint_pair_spinptr"):
+            assert len(_ladder_route([conditioned(name)])) == 1
+
+    def test_spin8_triple_runs_past_the_dense_cap(self):
+        s = spin8_triple()
+        assert s.pointer_layout.dim == 17**3
+        report = wm.run_scenario(s)
+        assert list(report.extracted) == ["spin"]
+        assert report.passed
+        with pytest.raises(wm.CapacityError):
+            wm.kron([p.lowering() for p in s.pointers])
 
 
 class TestCorrelatorDecomposition:
