@@ -10,7 +10,8 @@ Subcommands::
 Scenarios are referenced by catalog name or file path; the catalog directory
 can be overridden with the WEAKMEAS_CATALOG environment variable.  The exit
 status is 0 only when every run passes its tolerance (sweeps pass when the
-fitted slope is within 2 +/- ``harness.SLOPE_WINDOW`` = 0.3).  Each option
+fitted slope is within 2 +/- ``harness.SLOPE_WINDOW`` = 0.3, or when their
+errors are at the ladder route's rounding floor).  Each option
 may be given once; a repeated one exits 2, like any other usage error.
 """
 

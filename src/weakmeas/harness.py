@@ -2,15 +2,16 @@
 
 A run evolves a scenario, post-selects, applies every extraction route that
 fits the pointers, and compares each against the analytic oracle under the
-quadratic tolerance model.  A sweep reruns a scenario over a grid of
-expansion parameters, validating, evolving and post-selecting every point on
-its own, and fits the log-log slope of the extraction error, which should be
-2 (the next-order correction is quadratic in the coupling).  Runs and sweeps
-share one extraction step over a list of conditioned points: it builds each
-pointer operator and each dense correlator product once for all points (those
-operators do not depend on lambda) and checks the route identity at each
-point.  A sweep's points are copies of one scenario that share its system
-frame, so the frame is built once per sweep.
+quadratic tolerance model.  A sweep is a run at every point of a grid of
+expansion parameters, and fits the log-log slope of the extraction error,
+which should be 2 (the next-order correction is quadratic in the coupling)
+unless the errors are rounding noise.  Both go through one report builder
+over copies of one scenario that differ only in their couplings: it
+validates, evolves and post-selects each copy in turn, builds each pointer
+operator and each dense correlator product once for all of them (those
+operators do not depend on lambda), checks the route identity at each, and
+returns one report per copy.  The copies share the scenario's system frame,
+so the frame is built once per sweep.
 Sampling draws pointer positions from the conditioned marginal density by
 inverse-CDF lookup, reproducing the statistics an ensemble would record.
 """
@@ -35,11 +36,12 @@ from .errors import (
     WeakMeasurementError,
 )
 from .evolution import PostSelectionResult, evolve_exact, post_select
-from .pointers import FockPointerSpec, position_wavefunctions
+from .pointers import FockPointerSpec, fock_operators, position_wavefunctions
 from .scenario import LAMBDA_WARN_LIMIT, Scenario, ensure_valid, resolve_scenario
 from .tensor import _check_capacity
 from .weak_values import (
     ConditionedPoint,
+    _route_scale,
     analytic_oracle,
     correlator_decomposition,
     extract_joint_fock,
@@ -69,6 +71,12 @@ DENSITY_MASS_TOL = 1e-9
 
 #: A sweep passes when its fitted log-log slope is within this of 2.
 SLOPE_WINDOW = 0.3
+
+#: A sweep whose errors are rounding noise (a scenario whose exact lambda^2 term
+#: is 0) also passes: fewer than two of its points exceed this multiple of the
+#: ladder route's rounding, eps |route scale| (1 + |A_w|).  The catalog's
+#: rounding-level sweeps reach 0.124 of that floor and its others 1e7.
+ROUNDING_FLOOR_MULTIPLE = 1e3
 
 #: Fock dimension the sweep escalates to when the leakage guard trips.
 SWEEP_ESCALATED_DIM = 16
@@ -127,43 +135,87 @@ class WeakValueReport:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Extraction error versus expansion parameter, with a power-law fit."""
+    """Extraction error versus expansion parameter, with a power-law fit.
+
+    ``at_rounding_floor`` says that fewer than two errors exceed
+    :data:`ROUNDING_FLOOR_MULTIPLE` times the ladder route's rounding, so the
+    slope fits noise; such a sweep passes whatever its slope.
+    """
 
     scenario: str
     lambda_grid: tuple[float, ...]
     errors: tuple[float, ...]
     fitted_slope: float
     fitted_intercept: float
+    at_rounding_floor: bool
 
     @property
     def passed(self) -> bool:
-        return abs(self.fitted_slope - 2.0) <= SLOPE_WINDOW
+        return self.at_rounding_floor or abs(self.fitted_slope - 2.0) <= SLOPE_WINDOW
 
 
-def _extract(points: list[ConditionedPoint], analytic: complex) -> list[dict[str, complex]]:
-    """Every extraction route that fits the pointers, at every point.
+def _reports(
+    scenarios: list[Scenario], tolerance: float | None = None, label: str | None = None
+) -> list[WeakValueReport]:
+    """Evolve, post-select and extract along every route that fits the pointers.
 
-    The points share their pointers.  All-Fock pointers take the lowering and
-    correlator routes, and a point whose two values differ by more than
+    Takes copies of one scenario that differ only in their couplings and
+    returns one report per copy, in order.  Each copy is validated, evolved
+    and post-selected in turn; the oracle is taken once, after the first
+    validation.  Each pointer operator and correlator product is built once
+    for all copies.  All-Fock pointers take the lowering and correlator
+    routes, and a copy whose two values differ by more than
     :data:`ROUTE_IDENTITY_TOL` ``(1 + |A_w|)`` raises
     :class:`WeakMeasurementError`.  Any spin pointer, mixed with Fock ones or
     not, leaves no quadratures to correlate, so the ladder route alone is
-    reported, as the spin route.  Each point's values are keyed by method, the
-    lowering or spin route first.
+    reported, as the spin route.
     """
-    if not all(isinstance(p, FockPointerSpec) for p in points[0][1].pointers):
-        return [{"spin": value} for value in extract_joint_spin(points)]
-    lowering = extract_joint_fock(points)
-    extracted = []
-    for value, (_, correlators) in zip(lowering, correlator_decomposition(points)):
-        gap = abs(value - correlators)
-        if gap > ROUTE_IDENTITY_TOL * (1.0 + abs(analytic)):
-            raise WeakMeasurementError(
-                f"lowering and correlator routes differ by {gap:.3e}, beyond the "
-                f"route identity {ROUTE_IDENTITY_TOL:.0e} (1 + |A_w|)"
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+    points: list[ConditionedPoint] = []
+    for scenario in scenarios:
+        ensure_valid(scenario)
+        if not points:
+            analytic = analytic_oracle(scenario)
+        points.append((post_select(evolve_exact(scenario), scenario), scenario))
+
+    fock = all(isinstance(p, FockPointerSpec) for p in scenarios[0].pointers)
+    if fock:
+        routes = []
+        lowering = extract_joint_fock(points)
+        for value, (_, correlators) in zip(lowering, correlator_decomposition(points)):
+            gap = abs(value - correlators)
+            if gap > ROUTE_IDENTITY_TOL * (1.0 + abs(analytic)):
+                raise WeakMeasurementError(
+                    f"lowering and correlator routes differ by {gap:.3e}, beyond the "
+                    f"route identity {ROUTE_IDENTITY_TOL:.0e} (1 + |A_w|)"
+                )
+            routes.append({"lowering": value, "correlators": correlators})
+    else:
+        routes = [{"spin": value} for value in extract_joint_spin(points)]
+
+    reports = []
+    for (result, scenario), extracted in zip(points, routes):
+        xp_shift = None
+        if fock and scenario.n_pointers == 1:
+            xp_shift = pointer_shift_check(result, scenario)
+        tol = tolerance
+        if tol is None:
+            tol = extraction_tolerance(scenario.lambda_max, analytic)
+            if fock:
+                tol = max(tol, SECOND_ORDER_MARGIN * abs(second_order_error(scenario)))
+        reports.append(
+            WeakValueReport(
+                scenario=label or scenario.name or "scenario",
+                analytic=analytic,
+                prob_success=result.prob_success,
+                lambda_max=scenario.lambda_max,
+                tolerance=tol,
+                extracted=extracted,
+                xp_shift=xp_shift,
             )
-        extracted.append({"lowering": value, "correlators": correlators})
-    return extracted
+        )
+    return reports
 
 
 def run_scenario(
@@ -174,34 +226,8 @@ def run_scenario(
     Raises :class:`WeakMeasurementError` when the lowering and correlator
     routes break their identity (:data:`ROUTE_IDENTITY_TOL`).
     """
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
-    ensure_valid(scenario)
-    analytic = analytic_oracle(scenario)
-    result = post_select(evolve_exact(scenario), scenario)
-
-    [extracted] = _extract([(result, scenario)], analytic)
-    fock = "lowering" in extracted
-    xp_shift = None
-    if fock and scenario.n_pointers == 1:
-        xp_shift = pointer_shift_check(result, scenario)
-
-    lambda_max = scenario.lambda_max
-    if tolerance is not None:
-        tol = tolerance
-    else:
-        tol = extraction_tolerance(lambda_max, analytic)
-        if fock:
-            tol = max(tol, SECOND_ORDER_MARGIN * abs(second_order_error(scenario)))
-    return WeakValueReport(
-        scenario=label or scenario.name or "scenario",
-        analytic=analytic,
-        prob_success=result.prob_success,
-        lambda_max=lambda_max,
-        tolerance=tol,
-        extracted=extracted,
-        xp_shift=xp_shift,
-    )
+    [report] = _reports([scenario], tolerance, label)
+    return report
 
 
 @contextlib.contextmanager
@@ -244,29 +270,24 @@ def run_experiment(
         return run_scenario(scenario, tolerance=tolerance, label=str(scenario_ref))
 
 
-def _conditioned_point(scenario: Scenario, lam: float) -> ConditionedPoint:
-    """Validate, evolve and post-select at one grid point."""
-    point = ensure_valid(scenario.with_lambda(lam))
-    return post_select(evolve_exact(point), point), point
-
-
 def sweep_lambda(
     scenario_ref: str | Path, grid, dim: int | None = None
 ) -> SweepResult:
     """Rerun a scenario over a decreasing lambda grid and fit the error slope.
 
     Couplings are rescaled to realize each grid value while pointer widths
-    and truncations stay fixed; if the largest grid point trips the
+    and truncations stay fixed, and the grid goes through the report builder
+    of :func:`run_scenario`, largest point first, so each point's error is
+    that of :func:`run_scenario` at the same lambda: the ladder route's
+    (lowering, or spin when any pointer is spin).  The sweep passes when the
+    slope is within :data:`SLOPE_WINDOW` of 2 or when it is at the rounding
+    floor (:class:`SweepResult`).  If a point trips the
     truncation guard, every Fock pointer is escalated to
-    :data:`SWEEP_ESCALATED_DIM` levels (or its largest Fock truncation) before
-    any other point is evolved.  Every grid point is validated, checked for
-    leakage and post-selected on its own; then the whole grid goes through
-    the extraction step of :func:`run_scenario`, which builds each operator
-    once and checks the route identity at every point.  The error at
-    each point is that of the ladder route (lowering, or spin when any pointer
-    is spin) and equals that of :func:`run_scenario` at the same lambda.  As in
-    :func:`run_experiment`, a :class:`WeakMeasurementError` or ``ValueError``
-    raised after the grid is checked names ``scenario_ref`` first.
+    :data:`SWEEP_ESCALATED_DIM` levels (or its largest Fock truncation) and
+    the grid is rerun; a trip at the largest point stops the first pass
+    before any other point is evolved.  As in :func:`run_experiment`, a
+    :class:`WeakMeasurementError` or ``ValueError`` raised after the grid is
+    checked names ``scenario_ref`` first.
     """
     grid = [float(g) for g in grid]
     if len(grid) < 4:
@@ -282,19 +303,18 @@ def sweep_lambda(
 
     with _naming(scenario_ref):
         scenario = _load(scenario_ref, dim)
-
         try:
-            first = _conditioned_point(scenario, grid[0])
+            reports = _reports([scenario.with_lambda(lam) for lam in grid])
         except TruncationLeakageError:
             fock_dims = [p.dim for p in scenario.pointers if isinstance(p, FockPointerSpec)]
             scenario = scenario.with_fock_dim(max([SWEEP_ESCALATED_DIM] + fock_dims))
-            first = _conditioned_point(scenario, grid[0])
-        points = [first] + [_conditioned_point(scenario, lam) for lam in grid[1:]]
-
-        analytic = analytic_oracle(scenario)
-        errors = [
-            abs(next(iter(routes.values())) - analytic) for routes in _extract(points, analytic)
-        ]
+            reports = _reports([scenario.with_lambda(lam) for lam in grid])
+    errors = [next(iter(report.abs_errors.values())) for report in reports]
+    above_floor = sum(
+        error > ROUNDING_FLOOR_MULTIPLE * math.ulp(1.0) * (1.0 + abs(report.analytic))
+        * abs(_route_scale(scenario.with_lambda(lam)))
+        for lam, error, report in zip(grid, errors, reports)
+    )
 
     log_lam = np.log(np.asarray(grid))
     log_err = np.log(np.maximum(np.asarray(errors), 1e-300))
@@ -305,6 +325,7 @@ def sweep_lambda(
         errors=tuple(errors),
         fitted_slope=float(slope),
         fitted_intercept=float(intercept),
+        at_rounding_floor=above_floor < 2,
     )
 
 
@@ -358,7 +379,10 @@ def position_density(
     Synthesizes the reduced density matrix of the chosen pointer in the
     oscillator eigenbasis on :func:`sampling_grid`.  Raises :class:`GridError`
     if more than :data:`DENSITY_MASS_TOL` of the probability mass falls off the
-    grid, or if the mass is not finite (a grid past the float range).
+    grid, or if the mass is not finite (a grid past the float range).  Also
+    raises it if the density's first moment misses the pointer's ``<X>`` by
+    more than the grid's half-width times :data:`DENSITY_MASS_TOL` (the
+    off-grid mass, at the grid's edge) plus one rounding per grid point.
     """
     spec = _sampled_pointer(scenario, pointer_index)
     moved = np.moveaxis(result.conditioned, pointer_index, 0)
@@ -369,9 +393,17 @@ def position_density(
         basis = position_wavefunctions(spec, grid)
         density = np.einsum("mx,mn,nx->x", basis, reduced, basis).real
         mass = float(np.trapezoid(density, grid))
+        moment = float(np.trapezoid(grid * density, grid))
+        x_mean = float(np.einsum("mn,nm->", fock_operators(spec).x.matrix, reduced).real)
     if not abs(1.0 - mass) <= DENSITY_MASS_TOL:
         raise GridError(
             f"density mass off the sampling grid: 1 - integral = {1.0 - mass:.3e}"
+        )
+    bound = abs(grid[-1]) * (DENSITY_MASS_TOL + SAMPLING_GRID_POINTS * math.ulp(1.0))
+    if not abs(moment - x_mean) <= bound:
+        raise GridError(
+            f"density first moment {moment:.6e} misses <X> = {x_mean:.6e} "
+            f"by more than {bound:.3e}"
         )
     return grid, np.maximum(density, 0.0)
 
@@ -386,7 +418,9 @@ def sample_positions(
     """Draw ``n_shots`` positions of one pointer by inverse-CDF sampling.
 
     Returns them as a read-only array.  Uses the counter-based Philox
-    generator keyed on ``seed``, so samples are bitwise reproducible.
+    generator keyed on ``seed``, so samples are bitwise reproducible.  Raises
+    :class:`GridError` if a position is not finite: on a very wide pointer
+    (sigma near 1e303 or more) a grid step over a tail cell's CDF step overflows.
     :func:`check_sample_request` refuses a bad request before anything is
     allocated.
     """
@@ -403,6 +437,12 @@ def sample_positions(
         draws = rng.random(chunk.size)
         order = np.argsort(draws)
         chunk[order] = np.interp(draws[order], cdf, grid)
+        if not np.isfinite(chunk).all():
+            raise GridError(
+                f"a position drawn at pointer width sigma = "
+                f"{scenario.pointers[pointer_index].sigma:.6g} is past the "
+                "float range: the inverse CDF's slope overflows on a tail cell"
+            )
     positions.flags.writeable = False
     return positions
 

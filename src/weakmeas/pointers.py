@@ -17,7 +17,7 @@ the ladder route tests the kind, and one scenario may mix kinds.  Only what a
 Fock pointer alone has tests it: leakage (``evolution.top_level_leakage``),
 ``--dim`` (``scenario.with_fock_dim``, ``harness.sweep_lambda``), the document
 form (``scenario.dump_scenario``), quadratures (``weak_values._fock_pointers``,
-``harness._extract``) and sampling (``harness._sampled_pointer``).  A spec
+``harness._reports``) and sampling (``harness._sampled_pointer``).  A spec
 whose operators would pass the array cap, or whose quadratures would overflow
 the float range, cannot be built.
 

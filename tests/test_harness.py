@@ -252,6 +252,46 @@ class TestSweep:
         ),
     ]
 
+    # the exact lambda^2 term of the five scenarios outside CATALOG_SWEEPS and
+    # aav_amplified is 0, so their errors are rounding noise and fit no slope of 2
+    @pytest.mark.parametrize("name", sorted(wm.scenario.catalog_names()))
+    def test_every_catalog_sweep_passes_but_the_amplified_one(self, capsys, name):
+        code = cli.main(["sweep", name, "--grid", "0.16,0.08,0.04,0.02"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == (1 if name == "aav_amplified" else 0)
+        assert doc["passed"] is (code == 0)
+        assert doc["at_rounding_floor"] is (name not in CATALOG_SWEEPS + ["aav_amplified"])
+
+    def test_rounding_floor_passes_whatever_the_slope(self):
+        result = wm.sweep_lambda("pair_anticommuting", [0.16, 0.08, 0.04, 0.02])
+        assert result.at_rounding_floor and result.passed
+        assert abs(result.fitted_slope - 2.0) > wm.harness.SLOPE_WINDOW
+        assert not replace(result, at_rounding_floor=False).passed
+        # A_w = 0 and both pointers' 2 sigma / gt is 1 / lambda, so the floor is
+        # smallest at the largest lambda
+        eps = np.finfo(float).eps
+        floor = wm.harness.ROUNDING_FLOOR_MULTIPLE * eps / 0.16**2
+        assert max(result.errors) < floor
+
+    # one point above the floor fits no slope; from two on the slope decides
+    @pytest.mark.parametrize("lifted_points, at_floor", [((0,), True), ((0, 1), False)])
+    def test_points_above_the_floor(self, monkeypatch, lifted_points, at_floor):
+        reports = wm.harness._reports
+
+        def lifted(scenarios):
+            out = reports(scenarios)
+            for i in lifted_points:
+                report = out[i]
+                lowering = report.extracted["lowering"] + 1e-6
+                routes = {"lowering": lowering, "correlators": lowering}
+                out[i] = replace(report, extracted=routes)
+            return out
+
+        monkeypatch.setattr(wm.harness, "_reports", lifted)
+        result = wm.sweep_lambda("pair_anticommuting", [0.16, 0.08, 0.04, 0.02])
+        assert result.at_rounding_floor is at_floor
+        assert result.passed is at_floor
+
     @pytest.mark.parametrize("name,dim,grid", SWEPT)
     def test_errors_equal_single_runs(self, name, dim, grid):
         result = wm.sweep_lambda(name, grid, dim=dim)
@@ -373,6 +413,17 @@ class TestSampling:
         with pytest.raises(wm.UnsupportedScenarioError, match="out of range"):
             wm.position_density(result, s, index)
 
+    def test_density_shifted_one_grid_step_rejected(self, conditioned_aav, monkeypatch):
+        result, s = conditioned_aav
+        grid = wm.harness.sampling_grid(s.pointers[0])
+        step = grid[1] - grid[0]
+        wavefunctions = wm.harness.position_wavefunctions
+        monkeypatch.setattr(
+            wm.harness, "position_wavefunctions", lambda spec, x: wavefunctions(spec, x - step)
+        )
+        with pytest.raises(wm.GridError, match="first moment"):
+            wm.position_density(result, s, 0)
+
     def test_undersized_grid_rejected(self, conditioned_aav, monkeypatch):
         result, s = conditioned_aav
         tiny = np.linspace(-0.5, 0.5, 64)
@@ -434,7 +485,7 @@ class TestEmitReport:
             doc = json.loads(wm.emit_report(result, fmt="json"))
             assert list(doc) == [
                 "scenario", "lambda_grid", "errors", "fitted_slope", "fitted_intercept",
-                "passed",
+                "at_rounding_floor", "passed",
             ]
             assert doc["lambda_grid"] == list(result.lambda_grid)
             assert doc["errors"] == list(result.errors)
@@ -820,6 +871,13 @@ class TestSampleSummary:
             f"error: {path}: pointers[0]: sigma {sigma} overflows the quadratures "
             "of a 12-level pointer\n"
         )
+
+    def test_a_non_finite_position_is_refused(self, tmp_path):
+        # the inverse CDF's slope overflows on tail cells of this wide a grid
+        s = wm.ensure_valid(wm.resolve_scenario(aav_at_width(tmp_path, 1e305)))
+        result = wm.post_select(wm.evolve_exact(s), s)
+        with pytest.raises(wm.GridError, match="sigma = 1e[+]305 is past the float range"):
+            wm.sample_positions(result, s, 0, 200_000, seed=1)
 
     @pytest.mark.parametrize(
         "sigma, shots, reason",

@@ -156,12 +156,12 @@ def test_sweep_escalates_only_the_fock_pointers(tmp_path, monkeypatch):
     scenario_file = tmp_path / "wide_spin.json"
     scenario_file.write_text(wm.dump_scenario(wide_spin))
     evolved_dims = []
-    conditioned_point = harness._conditioned_point
+    evolve = harness.evolve_exact
 
-    def recording(scenario, lam):
+    def recording(scenario):
         evolved_dims.append(tuple(p.dim for p in scenario.pointers))
-        return conditioned_point(scenario, lam)
+        return evolve(scenario)
 
-    monkeypatch.setattr(harness, "_conditioned_point", recording)
+    monkeypatch.setattr(harness, "evolve_exact", recording)
     wm.sweep_lambda(scenario_file, (0.2, 0.1, 0.05, 0.025), dim=4)
     assert evolved_dims == [(4, 20)] + [(harness.SWEEP_ESCALATED_DIM, 20)] * 4
