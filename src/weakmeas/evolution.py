@@ -101,7 +101,8 @@ def build_hamiltonian(scenario: Scenario) -> Operator:
     for j, (obs_full, gt, pointer) in enumerate(
         zip(scenario.embedded_observables(), scenario.couplings, scenario.pointers)
     ):
-        block = embed_factors(pointer.coupling(), (j,), scenario.pointer_layout)
+        coupling = Operator(FactorLayout((pointer.dim,)), pointer.coupling())
+        block = embed_factors(coupling, (j,), scenario.pointer_layout)
         term = gt * np.kron(obs_full.matrix, block.matrix)
         terms = term if terms is None else terms + term
     layout = FactorLayout(scenario.system_layout.dims + scenario.pointer_layout.dims)
@@ -200,7 +201,7 @@ def evolve_exact(scenario: Scenario) -> np.ndarray:
     system_basis, rotated, diagonal = scenario_frame(scenario)
     pointer_frames = []
     for axis, (pointer, gt) in enumerate(zip(scenario.pointers, scenario.couplings), start=1):
-        levels, basis = np.linalg.eigh(pointer.coupling().matrix)
+        levels, basis = np.linalg.eigh(pointer.coupling())
         pointer_frames.append((axis, gt * levels, basis))
     tensor = _rotate(system_basis.conj().T, initial, 0)
     if diagonal:

@@ -21,11 +21,13 @@ form (``scenario.dump_scenario``), quadratures (``weak_values._fock_pointers``,
 whose operators would pass the array cap, or whose quadratures would overflow
 the float range, cannot be built.
 
-A Fock spec's ``coupling()`` and ``lowering()`` build only the operator they
-return, with the same bits as the matching :func:`fock_operators` entry,
-which builds the whole set for the correlator route and the diagnostics; a
-spin spec takes both from :func:`spin_operators`.  No operator is cached, so
-a pointer at the array cap holds its matrices only while a caller uses them.
+Pointer operators are plain ``dim x dim`` complex arrays, not checked
+containers: that refusal keeps them finite and under the cap.  Each is built
+fresh on every call and cached nowhere.  A Fock spec's ``coupling()`` and
+``lowering()`` build only the operator they return, with the same bits as the
+matching :func:`fock_operators` entry, which builds the whole set for the
+correlator route and the diagnostics; a spin spec takes both from
+:func:`spin_operators`.
 
 Basis ordering conventions: Fock levels ascending, spin m ascending; every
 pointer starts in level 0 (see ``evolution.evolve_exact``).
@@ -40,7 +42,6 @@ import numpy as np
 
 from . import tensor
 from .errors import CapacityError
-from .tensor import FactorLayout, Operator
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,6 @@ class FockPointerSpec:
         if not (math.isfinite(top * sigma) and math.isfinite(top * (0.5 / sigma))):
             raise ValueError(f"sigma {sigma} overflows the quadratures of a {dim}-level pointer")
 
-    @property
-    def layout(self) -> FactorLayout:
-        return FactorLayout((self.dim,))
-
     def expansion(self, gt: float) -> float:
         """Dimensionless weak-coupling parameter ``lambda = |gt| / (2 sigma)``."""
         return abs(gt) / (2.0 * self.sigma)
@@ -88,14 +85,13 @@ class FockPointerSpec:
         """Factor ``2 sigma / gt`` that turns ``<a>`` into the weak value."""
         return 2.0 * self.sigma / gt
 
-    def coupling(self) -> Operator:
-        """Pointer operator entering the interaction: the momentum quadrature P."""
-        lowering = _fock_lowering(self.dim)
-        return Operator(self.layout, _fock_p(lowering, self.sigma))
+    def coupling(self) -> np.ndarray:
+        """Pointer operator entering the interaction, the momentum quadrature P, as a new array."""
+        return _fock_p(_fock_lowering(self.dim), self.sigma)
 
-    def lowering(self) -> Operator:
-        """Ladder operator of the extraction route: the annihilation operator a."""
-        return Operator(self.layout, _fock_lowering(self.dim))
+    def lowering(self) -> np.ndarray:
+        """Ladder operator of the extraction route, the annihilation operator a, as a new array."""
+        return _fock_lowering(self.dim)
 
 
 @dataclass(frozen=True)
@@ -116,10 +112,6 @@ class SpinPointerSpec:
     def dim(self) -> int:
         return int(round(2.0 * self.s)) + 1
 
-    @property
-    def layout(self) -> FactorLayout:
-        return FactorLayout((self.dim,))
-
     def expansion(self, gt: float) -> float:
         """First-order transfer amplitude ``lambda = |gt| sqrt(2 s) / 2``."""
         return abs(gt) * math.sqrt(2.0 * self.s) / 2.0
@@ -132,12 +124,12 @@ class SpinPointerSpec:
         """Factor ``1 / (gt s)`` that turns ``<S->`` into the weak value."""
         return 1.0 / (gt * self.s)
 
-    def coupling(self) -> Operator:
-        """Pointer operator entering the interaction: ``-S_y``."""
-        return Operator(self.layout, -spin_operators(self).sy.matrix)
+    def coupling(self) -> np.ndarray:
+        """Pointer operator entering the interaction, ``-S_y``, as a new array."""
+        return -spin_operators(self).sy
 
-    def lowering(self) -> Operator:
-        """Ladder operator of the extraction route: ``S-``."""
+    def lowering(self) -> np.ndarray:
+        """Ladder operator of the extraction route, ``S-``, as a new array."""
         return spin_operators(self).lowering
 
 
@@ -146,12 +138,13 @@ PointerSpec = FockPointerSpec | SpinPointerSpec
 
 @dataclass(frozen=True)
 class PointerOperators:
-    """Operator set of one pointer; quadratures are Fock-only, sy is spin-only."""
+    """Operator set of one pointer, as plain ``dim x dim`` complex arrays built
+    fresh by each call; quadratures are Fock-only, sy is spin-only."""
 
-    lowering: Operator
-    x: Operator | None = None
-    p: Operator | None = None
-    sy: Operator | None = None
+    lowering: np.ndarray
+    x: np.ndarray | None = None
+    p: np.ndarray | None = None
+    sy: np.ndarray | None = None
 
 
 def _check_dim(spec: PointerSpec) -> None:
@@ -177,9 +170,9 @@ def fock_operators(spec: FockPointerSpec) -> PointerOperators:
     """Lowering operator and derived X, P quadratures of a Fock pointer."""
     lowering = _fock_lowering(spec.dim)
     return PointerOperators(
-        lowering=Operator(spec.layout, lowering),
-        x=Operator(spec.layout, (lowering + lowering.conj().T) * spec.sigma),
-        p=Operator(spec.layout, _fock_p(lowering, spec.sigma)),
+        lowering=lowering,
+        x=(lowering + lowering.conj().T) * spec.sigma,
+        p=_fock_p(lowering, spec.sigma),
     )
 
 
@@ -194,10 +187,7 @@ def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
     coeffs = np.sqrt(s * (s + 1.0) - m * (m + 1.0))
     raising = np.diag(coeffs, -1).astype(np.complex128)
     lowering = raising.conj().T
-    return PointerOperators(
-        lowering=Operator(spec.layout, lowering),
-        sy=Operator(spec.layout, (raising - lowering) * (1.0 / 2.0j)),
-    )
+    return PointerOperators(lowering=lowering, sy=(raising - lowering) * (1.0 / 2.0j))
 
 
 def position_wavefunctions(spec: FockPointerSpec, x: np.ndarray) -> np.ndarray:

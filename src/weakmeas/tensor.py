@@ -1,14 +1,17 @@
 """Dense complex linear algebra over tensor-product Hilbert spaces.
 
-Operators and system states are ``complex128`` arrays tagged with a
-:class:`FactorLayout` of ordered factor dimensions: system factors first, then
-one per measurement pointer in declaration order.  Joint and pointer states are
-plain amplitude tensors, one axis per factor.  :class:`Operator`,
-:class:`StateVector` and :class:`FactorLayout` only check and hold their
-contents (finite, square, matching the layout, read-only); they define no
-arithmetic, so products and sums are taken on the ``.matrix`` and ``.amps``
-arrays.  All values are immutable after construction, so they are safe to
-share across threads.
+:class:`Operator`, :class:`StateVector` and :class:`FactorLayout` are checked
+containers, kept where a layout or a check carries information: a scenario's
+observables (also as :func:`embed_factors` places them on the system layout)
+and pre/post states, which come from outside the program; the full-space
+product :func:`kron` returns; and the dense reference
+:func:`hermitian_propagator`.  They only check and hold their contents
+(finite, square, matching the layout, read-only) and define no arithmetic, so
+products and sums are taken on the ``.matrix`` and ``.amps`` arrays; being
+immutable, they are safe to share across threads.  Pointer operators are plain
+``complex128`` arrays, built fresh on every call (see :mod:`weakmeas.pointers`),
+and joint and pointer states are plain amplitude tensors, one axis per factor:
+system factors first, then one per measurement pointer in declaration order.
 """
 
 from __future__ import annotations
@@ -147,24 +150,25 @@ def _check_capacity(nbytes: int) -> None:
         raise CapacityError(f"{nbytes} bytes exceed the array cap {MAX_ARRAY_BYTES}")
 
 
-def kron(factors: Sequence[Operator]) -> Operator:
-    """Kronecker product of operators, in the declared factor order.
+def kron(factors: Sequence[np.ndarray]) -> Operator:
+    """Kronecker product of square arrays, in the declared factor order.
 
-    The result layout is the concatenation of the factor layouts.  Each
-    extra factor takes one broadcast multiply, ``P[i, k, j, l] = P[i, j] F[k, l]``,
-    on operands shaped as ``np.kron`` shapes them, so numpy runs the same
-    multiply loop and the result has the same bits, signed zeros included.
+    Returns a checked :class:`Operator` whose layout has one factor per input,
+    of the dimension read from its shape.  Each extra factor takes one
+    broadcast multiply, ``P[i, k, j, l] = P[i, j] F[k, l]``, on operands shaped
+    as ``np.kron`` shapes them, so numpy runs the same multiply loop and the
+    result has the same bits, signed zeros included.
     Raises :class:`CapacityError` when the product would take more than
     :data:`MAX_ARRAY_BYTES`.
     """
     if not factors:
         raise LayoutError("kron needs at least one factor")
-    layout = FactorLayout(tuple(d for f in factors for d in f.layout.dims))
-    _check_capacity(math.prod(op.matrix.size for op in factors) * 16)
-    product = factors[0].matrix
-    for op in factors[1:]:
-        rows = product.shape[0] * op.dim
-        product = (product[:, None, :, None] * op.matrix[None, :, None, :]).reshape(rows, rows)
+    layout = FactorLayout(tuple(len(f) for f in factors))
+    _check_capacity(math.prod(f.size for f in factors) * 16)
+    product = factors[0]
+    for factor in factors[1:]:
+        rows = product.shape[0] * len(factor)
+        product = (product[:, None, :, None] * factor[None, :, None, :]).reshape(rows, rows)
     return Operator(layout, product)
 
 
@@ -250,22 +254,23 @@ def _rotate(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(matrix, tensor, axes=(1, axis)), 0, axis)
 
 
-def product_expectation(state: np.ndarray, factors: Sequence[Operator]) -> complex:
+def product_expectation(state: np.ndarray, factors: Sequence[np.ndarray]) -> complex:
     """Expectation <psi|F_1 x ... x F_n|psi> / <psi|psi> of a product of one-axis operators.
 
-    Factor k acts on axis ``state.ndim - n + k``, so the factors take the
-    trailing axes in order and any leading axis (a system held beside its
+    The factors are plain square arrays, whose dims are read from their
+    shapes.  Factor k acts on axis ``state.ndim - n + k``, so the factors take
+    the trailing axes in order and any leading axis (a system held beside its
     pointers) carries the identity.  Each factor is one ``tensordot`` along
     its own axis: no operator over the product space is formed, and the cost
     is that of n state-sized products rather than one D x D matrix.  The
     shape and zero-norm checks are those of :func:`expectation`.
     """
     lead = state.ndim - len(factors)
-    dims = tuple(f.dim for f in factors)
+    dims = tuple(len(f) for f in factors)
     if not factors or lead < 0 or state.shape[lead:] != dims:
         raise LayoutError(f"state shape {state.shape} does not end in the factor dims {dims}")
     norm_sq = _norm_sq(state)
     moved = state
     for axis, factor in enumerate(factors, start=lead):
-        moved = _rotate(factor.matrix, moved, axis)
+        moved = _rotate(factor, moved, axis)
     return complex(np.vdot(state, moved) / norm_sq)

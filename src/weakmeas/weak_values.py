@@ -297,8 +297,8 @@ def pointer_shift_check(
         raise UnsupportedScenarioError("quadrature shifts are a single-pointer diagnostic")
     _fock_pointers([scenario])
     ops = fock_operators(scenario.pointers[0])
-    x_mean = expectation(result.conditioned, ops.x).real
-    p_mean = expectation(result.conditioned, ops.p).real
+    x_mean = product_expectation(result.conditioned, [ops.x]).real
+    p_mean = product_expectation(result.conditioned, [ops.p]).real
     return float(x_mean), float(p_mean)
 
 

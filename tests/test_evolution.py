@@ -111,14 +111,14 @@ def pair_scenario(gt=0.02, *, dim=12, pre=None, post=None, same_qubit=False):
 class TestBuildHamiltonian:
     def test_single_fock_term(self):
         s = single_scenario(gt=1.0)
-        p = wm.fock_operators(s.pointers[0]).p.matrix
+        p = wm.fock_operators(s.pointers[0]).p
         np.testing.assert_allclose(
             wm.build_hamiltonian(s).matrix, np.kron(SZ, p), atol=1e-15
         )
 
     def test_two_terms_sum_and_commute(self):
         s = pair_scenario(gt=0.3, dim=6)
-        p = wm.fock_operators(s.pointers[0]).p.matrix
+        p = wm.fock_operators(s.pointers[0]).p
         i2, i6 = np.eye(2), np.eye(6)
         term1 = 0.3 * np.kron(np.kron(np.kron(SZ, i2), p), i6)
         term2 = 0.3 * np.kron(np.kron(np.kron(i2, SZ), i6), p)
@@ -129,7 +129,7 @@ class TestBuildHamiltonian:
     def test_spin_pointer_coupling_sign(self):
         # H = -g A S_y, with S_y in the ascending-m basis
         s = single_scenario(gt=0.5, kind="spin")
-        sy = wm.spin_operators(s.pointers[0]).sy.matrix
+        sy = wm.spin_operators(s.pointers[0]).sy
         np.testing.assert_allclose(
             wm.build_hamiltonian(s).matrix, -0.5 * np.kron(SZ, sy), atol=1e-15
         )
@@ -171,7 +171,7 @@ class TestEvolveExact:
         oracle = coherent_amplitudes(gt / (2 * sigma), 12)
         np.testing.assert_allclose(amps[0], oracle, atol=1e-8)
         x = wm.fock_operators(s.pointers[0]).x
-        assert wm.expectation(amps[0], x).real == pytest.approx(gt, abs=1e-8)
+        assert wm.expectation(amps[0], op(x)).real == pytest.approx(gt, abs=1e-8)
 
     @pytest.mark.parametrize(
         "name", ["aav_qubit", "joint_pair_entangled", "pair_anticommuting", "aav_qubit_spinptr"]
@@ -291,7 +291,7 @@ class TestEvolveExact:
         amps = wm.evolve_exact(s)
         assert amps.shape == (8, 8, 8, 8)
         p = wm.fock_operators(s.pointers[0]).p
-        single = wm.hermitian_propagator(p, 0.02).matrix[:, 0]
+        single = wm.hermitian_propagator(op(p), 0.02).matrix[:, 0]
         product = np.einsum("a,b,c->abc", single[:2], single[:2], single[:2])
         np.testing.assert_allclose(amps[0, :2, :2, :2], product, rtol=1e-12, atol=0)
 
@@ -413,7 +413,7 @@ class TestPostSelect:
         s = single_scenario(gt, pre=pre)
         result = wm.post_select(wm.evolve_exact(s), s)
         x = wm.fock_operators(s.pointers[0]).x
-        mean_x = wm.expectation(result.conditioned, x).real
+        mean_x = wm.expectation(result.conditioned, op(x)).real
         a_mean = np.cos(0.3) ** 2 - np.sin(0.3) ** 2
         assert mean_x == pytest.approx(gt * a_mean, abs=5e-8)
 

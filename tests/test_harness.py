@@ -883,9 +883,9 @@ class TestSampleSummary:
         "sigma, shots, reason",
         [
             (1e307, 1000, "density mass off the sampling grid: 1 - integral = nan"),
-            (1e305, 200_000, "past the float range"),
+            (1e305, 200_000, "a position drawn at pointer width"),
         ],
-        ids=["grid-overflows", "mean-overflows"],
+        ids=["grid-overflows", "drawn-position-overflows"],
     )
     def test_widths_past_the_float_range_are_refused(
         self, capsys, tmp_path, sigma, shots, reason
@@ -898,5 +898,18 @@ class TestSampleSummary:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
         assert reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_sample_mean_past_the_float_range_is_refused(self, capsys, tmp_path, monkeypatch):
+        # finite positions whose sum overflows: only the command's own mean check sees them
+        monkeypatch.setattr(cli.harness, "sample_positions", lambda *args: np.full(2, 1.5e308))
+        out = tmp_path / "positions.csv"
+        args = ["sample", "aav_qubit", "--shots", "2", "--seed", "1", "--out", str(out)]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: aav_qubit: ")
+        assert "mean is inf" in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()

@@ -139,7 +139,7 @@ def bounds(name: str) -> dict:
     size = scenario.system_layout.dim
     norms = [_norm(a.matrix) for a in scenario.embedded_observables()]
     g = sum(
-        abs(gt) * a * _norm(p.coupling().matrix)
+        abs(gt) * a * _norm(p.coupling())
         for gt, a, p in zip(scenario.couplings, norms, scenario.pointers)
     )
     rotations = 2 * (size**1.5 + sum(p.dim**1.5 for p in scenario.pointers))
@@ -155,7 +155,7 @@ def bounds(name: str) -> dict:
         "prob_success": 2 * dpsi + dpsi**2,
         "diagonal frame": 0.0,
     }
-    ladder = math.prod(_norm(p.lowering().matrix) for p in scenario.pointers)
+    ladder = math.prod(_norm(p.lowering()) for p in scenario.pointers)
     for key in seen:
         kind, _, label = key.partition(" ")
         if kind == "leakage":
@@ -164,13 +164,13 @@ def bounds(name: str) -> dict:
             out[key] = shift * scale * ladder
         elif key == "route correlators":
             out[key] = shift * scale * math.prod(
-                _norm(wm.fock_operators(p).x.matrix) / (2 * p.sigma)
-                + p.sigma * _norm(wm.fock_operators(p).p.matrix)
+                _norm(wm.fock_operators(p).x) / (2 * p.sigma)
+                + p.sigma * _norm(wm.fock_operators(p).p)
                 for p in scenario.pointers
             )
         elif kind == "table":
             out[key] = shift * math.prod(
-                _norm(getattr(wm.fock_operators(p), letter.lower()).matrix)
+                _norm(getattr(wm.fock_operators(p), letter.lower()))
                 for letter, p in zip(label, scenario.pointers)
             )
     return out

@@ -107,7 +107,7 @@ def test_ladder_route_matches_the_dense_reference(name):
     [value] = wm.extract_joint_spin([(wm.post_select(wm.evolve_exact(s), s), s)])
     conditioned = np.tensordot(s.post.amps.conj(), dense_evolved(s), axes=(0, 0)).reshape(-1)
     conditioned /= np.linalg.norm(conditioned)
-    product = np.kron(*[p.lowering().matrix for p in s.pointers])
+    product = np.kron(*[p.lowering() for p in s.pointers])
     scale = math.prod(p.route_scale(gt) for p, gt in zip(s.pointers, s.couplings))
     assert scale == pytest.approx(1e4)
     assert abs(value / scale - np.vdot(conditioned, product @ conditioned)) <= 1e-12

@@ -17,13 +17,13 @@ class TestFockOperators:
         expected = np.zeros((3, 3))
         expected[0, 1] = 1.0
         expected[1, 2] = np.sqrt(2.0)
-        np.testing.assert_array_equal(ops.lowering.matrix, expected)
+        np.testing.assert_array_equal(ops.lowering, expected)
 
     @pytest.mark.parametrize("sigma,dim", [(1.0, 3), (0.5, 8), (2.0, 12)])
     def test_canonical_commutator_with_truncation_defect(self, sigma, dim):
         # [x, p] = i (I - d E_top): the defect is confined to the top level
         ops = wm.fock_operators(FockPointerSpec(sigma=sigma, dim=dim))
-        x, p = ops.x.matrix, ops.p.matrix
+        x, p = ops.x, ops.p
         comm = x @ p - p @ x
         expected = 1j * np.eye(dim)
         expected[-1, -1] = 1j * (1 - dim)
@@ -35,20 +35,20 @@ class TestFockOperators:
         ops = wm.fock_operators(spec)
         ground = np.eye(6, dtype=complex)[0]
         np.testing.assert_allclose(
-            wm.expectation(ground, op(ops.x.matrix @ ops.x.matrix)).real, 0.25, atol=1e-14
+            wm.expectation(ground, op(ops.x @ ops.x)).real, 0.25, atol=1e-14
         )
 
     @pytest.mark.parametrize("sigma,dim", [(1.0, 4), (0.37, 9), (3.0, 12)])
     def test_lowering_identity_entrywise(self, sigma, dim):
         # a = x/(2 sigma) + i sigma p holds by construction
         ops = wm.fock_operators(FockPointerSpec(sigma=sigma, dim=dim))
-        synthesized = (1.0 / (2.0 * sigma)) * ops.x.matrix + (1j * sigma) * ops.p.matrix
-        assert np.abs(synthesized - ops.lowering.matrix).max() <= 1e-14
+        synthesized = (1.0 / (2.0 * sigma)) * ops.x + (1j * sigma) * ops.p
+        assert np.abs(synthesized - ops.lowering).max() <= 1e-14
 
     def test_quadratures_hermitian(self):
         ops = wm.fock_operators(FockPointerSpec(sigma=0.8, dim=10))
-        assert ops.x.require_hermitian() is ops.x
-        assert ops.p.require_hermitian() is ops.p
+        for quadrature in (ops.x, ops.p):
+            op(quadrature).require_hermitian()
 
     @pytest.mark.parametrize("sigma,dim", [(1.0, 2), (0.37, 9), (3.0, 16)])
     def test_spec_builds_only_the_operator_it_returns(self, monkeypatch, sigma, dim):
@@ -59,8 +59,8 @@ class TestFockOperators:
             raise AssertionError("coupling() and lowering() must not build the full set")
 
         monkeypatch.setattr(wm.pointers, "fock_operators", refused)
-        assert spec.coupling().matrix.tobytes() == ops.p.matrix.tobytes()
-        assert spec.lowering().matrix.tobytes() == ops.lowering.matrix.tobytes()
+        assert spec.coupling().tobytes() == ops.p.tobytes()
+        assert spec.lowering().tobytes() == ops.lowering.tobytes()
 
 
 class TestSpinOperators:
@@ -68,7 +68,7 @@ class TestSpinOperators:
         ops = wm.spin_operators(SpinPointerSpec(s=0.5))
         down = np.array([1.0, 0.0], dtype=complex)
         up = np.array([0.0, 1.0], dtype=complex)
-        np.testing.assert_allclose(ops.lowering.matrix.conj().T @ down, up, atol=1e-15)
+        np.testing.assert_allclose(ops.lowering.conj().T @ down, up, atol=1e-15)
 
     def test_spin1_raising_element(self):
         ops = wm.spin_operators(SpinPointerSpec(s=1.0))
@@ -77,30 +77,39 @@ class TestSpinOperators:
         middle = np.zeros(3, dtype=complex)
         middle[1] = 1.0
         np.testing.assert_allclose(
-            ops.lowering.matrix.conj().T @ lowest, np.sqrt(2.0) * middle, atol=1e-15
+            ops.lowering.conj().T @ lowest, np.sqrt(2.0) * middle, atol=1e-15
         )
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_ladder_commutator(self, s):
         # [S_z, S+] = S+ with S_z reconstructed as [S+, S-]/2
         ops = wm.spin_operators(SpinPointerSpec(s=s))
-        sp, sm = ops.lowering.matrix.conj().T, ops.lowering.matrix
+        sp, sm = ops.lowering.conj().T, ops.lowering
         sz = 0.5 * (sp @ sm - sm @ sp)
         np.testing.assert_allclose(sz @ sp - sp @ sz, sp, atol=1e-13)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_casimir(self, s):
         ops = wm.spin_operators(SpinPointerSpec(s=s))
-        sp, sm = ops.lowering.matrix.conj().T, ops.lowering.matrix
+        sp, sm = ops.lowering.conj().T, ops.lowering
         sx = 0.5 * (sp + sm)
-        sy = ops.sy.matrix
+        sy = ops.sy
         sz = 0.5 * (sp @ sm - sm @ sp)
         total = sx @ sx + sy @ sy + sz @ sz
-        np.testing.assert_allclose(total, s * (s + 1.0) * np.eye(ops.sy.dim), atol=1e-12)
+        np.testing.assert_allclose(total, s * (s + 1.0) * np.eye(len(ops.sy)), atol=1e-12)
 
     def test_sy_hermitian(self):
-        sy = wm.spin_operators(SpinPointerSpec(s=1.5)).sy
-        assert sy.require_hermitian() is sy
+        op(wm.spin_operators(SpinPointerSpec(s=1.5)).sy).require_hermitian()
+
+
+@pytest.mark.parametrize("spec", [FockPointerSpec(sigma=0.7, dim=5), SpinPointerSpec(s=1.5)])
+def test_operators_are_fresh_arrays(spec):
+    # nothing is cached: writing into one call's array leaves the next call's intact
+    for build in (spec.coupling, spec.lowering):
+        first = build()
+        assert first.shape == (spec.dim, spec.dim) and first.dtype == np.complex128
+        first[...] = 0.0
+        assert np.any(build())
 
 
 def start_of(pointer):
@@ -132,7 +141,7 @@ class TestInitialStates:
     )
     def test_lowering_annihilates_bottom_state(self, spec):
         # every pointer starts in level 0: Fock |0>, spin |m = -s>
-        np.testing.assert_array_equal(spec.lowering().matrix @ np.eye(spec.dim)[0], 0.0)
+        np.testing.assert_array_equal(spec.lowering() @ np.eye(spec.dim)[0], 0.0)
 
 
 class TestPositionRepresentation:
@@ -180,7 +189,7 @@ class TestSpecValidation:
                     pass
                 else:
                     ops = wm.fock_operators(spec)
-                    assert np.isfinite(ops.x.matrix).all() and np.isfinite(ops.p.matrix).all()
+                    assert np.isfinite(ops.x).all() and np.isfinite(ops.p).all()
                 if sigma == big:
                     break
                 sigma = np.nextafter(sigma, np.inf)

@@ -284,7 +284,7 @@ class TestFockExtraction:
         result, s = conditioned("aav_qubit_spinptr")
         [extracted] = wm.extract_joint_fock([(result, s)])
         assert extracted == wm.extract_joint_spin([(result, s)])[0]
-        ladder = wm.expectation(result.conditioned, s.pointers[0].lowering())
+        ladder = wm.expectation(result.conditioned, op(s.pointers[0].lowering()))
         assert extracted == pytest.approx(ladder / (s.couplings[0] * s.pointers[0].s), abs=1e-12)
 
 
@@ -401,7 +401,25 @@ class TestCorrelatorDecomposition:
         assert abs(recombined - direct) <= 1e-12
 
 
+def dense_pointer_shifts(result, s):
+    """Reference: ``(<X>, <P>)`` of the one pointer through dense
+    :func:`weakmeas.expectation`, with X and P wrapped in an ``Operator``."""
+    ops = wm.fock_operators(s.pointers[0])
+    return [wm.expectation(result.conditioned, op(q)).real for q in (ops.x, ops.p)]
+
+
 class TestPointerShifts:
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in wm.catalog_names()
+         if [type(p) for p in wm.resolve_scenario(n).pointers] == [FockPointerSpec]],
+    )
+    def test_matches_dense_expectation(self, name):
+        result, s = conditioned(name)
+        shifts = wm.pointer_shift_check(result, s)
+        for value, reference in zip(shifts, dense_pointer_shifts(result, s), strict=True):
+            assert abs(value - reference) <= 1e-12 * abs(reference)
+
     def test_real_weak_value_shifts_only_position(self):
         result, s = conditioned("aav_qubit")
         x_mean, p_mean = wm.pointer_shift_check(result, s)
@@ -445,7 +463,7 @@ class TestSpinExtraction:
         result, s = conditioned("aav_qubit")
         [extracted] = wm.extract_joint_spin([(result, s)])
         assert extracted == wm.extract_joint_fock([(result, s)])[0]
-        ladder = wm.expectation(result.conditioned, s.pointers[0].lowering())
+        ladder = wm.expectation(result.conditioned, op(s.pointers[0].lowering()))
         sigma, gt = s.pointers[0].sigma, s.couplings[0]
         assert extracted == pytest.approx(ladder * 2 * sigma / gt, abs=1e-12)
 
@@ -472,12 +490,10 @@ class TestSpinExtraction:
 def dense_strong_position_estimate(scenario):
     """Reference: <I_S (x) X_1 (x) ... (x) X_N> as one full-space operator."""
     evolved = wm.evolve_exact(scenario)
-    layout = scenario.system_layout
-    factors = [op(np.eye(layout.dim), *layout.dims)] + [
+    factors = [np.eye(scenario.system_layout.dim)] + [
         wm.fock_operators(p).x for p in scenario.pointers
     ]
-    product = wm.kron(factors)
-    value = wm.expectation(evolved.reshape(product.layout.dims), product)
+    value = wm.expectation(evolved, wm.kron(factors))
     return value * math.prod(1.0 / gt for gt in scenario.couplings)
 
 
@@ -508,7 +524,7 @@ class TestStrongEstimate:
         shifted = []
         for j, obs in enumerate(s.embedded_observables()):
             a_full = wm.embed_factors(obs, tuple(range(len(s.system_dims))), layout)
-            x_full = wm.embed_factors(x_ops[j], (len(s.system_dims) + j,), layout)
+            x_full = wm.embed_factors(op(x_ops[j]), (len(s.system_dims) + j,), layout)
             shifted.append(x_full.matrix + gt * a_full.matrix)
         initial = initial_joint_state(s).reshape(layout.dims)
         oracle = wm.expectation(initial, wm.Operator(layout, shifted[0] @ shifted[1])) / gt**2
