@@ -61,9 +61,7 @@ from .scenario import (
 )
 from .tensor import (
     MAX_ARRAY_BYTES,
-    FactorLayout,
     Operator,
-    StateVector,
     embed_factors,
     expectation,
     hermitian_propagator,

@@ -42,12 +42,12 @@ from .errors import PostSelectionFailureError, TruncationLeakageError
 from .pointers import FockPointerSpec
 from .scenario import Scenario
 from .tensor import (
-    FactorLayout,
     Operator,
     _check_capacity,
     _require_shape,
     _rotate,
     embed_factors,
+    require_hermitian,
 )
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
@@ -89,11 +89,11 @@ def _apply(blocks: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
 def _joint_shape(scenario: Scenario) -> tuple[int, ...]:
     """``(S, d_1, ..., d_N)``: the system dimension, then one axis per pointer."""
-    return (scenario.system_layout.dim,) + scenario.pointer_layout.dims
+    return (math.prod(scenario.system_dims),) + scenario.pointer_dims
 
 
 def build_hamiltonian(scenario: Scenario) -> Operator:
-    """Assemble ``sum_j gt_j A_j P_j`` on the full layout and verify Hermiticity.
+    """Assemble ``sum_j gt_j A_j P_j`` over all factors and verify Hermiticity.
 
     A dense reference only: propagation never forms the full-space matrix.
     """
@@ -101,12 +101,12 @@ def build_hamiltonian(scenario: Scenario) -> Operator:
     for j, (obs_full, gt, pointer) in enumerate(
         zip(scenario.embedded_observables(), scenario.couplings, scenario.pointers)
     ):
-        coupling = Operator(FactorLayout((pointer.dim,)), pointer.coupling())
-        block = embed_factors(coupling, (j,), scenario.pointer_layout)
-        term = gt * np.kron(obs_full.matrix, block.matrix)
+        block = embed_factors(pointer.coupling(), (j,), scenario.pointer_dims)
+        term = gt * np.kron(obs_full, block)
         terms = term if terms is None else terms + term
-    layout = FactorLayout(scenario.system_layout.dims + scenario.pointer_layout.dims)
-    return Operator(layout, terms).require_hermitian()
+    hamiltonian = Operator(scenario.system_dims + scenario.pointer_dims, terms)
+    require_hermitian(hamiltonian.matrix)
+    return hamiltonian
 
 
 def top_level_leakage(tensor: np.ndarray, scenario: Scenario) -> list[float]:
@@ -165,7 +165,7 @@ def _system_frame(observables) -> tuple[np.ndarray, np.ndarray, bool]:
     :data:`DIAGONAL_TOL`; otherwise it is only a basis, and the batched ``eigh``
     of :func:`evolve_exact` accepts any basis.
     """
-    matrices = np.stack([o.matrix for o in observables])
+    matrices = np.stack(observables)
     tols = DIAGONAL_TOL * np.abs(matrices).max(axis=(1, 2))
     return _in_frame(_nested_eigenbasis(matrices, tols), matrices, tols)
 
@@ -197,7 +197,7 @@ def evolve_exact(scenario: Scenario) -> np.ndarray:
     shape = _joint_shape(scenario)
     _check_capacity(math.prod(shape) * 16)
     initial = np.zeros(shape, dtype=np.complex128)
-    initial[(slice(None),) + (0,) * len(scenario.pointers)] = scenario.pre.amps
+    initial[(slice(None),) + (0,) * len(scenario.pointers)] = scenario.pre
     system_basis, rotated, diagonal = scenario_frame(scenario)
     pointer_frames = []
     for axis, (pointer, gt) in enumerate(zip(scenario.pointers, scenario.couplings), start=1):
@@ -219,7 +219,7 @@ def evolve_exact(scenario: Scenario) -> np.ndarray:
             tensor = _rotate(basis, phase.reshape(shape) * in_frame, axis)
     else:
         # blocks[k_1, ..., k_N] = sum_j gt_j c_{j,k_j} W^dag A_j W
-        _check_capacity(scenario.pointer_layout.dim * rotated[0].size * 16)
+        _check_capacity(math.prod(scenario.pointer_dims) * rotated[0].size * 16)
         blocks = 0.0
         for axis, scaled_levels, basis in pointer_frames:
             tensor = _rotate(basis.conj().T, tensor, axis)
@@ -246,7 +246,7 @@ def post_select(tensor: np.ndarray, scenario: Scenario) -> PostSelectionResult:
     """
     shape = _joint_shape(scenario)
     _require_shape(tensor, shape)
-    projected = scenario.post.amps.conj() @ tensor.reshape(shape[0], -1)
+    projected = scenario.post.conj() @ tensor.reshape(shape[0], -1)
     prob = float(np.vdot(projected, projected).real)
     if prob < PROB_FLOOR:
         raise PostSelectionFailureError(

@@ -2,7 +2,12 @@
 
 A :class:`Scenario` names the system factors, the observables coupled to
 each pointer, the pointer specs, the couplings ``g t``, and the pre- and
-post-selection states.  Scenarios are plain JSON documents on disk (see
+post-selection states.  The observables and states are plain read-only
+``complex128`` arrays, checked once when the scenario is built (finite;
+square for an observable, one axis for a state); :func:`validate` checks
+what they must satisfy against the rest of the scenario (dims against the
+targets, lengths against ``system_dims``, Hermiticity, normalization and the
+overlap floor).  Scenarios are plain JSON documents on disk (see
 ``docs/scenario_format.md``); a small catalog of named scenarios ships with
 the package and can be overridden through the ``WEAKMEAS_CATALOG``
 environment variable.
@@ -14,7 +19,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -28,7 +33,7 @@ from .errors import (
     WeakRegimeWarning,
 )
 from .pointers import FockPointerSpec, PointerSpec, SpinPointerSpec
-from .tensor import FactorLayout, Operator, StateVector, embed_factors
+from .tensor import _frozen_complex, embed_factors, require_hermitian
 
 #: Couplings whose expansion parameter exceeds this are rejected outright.
 LAMBDA_HARD_LIMIT = 0.5
@@ -39,12 +44,15 @@ LAMBDA_WARN_LIMIT = 0.2
 #: Pre/post overlaps at or below this floor make the weak value numerically divergent.
 OVERLAP_FLOOR = 1e-10
 
+#: Absolute tolerance of the normalization check | ||psi|| - 1 | <= tol.
+NORMALIZATION_TOL = 1e-12
+
 ENV_CATALOG = "WEAKMEAS_CATALOG"
 
 
-def weak_value_denominator(pre: StateVector, post: StateVector) -> complex:
+def weak_value_denominator(pre: np.ndarray, post: np.ndarray) -> complex:
     """The overlap ``<F|I>``, or :class:`DivergentWeakValueError` at or below the floor."""
-    overlap = post.inner(pre)
+    overlap = complex(np.vdot(post, pre))
     if abs(overlap) <= OVERLAP_FLOOR:
         raise DivergentWeakValueError(
             f"pre/post: overlap {abs(overlap):.3e} at or below the floor "
@@ -53,36 +61,49 @@ def weak_value_denominator(pre: StateVector, post: StateVector) -> complex:
     return overlap
 
 
-@dataclass(frozen=True)
+def _equal_fields(a, b) -> bool:
+    """Dataclass equality that compares array fields with ``np.array_equal``."""
+    if type(b) is not type(a):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
+@dataclass(frozen=True, eq=False)
 class ObservableSpec:
     """System observable coupled to one pointer.
 
     ``matrix`` acts on the system factors listed in ``target`` (in that
-    order); it must be Hermitian.
+    order); it must be Hermitian.  It is held as a read-only complex array,
+    refused when built unless finite and square.
     """
 
     name: str
-    matrix: Operator
+    matrix: np.ndarray
     target: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", _frozen_complex(self.matrix, "observable", 2))
         object.__setattr__(self, "target", tuple(int(t) for t in self.target))
 
+    __eq__ = _equal_fields
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Full experiment description; immutable once constructed.
 
     ``couplings`` holds one product ``g t`` of coupling constant and
-    interaction time per pointer.
+    interaction time per pointer.  ``pre`` and ``post`` are held as
+    read-only complex vectors, refused when built unless finite.
     """
 
     system_dims: tuple[int, ...]
     observables: tuple[ObservableSpec, ...]
     pointers: tuple[PointerSpec, ...]
     couplings: tuple[float, ...]
-    pre: StateVector
-    post: StateVector
+    pre: np.ndarray
+    post: np.ndarray
     name: str | None = None
     description: str | None = None
     expected: dict | None = None
@@ -92,19 +113,19 @@ class Scenario:
         object.__setattr__(self, "observables", tuple(self.observables))
         object.__setattr__(self, "pointers", tuple(self.pointers))
         object.__setattr__(self, "couplings", tuple(float(gt) for gt in self.couplings))
+        object.__setattr__(self, "pre", _frozen_complex(self.pre, "pre", 1))
+        object.__setattr__(self, "post", _frozen_complex(self.post, "post", 1))
         object.__setattr__(self, "_kept", {})
+
+    __eq__ = _equal_fields
 
     @property
     def n_pointers(self) -> int:
         return len(self.pointers)
 
     @property
-    def system_layout(self) -> FactorLayout:
-        return FactorLayout(self.system_dims)
-
-    @property
-    def pointer_layout(self) -> FactorLayout:
-        return FactorLayout(tuple(p.dim for p in self.pointers))
+    def pointer_dims(self) -> tuple[int, ...]:
+        return tuple(p.dim for p in self.pointers)
 
     @property
     def lambdas(self) -> tuple[float, ...]:
@@ -158,8 +179,8 @@ class Scenario:
             value = self._kept[key] = build()
         return value
 
-    def embedded_observables(self) -> tuple[Operator, ...]:
-        """Observables embedded on the full system layout.
+    def embedded_observables(self) -> tuple[np.ndarray, ...]:
+        """Observables embedded on all the system factors, ``system_dims``.
 
         Built once per scenario, through :meth:`_once`, like the other things a
         command reads more than once:
@@ -174,10 +195,11 @@ class Scenario:
 
         Every caller shares what is kept; its arrays are read-only.
         """
-        layout = self.system_layout
         return self._once(
             "_embedded",
-            lambda: tuple(embed_factors(o.matrix, o.target, layout) for o in self.observables),
+            lambda: tuple(
+                embed_factors(o.matrix, o.target, self.system_dims) for o in self.observables
+            ),
         )
 
 
@@ -210,20 +232,20 @@ def _violations(scenario: Scenario) -> tuple[list[str], bool]:
         if len(scenario.couplings) != n:
             v.append(f"couplings: expected {n} entries, got {len(scenario.couplings)}")
 
-        sys_layout = scenario.system_layout
+        dims = scenario.system_dims
         for i, obs in enumerate(scenario.observables):
-            bad_target = any(t < 0 or t >= len(sys_layout) for t in obs.target)
+            bad_target = any(t < 0 or t >= len(dims) for t in obs.target)
             if bad_target or len(set(obs.target)) != len(obs.target):
                 v.append(f"observables[{i}].target: invalid factor indices {obs.target}")
                 continue
-            expected_dims = tuple(sys_layout.dims[t] for t in obs.target)
-            if obs.matrix.layout.dims != expected_dims:
+            expected_dims = tuple(dims[t] for t in obs.target)
+            if len(obs.matrix) != math.prod(expected_dims):
                 v.append(
-                    f"observables[{i}].matrix: dims {obs.matrix.layout.dims} do not match "
+                    f"observables[{i}].matrix: dimension {len(obs.matrix)} does not match "
                     f"target factors {expected_dims}"
                 )
             try:
-                obs.matrix.require_hermitian()
+                require_hermitian(obs.matrix)
             except HermiticityError:
                 v.append(f"observables[{i}].matrix: observable not Hermitian")
 
@@ -246,15 +268,13 @@ def _violations(scenario: Scenario) -> tuple[list[str], bool]:
                 )
 
         for label, state in (("pre", scenario.pre), ("post", scenario.post)):
-            if state.layout != sys_layout:
-                v.append(
-                    f"{label}: layout {state.layout.dims} does not match system "
-                    f"dims {sys_layout.dims}"
-                )
-            elif not state.is_normalized():
-                v.append(f"{label}: state not normalized (norm = {state.norm():.12g})")
+            norm = float(np.linalg.norm(state))
+            if len(state) != math.prod(dims):
+                v.append(f"{label}: length {len(state)} does not match system dims {dims}")
+            elif abs(norm - 1.0) > NORMALIZATION_TOL:
+                v.append(f"{label}: state not normalized (norm = {norm:.12g})")
 
-        if scenario.pre.layout == scenario.post.layout:
+        if len(scenario.pre) == len(scenario.post):
             try:
                 weak_value_denominator(scenario.pre, scenario.post)
             except DivergentWeakValueError as exc:
@@ -405,11 +425,10 @@ def load_scenario(text: str) -> Scenario:
                 f"{field}.matrix: dimension {matrix.shape[0]} does not match the "
                 f"targeted factors (product {want})"
             )
-        layout = FactorLayout(tuple(system_dims[t] for t in target))
         observables.append(
             ObservableSpec(
                 name=str(raw.get("name", f"A{i + 1}")),
-                matrix=Operator(layout, matrix),
+                matrix=matrix,
                 target=tuple(target),
             )
         )
@@ -428,16 +447,15 @@ def load_scenario(text: str) -> Scenario:
             raise SchemaError(f"couplings[{i}]: expected an object")
         couplings.append(_number(raw.get("gt"), f"couplings[{i}].gt"))
 
-    sys_layout = FactorLayout(system_dims)
     states = {}
     for label in ("pre", "post"):
         vec = _parse_vector(doc.get(label), label)
-        if vec.size != sys_layout.dim:
+        if vec.size != math.prod(system_dims):
             raise SchemaError(
                 f"{label}: length {vec.size} does not match the system dimension "
-                f"{sys_layout.dim}"
+                f"{math.prod(system_dims)}"
             )
-        states[label] = StateVector(sys_layout, vec)
+        states[label] = vec
 
     expected = doc.get("expected")
     if expected is not None and not isinstance(expected, dict):
@@ -472,7 +490,7 @@ def dump_scenario(scenario: Scenario) -> str:
         {
             "name": obs.name,
             "target": list(obs.target),
-            "matrix": [[_pair(z) for z in row] for row in obs.matrix.matrix],
+            "matrix": [[_pair(z) for z in row] for row in obs.matrix],
         }
         for obs in scenario.observables
     ]
@@ -483,8 +501,8 @@ def dump_scenario(scenario: Scenario) -> str:
         for p in scenario.pointers
     ]
     doc["couplings"] = [{"gt": gt} for gt in scenario.couplings]
-    doc["pre"] = [_pair(z) for z in scenario.pre.amps]
-    doc["post"] = [_pair(z) for z in scenario.post.amps]
+    doc["pre"] = [_pair(z) for z in scenario.pre]
+    doc["post"] = [_pair(z) for z in scenario.post]
     if scenario.expected is not None:
         doc["expected"] = scenario.expected
     return json.dumps(doc, indent=2)

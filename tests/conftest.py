@@ -1,9 +1,11 @@
 """Shared constructors for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
-from weakmeas import FactorLayout, Operator, StateVector, build_hamiltonian, hermitian_propagator
+from weakmeas import Operator, build_hamiltonian, hermitian_propagator
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -12,27 +14,24 @@ I2 = np.eye(2, dtype=complex)
 
 
 def op(matrix, *dims):
-    """Operator over the given factor dims (default: one factor of matching size)."""
+    """Operator over the given factor dims (default: one factor of matching size), for
+    the dense references :func:`weakmeas.expectation` and :func:`weakmeas.hermitian_propagator`."""
     matrix = np.asarray(matrix, dtype=complex)
-    if not dims:
-        dims = (matrix.shape[0],)
-    return Operator(FactorLayout(tuple(dims)), matrix)
+    return Operator(dims or (len(matrix),), matrix)
 
 
-def state(amps, *dims):
-    amps = np.asarray(amps, dtype=complex)
-    if not dims:
-        dims = (amps.size,)
-    return StateVector(FactorLayout(tuple(dims)), amps)
+def state(amps):
+    """Amplitudes as a plain complex vector, as a scenario holds its pre/post states."""
+    return np.asarray(amps, dtype=complex)
 
 
 def initial_joint_state(scenario):
     """Pre-selected system state joined with every pointer in its level 0, as the
     ``(S, d_1, ..., d_N)`` tensor that ``evolve_exact`` returns."""
-    amps = scenario.pre.amps
+    amps = scenario.pre
     for pointer in scenario.pointers:
         amps = np.kron(amps, np.eye(pointer.dim)[0])
-    return amps.reshape((scenario.system_layout.dim,) + scenario.pointer_layout.dims)
+    return amps.reshape((math.prod(scenario.system_dims),) + scenario.pointer_dims)
 
 
 def dense_evolved(s):

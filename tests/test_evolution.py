@@ -5,6 +5,7 @@ assembled H, and its Taylor series, whose order-by-order terms show how the
 coupling builds up the joint pointer amplitudes.
 """
 
+import math
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -64,7 +65,7 @@ def catalog_at_dense_size():
     :data:`DENSE_REFERENCE_MAX_DIM`."""
     for name in wm.catalog_names():
         s = wm.resolve_scenario(name)
-        if s.system_layout.dim * s.pointer_layout.dim > DENSE_REFERENCE_MAX_DIM:
+        if math.prod(s.system_dims + s.pointer_dims) > DENSE_REFERENCE_MAX_DIM:
             s = s.with_fock_dim(5)
         yield name, s
 
@@ -73,7 +74,7 @@ def single_scenario(gt, *, dim=12, sigma=1.0, pre=(R2, R2), post=None, kind="foc
     pointer = FockPointerSpec(sigma=sigma, dim=dim) if kind == "fock" else SpinPointerSpec(s=0.5)
     return Scenario(
         system_dims=(2,),
-        observables=(ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),),
+        observables=(ObservableSpec(name="sz", matrix=SZ, target=(0,)),),
         pointers=(pointer,),
         couplings=(gt,),
         pre=state(list(pre)),
@@ -84,16 +85,16 @@ def single_scenario(gt, *, dim=12, sigma=1.0, pre=(R2, R2), post=None, kind="foc
 def pair_scenario(gt=0.02, *, dim=12, pre=None, post=None, same_qubit=False):
     if same_qubit:
         observables = (
-            ObservableSpec(name="sx", matrix=op(SX), target=(0,)),
-            ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),
+            ObservableSpec(name="sx", matrix=SX, target=(0,)),
+            ObservableSpec(name="sz", matrix=SZ, target=(0,)),
         )
         system_dims = (2,)
         pre = pre if pre is not None else [1.0, 0.0]
         post = post if post is not None else [R2, R2]
     else:
         observables = (
-            ObservableSpec(name="sz1", matrix=op(SZ), target=(0,)),
-            ObservableSpec(name="sz2", matrix=op(SZ), target=(1,)),
+            ObservableSpec(name="sz1", matrix=SZ, target=(0,)),
+            ObservableSpec(name="sz2", matrix=SZ, target=(1,)),
         )
         system_dims = (2, 2)
         pre = pre if pre is not None else [0.0, R2, R2, 0.0]
@@ -103,8 +104,8 @@ def pair_scenario(gt=0.02, *, dim=12, pre=None, post=None, same_qubit=False):
         observables=observables,
         pointers=tuple(FockPointerSpec(sigma=1.0, dim=dim) for _ in range(2)),
         couplings=(gt, gt),
-        pre=state(pre, *system_dims),
-        post=state(post, *system_dims),
+        pre=state(pre),
+        post=state(post),
     )
 
 
@@ -136,7 +137,8 @@ class TestBuildHamiltonian:
 
     def test_result_is_hermitian(self):
         h = wm.build_hamiltonian(pair_scenario())
-        assert h.require_hermitian() is h
+        assert h.dims == (2, 2, 12, 12)
+        wm.tensor.require_hermitian(h.matrix)
 
 
 class TestEvolveExact:
@@ -192,8 +194,8 @@ class TestEvolveExact:
         spin_pair = Scenario(
             system_dims=(2,),
             observables=(
-                ObservableSpec(name="sx", matrix=op(SX), target=(0,)),
-                ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),
+                ObservableSpec(name="sx", matrix=SX, target=(0,)),
+                ObservableSpec(name="sz", matrix=SZ, target=(0,)),
             ),
             pointers=(SpinPointerSpec(s=1.0), SpinPointerSpec(s=0.5)),
             couplings=(0.5, 0.3),
@@ -214,13 +216,13 @@ class TestEvolveExact:
         s = Scenario(
             system_dims=(2, 2, 2),
             observables=tuple(
-                ObservableSpec(name=f"n{j}", matrix=op(m), target=(j,))
+                ObservableSpec(name=f"n{j}", matrix=m, target=(j,))
                 for j, m in enumerate(axes)
             ),
             pointers=tuple(FockPointerSpec(sigma=1.0, dim=5) for _ in axes),
             couplings=(0.1,) * len(axes),
-            pre=state(pre, 2, 2, 2),
-            post=state(post, 2, 2, 2),
+            pre=state(pre),
+            post=state(post),
         )
         reference = dense_evolved(s)
         assert _system_frame(s.embedded_observables())[2]
@@ -240,8 +242,8 @@ class TestEvolveExact:
         s = Scenario(
             system_dims=(2,),
             observables=(
-                ObservableSpec(name="a1", matrix=op(a1), target=(0,)),
-                ObservableSpec(name="a2", matrix=op(a2), target=(0,)),
+                ObservableSpec(name="a1", matrix=a1, target=(0,)),
+                ObservableSpec(name="a2", matrix=a2, target=(0,)),
             ),
             pointers=(FockPointerSpec(sigma=1.0, dim=10), FockPointerSpec(sigma=1.0, dim=10)),
             couplings=(0.1, 0.1),
@@ -251,8 +253,8 @@ class TestEvolveExact:
         assert _system_frame(s.embedded_observables())[2]
         np.testing.assert_allclose(wm.evolve_exact(s), dense_evolved(s), rtol=0, atol=1e-12)
         assert np.isfinite(wm.strong_position_estimate(s))
-        plain = wm.analytic_weak_value(op(a1 @ a2), s.pre, s.post)
-        joint = wm.symmetrized_joint_weak_value([op(a1), op(a2)], s.pre, s.post)
+        plain = wm.analytic_weak_value(a1 @ a2, s.pre, s.post)
+        joint = wm.symmetrized_joint_weak_value([a1, a2], s.pre, s.post)
         assert abs(joint - plain) <= 1e-12 * (1.0 + abs(plain))
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -267,7 +269,7 @@ class TestEvolveExact:
             u = haar_unitary(rng, 2)
             factors = [I2] * n
             factors[j] = u @ SZ @ u.conj().T
-            observables.append(op(reduce(np.kron, factors), *(2,) * n))
+            observables.append(reduce(np.kron, factors))
         basis, _, diagonal = _system_frame(observables)
         assert diagonal
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2**n), rtol=0, atol=1e-13)
@@ -277,16 +279,15 @@ class TestEvolveExact:
         # one-quantum-per-pointer amplitude (order lambda^3 ~ 1e-6) is a product
         # of per-pointer amplitudes.  The joint extraction divides by lambda^3,
         # so it needs that amplitude to rounding relative to its own size
-        layout = wm.FactorLayout((2, 2, 2))
         s = Scenario(
             system_dims=(2, 2, 2),
             observables=tuple(
-                ObservableSpec(name=f"z{j}", matrix=op(SZ), target=(j,)) for j in range(3)
+                ObservableSpec(name=f"z{j}", matrix=SZ, target=(j,)) for j in range(3)
             ),
             pointers=tuple(FockPointerSpec(sigma=1.0, dim=8) for _ in range(3)),
             couplings=(0.02,) * 3,
-            pre=wm.StateVector(layout, np.eye(8)[0]),
-            post=wm.StateVector(layout, np.full(8, 1.0 / np.sqrt(8.0))),
+            pre=np.eye(8)[0],
+            post=np.full(8, 1.0 / np.sqrt(8.0)),
         )
         amps = wm.evolve_exact(s)
         assert amps.shape == (8, 8, 8, 8)
@@ -330,7 +331,7 @@ class TestSystemFrame:
         s = wm.resolve_scenario(name)
         basis, rotated, diagonal = _system_frame(s.embedded_observables())
         assert diagonal
-        for matrix, in_frame in zip((o.matrix for o in s.embedded_observables()), rotated):
+        for matrix, in_frame in zip(s.embedded_observables(), rotated):
             np.testing.assert_allclose(basis @ in_frame @ basis.conj().T, matrix, atol=1e-13)
 
     @pytest.mark.parametrize(
@@ -363,8 +364,8 @@ class TestEvolveTaylor:
         s = pair_scenario(gt=0.04, dim=6)
         lam = 0.02
         amps = dense_series(s, order=1).reshape(4, 6, 6)
-        a1_pre = np.kron(SZ, np.eye(2)) @ s.pre.amps
-        a2_pre = np.kron(np.eye(2), SZ) @ s.pre.amps
+        a1_pre = np.kron(SZ, np.eye(2)) @ s.pre
+        a2_pre = np.kron(np.eye(2), SZ) @ s.pre
         np.testing.assert_allclose(amps[:, 1, 0], lam * a1_pre, atol=1e-15)
         np.testing.assert_allclose(amps[:, 0, 1], lam * a2_pre, atol=1e-15)
         np.testing.assert_allclose(amps[:, 1, 1], 0.0, atol=1e-15)
@@ -381,7 +382,7 @@ class TestEvolveTaylor:
         amps = dense_series(s, order=2).reshape(4, 6, 6)
         a1 = np.kron(SZ, np.eye(2))
         a2 = np.kron(np.eye(2), SZ)
-        oracle = lam**2 * (a1 @ (a2 @ s.pre.amps))
+        oracle = lam**2 * (a1 @ (a2 @ s.pre))
         np.testing.assert_allclose(amps[:, 1, 1], oracle, atol=1e-15)
 
     def test_series_converges_to_exact_on_every_catalog_scenario(self):
@@ -396,7 +397,7 @@ class TestPostSelect:
         phi = 3 * np.pi / 8
         s = single_scenario(0.0, post=(np.cos(phi), np.sin(phi)))
         result = wm.post_select(wm.evolve_exact(s), s)
-        expected = abs(s.post.inner(s.pre)) ** 2
+        expected = abs(np.vdot(s.post, s.pre)) ** 2
         assert result.prob_success == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(result.conditioned[0], 1.0, atol=1e-12)
         np.testing.assert_allclose(result.conditioned[1:], 0.0, atol=1e-12)
@@ -457,13 +458,13 @@ class TestPostSelect:
     def test_matches_dense_projection_on_every_catalog_scenario(self):
         # (<F| (x) 1) psi / ||.|| on the dense-propagator state, as a (d_1..d_N) tensor
         for name, s in catalog_at_dense_size():
-            projector = np.kron(s.post.amps.conj(), np.eye(s.pointer_layout.dim))
+            projector = np.kron(s.post.conj(), np.eye(math.prod(s.pointer_dims)))
             projected = projector @ dense_evolved(s).reshape(-1)
             reference = projected / np.linalg.norm(projected)
             result = wm.post_select(wm.evolve_exact(s), s)
             np.testing.assert_allclose(
                 result.conditioned,
-                reference.reshape(s.pointer_layout.dims),
+                reference.reshape(s.pointer_dims),
                 rtol=0,
                 atol=1e-12,
                 err_msg=name,
@@ -480,7 +481,7 @@ class TestPostSelect:
         evolved = wm.evolve_exact(s)
         conditioned = wm.post_select(evolved, s).conditioned
         pointer_dims = tuple(p.dim for p in s.pointers)
-        shapes = ((s.system_layout.dim,) + pointer_dims, pointer_dims)
+        shapes = ((math.prod(s.system_dims),) + pointer_dims, pointer_dims)
         for array, shape in zip((evolved, conditioned), shapes):
             assert array.shape == shape
             assert array.dtype == np.complex128

@@ -153,7 +153,7 @@ class TestRunExperiment:
             pointers=s.pointers,
             couplings=s.couplings,
             pre=s.pre,
-            post=wm.StateVector(s.pre.layout, np.array([s.pre.amps[1], -s.pre.amps[0]])),
+            post=np.array([s.pre[1], -s.pre[0]]),
         )
         path = tmp_path / "orthogonal.json"
         path.write_text(wm.dump_scenario(broken))
@@ -228,9 +228,7 @@ class TestSweep:
         # lambda 0.2 (mean level 16), so even the escalated d=16 leaks
         s = wm.resolve_scenario("aav_qubit")
         obs = s.observables[0]
-        wide = wm.ObservableSpec(
-            obs.name, wm.Operator(obs.matrix.layout, 20.0 * obs.matrix.matrix), obs.target
-        )
+        wide = wm.ObservableSpec(obs.name, 20.0 * obs.matrix, obs.target)
         path = tmp_path / "wide.json"
         path.write_text(wm.dump_scenario(replace(s, observables=(wide,))))
         with pytest.raises(wm.TruncationLeakageError, match="at lambda = 0.2;") as excinfo:

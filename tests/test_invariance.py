@@ -48,9 +48,8 @@ def change_basis(scenario: wm.Scenario, rng) -> wm.Scenario:
     observables = []
     for obs in scenario.observables:
         u = reduce(np.kron, [units[t] for t in obs.target])
-        matrix = wm.Operator(obs.matrix.layout, u @ obs.matrix.matrix @ u.conj().T)
-        observables.append(replace(obs, matrix=matrix))
-    pre, post = (wm.StateVector(v.layout, full @ v.amps) for v in (scenario.pre, scenario.post))
+        observables.append(replace(obs, matrix=u @ obs.matrix @ u.conj().T))
+    pre, post = (full @ v for v in (scenario.pre, scenario.post))
     return replace(scenario, observables=tuple(observables), pre=pre, post=post)
 
 
@@ -64,10 +63,7 @@ def permute(scenario: wm.Scenario, order) -> wm.Scenario:
 
 
 def rephase(scenario: wm.Scenario, rng) -> wm.Scenario:
-    pre, post = (
-        wm.StateVector(v.layout, np.exp(2j * math.pi * rng.random()) * v.amps)
-        for v in (scenario.pre, scenario.post)
-    )
+    pre, post = (np.exp(2j * math.pi * rng.random()) * v for v in (scenario.pre, scenario.post))
     return replace(scenario, pre=pre, post=post)
 
 
@@ -136,8 +132,8 @@ def bounds(name: str) -> dict:
     """
     scenario = wm.resolve_scenario(name)
     seen = reference(name)
-    size = scenario.system_layout.dim
-    norms = [_norm(a.matrix) for a in scenario.embedded_observables()]
+    size = math.prod(scenario.system_dims)
+    norms = [_norm(a) for a in scenario.embedded_observables()]
     g = sum(
         abs(gt) * a * _norm(p.coupling())
         for gt, a, p in zip(scenario.couplings, norms, scenario.pointers)
@@ -151,7 +147,7 @@ def bounds(name: str) -> dict:
     oracle_inputs = 2 * EPS * size * (2 * len(norms) + 2)
     out = {
         "oracle": oracle_inputs * (math.prod(norms) + abs(seen["oracle"]))
-        / abs(scenario.post.inner(scenario.pre)),
+        / abs(np.vdot(scenario.post, scenario.pre)),
         "prob_success": 2 * dpsi + dpsi**2,
         "diagonal frame": 0.0,
     }

@@ -105,7 +105,7 @@ def test_ladder_route_matches_the_dense_reference(name):
     # 1e4 here, and would scale the reference's rounding with it
     s = wm.resolve_scenario(path(name))
     [value] = wm.extract_joint_spin([(wm.post_select(wm.evolve_exact(s), s), s)])
-    conditioned = np.tensordot(s.post.amps.conj(), dense_evolved(s), axes=(0, 0)).reshape(-1)
+    conditioned = np.tensordot(s.post.conj(), dense_evolved(s), axes=(0, 0)).reshape(-1)
     conditioned /= np.linalg.norm(conditioned)
     product = np.kron(*[p.lowering() for p in s.pointers])
     scale = math.prod(p.route_scale(gt) for p, gt in zip(s.pointers, s.couplings))

@@ -8,7 +8,7 @@ import pytest
 import weakmeas as wm
 from weakmeas import FockPointerSpec, SpinPointerSpec
 
-from conftest import SZ, op, state
+from conftest import SZ, op
 
 
 class TestFockOperators:
@@ -48,7 +48,7 @@ class TestFockOperators:
     def test_quadratures_hermitian(self):
         ops = wm.fock_operators(FockPointerSpec(sigma=0.8, dim=10))
         for quadrature in (ops.x, ops.p):
-            op(quadrature).require_hermitian()
+            wm.tensor.require_hermitian(quadrature)
 
     @pytest.mark.parametrize("sigma,dim", [(1.0, 2), (0.37, 9), (3.0, 16)])
     def test_spec_builds_only_the_operator_it_returns(self, monkeypatch, sigma, dim):
@@ -99,7 +99,7 @@ class TestSpinOperators:
         np.testing.assert_allclose(total, s * (s + 1.0) * np.eye(len(ops.sy)), atol=1e-12)
 
     def test_sy_hermitian(self):
-        op(wm.spin_operators(SpinPointerSpec(s=1.5)).sy).require_hermitian()
+        wm.tensor.require_hermitian(wm.spin_operators(SpinPointerSpec(s=1.5)).sy)
 
 
 @pytest.mark.parametrize("spec", [FockPointerSpec(sigma=0.7, dim=5), SpinPointerSpec(s=1.5)])
@@ -116,11 +116,11 @@ def start_of(pointer):
     """The pointer's amplitudes in evolve_exact's start: one qubit coupled at gt = 0."""
     s = wm.Scenario(
         system_dims=(2,),
-        observables=(wm.ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),),
+        observables=(wm.ObservableSpec(name="sz", matrix=SZ, target=(0,)),),
         pointers=(pointer,),
         couplings=(0.0,),
-        pre=state([1.0, 0.0]),
-        post=state([1.0, 0.0]),
+        pre=[1.0, 0.0],
+        post=[1.0, 0.0],
     )
     evolved = wm.evolve_exact(s)
     assert evolved.shape == (2, pointer.dim)

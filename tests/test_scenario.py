@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from weakmeas import (
 )
 from weakmeas.scenario import _complex_pair, catalog_dir
 
-from conftest import SZ, op, state
+from conftest import SZ
 
 
 def qubit_scenario(gt=0.02, post=None, observable=None, pre=None):
@@ -29,12 +30,14 @@ def qubit_scenario(gt=0.02, post=None, observable=None, pre=None):
     return Scenario(
         system_dims=(2,),
         observables=(
-            ObservableSpec(name="sz", matrix=observable or op(SZ), target=(0,)),
+            ObservableSpec(
+                name="sz", matrix=SZ if observable is None else observable, target=(0,)
+            ),
         ),
         pointers=(FockPointerSpec(sigma=1.0, dim=12),),
         couplings=(gt,),
-        pre=pre or state([r2, r2]),
-        post=post or state([np.cos(3 * np.pi / 8), np.sin(3 * np.pi / 8)]),
+        pre=[r2, r2] if pre is None else pre,
+        post=[np.cos(3 * np.pi / 8), np.sin(3 * np.pi / 8)] if post is None else post,
     )
 
 
@@ -43,12 +46,12 @@ class TestValidate:
         assert wm.validate(qubit_scenario()) == []
 
     def test_non_hermitian_observable(self):
-        bad = op(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         violations = wm.validate(qubit_scenario(observable=bad))
         assert any("not Hermitian" in v for v in violations)
 
     def test_orthogonal_pre_post_diverges(self):
-        s = qubit_scenario(pre=state([1.0, 0.0]), post=state([0.0, 1.0]))
+        s = qubit_scenario(pre=[1.0, 0.0], post=[0.0, 1.0])
         violations = wm.validate(s)
         assert any("diverges" in v for v in violations)
         with pytest.raises(wm.DivergentWeakValueError):
@@ -69,7 +72,7 @@ class TestValidate:
         assert record[0].filename == __file__
 
     def test_unnormalized_state(self):
-        violations = wm.validate(qubit_scenario(pre=state([1.0, 1.0])))
+        violations = wm.validate(qubit_scenario(pre=[1.0, 1.0]))
         assert any("not normalized" in v for v in violations)
 
     def test_lambda_hard_limit(self):
@@ -84,13 +87,13 @@ class TestValidate:
         mixed = Scenario(
             system_dims=(2, 2),
             observables=(
-                ObservableSpec(name="a1", matrix=op(SZ), target=(0,)),
-                ObservableSpec(name="a2", matrix=op(SZ), target=(1,)),
+                ObservableSpec(name="a1", matrix=SZ, target=(0,)),
+                ObservableSpec(name="a2", matrix=SZ, target=(1,)),
             ),
             pointers=(FockPointerSpec(sigma=1.0, dim=8), SpinPointerSpec(s=0.5)),
             couplings=(0.02, 0.02),
-            pre=state(np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0), 2, 2),
-            post=state(np.full(4, 0.5), 2, 2),
+            pre=np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0),
+            post=np.full(4, 0.5),
         )
         assert wm.validate(mixed) == []
         assert wm.ensure_valid(mixed) is mixed
@@ -99,7 +102,7 @@ class TestValidate:
         s = qubit_scenario()
         bad = Scenario(
             system_dims=(2,),
-            observables=(ObservableSpec(name="sz", matrix=op(SZ), target=(1,)),),
+            observables=(ObservableSpec(name="sz", matrix=SZ, target=(1,)),),
             pointers=s.pointers,
             couplings=s.couplings,
             pre=s.pre,
@@ -115,11 +118,69 @@ class TestValidate:
             observables=s.observables,
             pointers=s.pointers,
             couplings=s.couplings,
-            pre=state([1.0, 0.0, 0.0]),
+            pre=[1.0, 0.0, 0.0],
             post=s.post,
         )
         violations = wm.validate(broken)
         assert any("does not match system dims" in v for v in violations)
+
+
+SHIPPED = wm.catalog_names() + sorted(
+    str(path)
+    for path in (Path(__file__).parent / "data").glob("*.json")
+    if path.stem not in {"catalog_values", "sample_digests"}
+)
+
+
+class TestConstructionChecks:
+    """A scenario's arrays are checked and frozen once, when it is built."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["observable", "pre", "post"])
+    def test_non_finite_entries_refused(self, field, bad):
+        values = {"observable": SZ.copy(), "pre": np.full(2, 0.5**0.5), "post": np.eye(2)[0]}
+        values[field].reshape(-1)[0] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
+            qubit_scenario(**values)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_observable_that_is_not_square_refused(self, shape):
+        with pytest.raises(wm.LayoutError, match="not a square matrix"):
+            ObservableSpec(name="a", matrix=np.zeros(shape), target=(0,))
+
+    def test_state_with_more_than_one_axis_refused(self):
+        with pytest.raises(wm.LayoutError, match="not a vector"):
+            qubit_scenario(pre=np.eye(2))
+
+    @pytest.mark.parametrize("ref", SHIPPED, ids=lambda ref: Path(ref).name)
+    def test_arrays_are_read_only(self, ref):
+        s = wm.resolve_scenario(ref)
+        arrays = [o.matrix for o in s.observables] + [s.pre, s.post]
+        arrays += list(s.embedded_observables())
+        for array in arrays:
+            assert array.dtype == np.complex128
+            with pytest.raises(ValueError, match="read-only"):
+                array.reshape(-1)[0] = 0.0
+
+    def test_caller_array_is_copied_not_frozen(self):
+        pre = np.full(2, 0.5**0.5, dtype=complex)
+        s = qubit_scenario(pre=pre)
+        pre[0] = 0.0
+        assert pre.flags.writeable
+        assert s.pre[0] == 0.5**0.5
+
+    def test_wrong_length_state_is_a_violation(self):
+        for field in ("pre", "post"):
+            s = qubit_scenario(**{field: [1.0, 0.0, 0.0]})
+            assert f"{field}: length 3 does not match system dims (2,)" in wm.validate(s)
+            with pytest.raises(wm.ScenarioValidationError, match="does not match system dims"):
+                wm.ensure_valid(s)
+
+    def test_observable_of_the_wrong_size_is_a_violation(self):
+        s = qubit_scenario(observable=np.eye(3))
+        assert wm.validate(s) == [
+            "observables[0].matrix: dimension 3 does not match target factors (2,)"
+        ]
 
 
 class TestSerialization:
@@ -129,6 +190,22 @@ class TestSerialization:
         assert wm.load_scenario(text) == s
         for changed in (replace(s, description="other"), replace(s, expected={"weak_value": 1.0})):
             assert wm.load_scenario(text) != changed
+
+    def test_equality_compares_every_array_entry(self):
+        s = qubit_scenario()
+        flipped = np.array(s.pre)
+        flipped[1] *= -1.0
+        assert qubit_scenario() == s
+        assert replace(s, pre=flipped) != s
+        assert replace(s, post=s.pre) != s
+        assert qubit_scenario(observable=-SZ) != s
+        assert replace(s, pre=np.append(s.pre, 0.0)) != s
+        assert s != s.observables[0]
+
+    @pytest.mark.parametrize("ref", SHIPPED, ids=lambda ref: Path(ref).name)
+    def test_every_shipped_scenario_round_trips(self, ref):
+        s = wm.resolve_scenario(ref)
+        assert wm.load_scenario(wm.dump_scenario(s)) == s
 
     def test_all_catalog_files_round_trip(self):
         for name in wm.catalog_names():
@@ -370,7 +447,7 @@ class TestCatalog:
         assert s.system_dims == (2,)
         assert s.pointers[0] == FockPointerSpec(sigma=1.0, dim=12)
         assert s.couplings[0] == 0.02
-        np.testing.assert_array_equal(s.observables[0].matrix.matrix, SZ)
+        np.testing.assert_array_equal(s.observables[0].matrix, SZ)
         assert wm.validate(s) == []
 
     def test_joint_pair_fixture_fields(self):
@@ -379,7 +456,7 @@ class TestCatalog:
         assert [o.target for o in s.observables] == [(0,), (1,)]
         assert all(isinstance(p, FockPointerSpec) for p in s.pointers)
         # embedded forms are sigma_z x I and I x sigma_z
-        a1, a2 = (o.matrix for o in s.embedded_observables())
+        a1, a2 = s.embedded_observables()
         np.testing.assert_array_equal(a1, np.kron(SZ, np.eye(2)))
         np.testing.assert_array_equal(a2, np.kron(np.eye(2), SZ))
 

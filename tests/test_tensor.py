@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakmeas as wm
-from weakmeas import FactorLayout, HermiticityError, Operator
+from weakmeas import HermiticityError, Operator
 
-from conftest import I2, SX, SZ, op, random_hermitian, random_state, state
+from conftest import I2, SX, SZ, op, random_hermitian, random_state
 
 
 class TestKron:
     def test_identity_factors(self):
         result = wm.kron([I2, np.eye(3)])
-        assert result.layout.dims == (2, 3)
+        assert result.dims == (2, 3)
         np.testing.assert_array_equal(result.matrix, np.eye(6))
 
     def test_diagonal_action_carries_sign(self):
@@ -57,7 +57,7 @@ class TestKron:
         mats[-1][-1, -1] = complex(1e-300, -0.0)
         result = wm.kron(mats)
         dense = functools.reduce(np.kron, mats)
-        assert result.layout.dims == tuple(dims)
+        assert result.dims == tuple(dims)
         assert result.matrix.shape == dense.shape
         assert result.matrix.tobytes() == dense.tobytes()
 
@@ -74,91 +74,84 @@ class TestKron:
         # 256 bytes hold exactly a 4x4 complex matrix
         monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 256)
         assert wm.kron([I2, I2]).dim == 4
-        assert wm.embed_factors(op(SZ), (0,), FactorLayout((2, 2))).dim == 4
+        assert wm.embed_factors(SZ, (0,), (2, 2)).shape == (4, 4)
         with pytest.raises(wm.CapacityError, match="^576 bytes exceed the array cap 256$"):
             wm.kron([I2, np.eye(3)])
         with pytest.raises(wm.CapacityError, match="^576 bytes"):
-            wm.embed_factors(op(SZ), (0,), FactorLayout((2, 3)))
+            wm.embed_factors(SZ, (0,), (2, 3))
 
 
 class TestEmbed:
     def test_first_slot(self):
-        layout = FactorLayout((2, 2))
-        embedded = wm.embed_factors(op(SZ), (0,), layout)
-        np.testing.assert_array_equal(embedded.matrix, np.kron(SZ, np.eye(2)))
+        embedded = wm.embed_factors(SZ, (0,), (2, 2))
+        np.testing.assert_array_equal(embedded, np.kron(SZ, np.eye(2)))
 
     def test_lowering_acts_on_its_factor(self):
         # a on the second factor maps |psi>|1> to |psi>|0> with unit amplitude
-        layout = FactorLayout((2, 3))
         lower = np.diag(np.sqrt([1.0, 2.0]), 1)
-        embedded = wm.embed_factors(op(lower), (1,), layout)
+        embedded = wm.embed_factors(lower, (1,), (2, 3))
         psi = np.array([0.6, 0.8], dtype=complex)
         ket1 = np.zeros(3, dtype=complex)
         ket1[1] = 1.0
         ket0 = np.zeros(3, dtype=complex)
         ket0[0] = 1.0
-        out = embedded.matrix @ np.kron(psi, ket1)
+        out = embedded @ np.kron(psi, ket1)
         np.testing.assert_allclose(out, np.kron(psi, ket0), atol=1e-15)
 
     def test_identity_embeds_to_identity(self):
-        layout = FactorLayout((2, 3, 2))
-        for slot, d in enumerate(layout.dims):
-            embedded = wm.embed_factors(op(np.eye(d)), (slot,), layout)
-            np.testing.assert_array_equal(embedded.matrix, np.eye(12))
+        dims = (2, 3, 2)
+        for slot, d in enumerate(dims):
+            embedded = wm.embed_factors(np.eye(d), (slot,), dims)
+            np.testing.assert_array_equal(embedded, np.eye(12))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_disjoint_factors_commute(self, seed):
         rng = np.random.default_rng(seed)
-        layout = FactorLayout((2, 3))
-        a = wm.embed_factors(op(random_hermitian(rng, 2)), (0,), layout)
-        b = wm.embed_factors(op(random_hermitian(rng, 3)), (1,), layout)
-        np.testing.assert_allclose(a.matrix @ b.matrix, b.matrix @ a.matrix, atol=1e-12)
+        a = wm.embed_factors(random_hermitian(rng, 2), (0,), (2, 3))
+        b = wm.embed_factors(random_hermitian(rng, 3), (1,), (2, 3))
+        np.testing.assert_allclose(a @ b, b @ a, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_embedding_homomorphism(self, seed):
         rng = np.random.default_rng(seed)
-        layout = FactorLayout((3, 2, 2))
-        a = op(random_hermitian(rng, 3))
-        b = op(random_hermitian(rng, 3))
-        left = wm.embed_factors(op(a.matrix @ b.matrix), (0,), layout)
-        right = [wm.embed_factors(x, (0,), layout).matrix for x in (a, b)]
-        np.testing.assert_allclose(left.matrix, right[0] @ right[1], atol=1e-12)
+        dims = (3, 2, 2)
+        a = random_hermitian(rng, 3)
+        b = random_hermitian(rng, 3)
+        left = wm.embed_factors(a @ b, (0,), dims)
+        right = [wm.embed_factors(x, (0,), dims) for x in (a, b)]
+        np.testing.assert_allclose(left, right[0] @ right[1], atol=1e-12)
 
     def test_multi_factor_embedding_matches_manual_kron(self, rng):
-        layout = FactorLayout((2, 3, 2))
-        joint = op(random_hermitian(rng, 4), 2, 2)
-        embedded = wm.embed_factors(joint, (0, 2), layout)
+        joint = random_hermitian(rng, 4)
+        embedded = wm.embed_factors(joint, (0, 2), (2, 3, 2))
         # manual: reorder the kron (2x2 block) x I3 into (slot0, middle, slot2)
-        tensor = np.kron(joint.matrix, np.eye(3)).reshape(2, 2, 3, 2, 2, 3)
+        tensor = np.kron(joint, np.eye(3)).reshape(2, 2, 3, 2, 2, 3)
         manual = tensor.transpose(0, 2, 1, 3, 5, 4).reshape(12, 12)
-        np.testing.assert_allclose(embedded.matrix, manual, atol=1e-15)
+        np.testing.assert_allclose(embedded, manual, atol=1e-15)
 
     def test_reversed_slot_order_permutes_the_operator(self, rng):
-        # slots name the factors in the order the operator's layout uses, so
-        # (1, 0) must equal embedding the SWAP-conjugated operator at (0, 1)
-        layout = FactorLayout((2, 2, 3))
-        joint = op(random_hermitian(rng, 4), 2, 2)
+        # slots name the factors in the order the matrix uses, so (1, 0) must
+        # equal embedding the SWAP-conjugated matrix at (0, 1)
+        joint = random_hermitian(rng, 4)
         swap = np.eye(4)[[0, 2, 1, 3]]
-        swapped = op(swap @ joint.matrix @ swap, 2, 2)
-        a = wm.embed_factors(joint, (1, 0), layout)
-        b = wm.embed_factors(swapped, (0, 1), layout)
-        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-15)
+        a = wm.embed_factors(joint, (1, 0), (2, 2, 3))
+        b = wm.embed_factors(swap @ joint @ swap, (0, 1), (2, 2, 3))
+        np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_slot_out_of_range(self):
         with pytest.raises(wm.LayoutError):
-            wm.embed_factors(op(SZ), (2,), FactorLayout((2, 2)))
+            wm.embed_factors(SZ, (2,), (2, 2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(wm.LayoutError):
-            wm.embed_factors(op(SZ), (0,), FactorLayout((3, 2)))
+            wm.embed_factors(SZ, (0,), (3, 2))
 
 
 class TestPropagator:
     def test_zero_hamiltonian(self):
-        layout = FactorLayout((3,))
-        zero = Operator(layout, np.zeros((3, 3)))
+        zero = Operator((3,), np.zeros((3, 3)))
         np.testing.assert_array_equal(
             wm.hermitian_propagator(zero, 0.7).matrix, np.eye(3)
         )
@@ -291,22 +284,22 @@ class TestInvariants:
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(wm.LayoutError):
-            Operator(FactorLayout((2,)), np.zeros((2, 3)))
+            Operator((2,), np.zeros((2, 3)))
 
     def test_layout_size_mismatch_rejected(self):
         with pytest.raises(wm.LayoutError):
-            Operator(FactorLayout((3,)), np.eye(2))
+            Operator((3,), np.eye(2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             op(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            state([np.inf, 0.0])
+            wm.tensor._frozen_complex([np.inf, 0.0], "pre", 1)
 
     def test_hermitian_check_is_relative(self):
         # a 1e-9 asymmetry on a unit-scale matrix must fail the 1e-12 check
         almost = SZ.copy()
         almost[0, 1] = 1e-9
         with pytest.raises(HermiticityError):
-            op(almost).require_hermitian()
-        op(SZ).require_hermitian()
+            wm.tensor.require_hermitian(almost)
+        wm.tensor.require_hermitian(SZ)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 import weakmeas as wm
 from weakmeas import (
-    FactorLayout,
     FockPointerSpec,
     ObservableSpec,
     Scenario,
@@ -85,13 +85,13 @@ class TestAnalyticWeakValue:
     def test_identity_observable(self, rng):
         pre = state(random_state(rng, 3))
         post = state(random_state(rng, 3))
-        assert wm.analytic_weak_value(op(np.eye(3)), pre, post) == pytest.approx(1.0)
+        assert wm.analytic_weak_value(np.eye(3), pre, post) == pytest.approx(1.0)
 
     def test_tilted_post_selection_closed_form(self):
         phi = 3 * np.pi / 8
         pre = state([R2, R2])
         post = state([np.cos(phi), np.sin(phi)])
-        value = wm.analytic_weak_value(op(SZ), pre, post)
+        value = wm.analytic_weak_value(SZ, pre, post)
         assert value == pytest.approx(np.tan(np.pi / 4 - phi))
         assert value == pytest.approx(1.0 - np.sqrt(2.0))
 
@@ -99,27 +99,26 @@ class TestAnalyticWeakValue:
         phi = np.pi / 4 - 0.005
         pre = state([R2, R2])
         post = state([np.cos(phi), -np.sin(phi)])
-        value = wm.analytic_weak_value(op(SZ), pre, post)
+        value = wm.analytic_weak_value(SZ, pre, post)
         assert value == pytest.approx(1.0 / np.tan(0.005))
         assert abs(value) > 1.0  # far outside the sigma_z eigenvalue range
 
     def test_purely_imaginary_value(self):
         pre = state([R2, R2 * 1j])
         post = state([R2, R2])
-        assert wm.analytic_weak_value(op(SZ), pre, post) == pytest.approx(-1j)
+        assert wm.analytic_weak_value(SZ, pre, post) == pytest.approx(-1j)
 
     def test_zero_overlap_diverges(self):
         with pytest.raises(wm.DivergentWeakValueError):
-            wm.analytic_weak_value(op(SZ), state([1.0, 0.0]), state([0.0, 1.0]))
+            wm.analytic_weak_value(SZ, state([1.0, 0.0]), state([0.0, 1.0]))
 
 
 class TestSymmetrizedJointWeakValue:
     def test_joint_eigenstate(self):
-        layout = FactorLayout((2, 2))
-        a1 = wm.embed_factors(op(SZ), (0,), layout)
-        a2 = wm.embed_factors(op(SZ), (1,), layout)
-        pre = state([0.0, R2, R2, 0.0], 2, 2)
-        post = state([0.5, 0.5, 0.5, 0.5], 2, 2)
+        a1 = wm.embed_factors(SZ, (0,), (2, 2))
+        a2 = wm.embed_factors(SZ, (1,), (2, 2))
+        pre = state([0.0, R2, R2, 0.0])
+        post = state([0.5, 0.5, 0.5, 0.5])
         assert wm.symmetrized_joint_weak_value([a1, a2], pre, post) == pytest.approx(-1.0)
 
     def test_anticommuting_pair_vanishes(self, rng):
@@ -127,19 +126,18 @@ class TestSymmetrizedJointWeakValue:
         for _ in range(5):
             pre = state(random_state(rng, 2))
             post = state(random_state(rng, 2))
-            if abs(post.inner(pre)) < 1e-3:
+            if abs(np.vdot(post, pre)) < 1e-3:
                 continue
-            value = wm.symmetrized_joint_weak_value([op(SX), op(SY)], pre, post)
+            value = wm.symmetrized_joint_weak_value([SX, SY], pre, post)
             assert abs(value) <= 1e-12
 
     def test_commuting_triple_reduces_to_product(self, rng):
-        layout = FactorLayout((2, 2, 2))
-        ops = [wm.embed_factors(op(SZ), (k,), layout) for k in range(3)]
-        product = op(ops[0].matrix @ ops[1].matrix @ ops[2].matrix, 2, 2, 2)
+        ops = [wm.embed_factors(SZ, (k,), (2, 2, 2)) for k in range(3)]
+        product = ops[0] @ ops[1] @ ops[2]
         for _ in range(5):
-            pre = state(random_state(rng, 8), 2, 2, 2)
-            post = state(random_state(rng, 8), 2, 2, 2)
-            if abs(post.inner(pre)) < 1e-3:
+            pre = state(random_state(rng, 8))
+            post = state(random_state(rng, 8))
+            if abs(np.vdot(post, pre)) < 1e-3:
                 continue
             joint = wm.symmetrized_joint_weak_value(ops, pre, post)
             direct = wm.analytic_weak_value(product, pre, post)
@@ -148,16 +146,25 @@ class TestSymmetrizedJointWeakValue:
     def test_commuting_reduction_is_checked_at_run_time(self, monkeypatch):
         # a plain-product value that disagrees with the symmetrized sum must
         # raise a typed error, which (unlike an assert) survives python -O
-        layout = FactorLayout((2, 2))
-        ops = [wm.embed_factors(op(SZ), (k,), layout) for k in range(2)]
+        ops = [wm.embed_factors(SZ, (k,), (2, 2)) for k in range(2)]
         exact = wm.weak_values.analytic_weak_value
         monkeypatch.setattr(
             wm.weak_values, "analytic_weak_value", lambda *a, **k: exact(*a, **k) + 1e-6
         )
-        pre = state([0.0, R2, R2, 0.0], 2, 2)
-        post = state([0.5, 0.5, 0.5, 0.5], 2, 2)
+        pre = state([0.0, R2, R2, 0.0])
+        post = state([0.5, 0.5, 0.5, 0.5])
         with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
             wm.symmetrized_joint_weak_value(ops, pre, post)
+
+    def test_non_finite_plain_product_is_refused(self):
+        # the product of two 1e160-scale observables overflows: a NaN difference
+        # must fail the reduction check, not slip past it
+        ops = [1e160 * wm.embed_factors(SZ, (k,), (2, 2)) for k in range(2)]
+        pre = state([0.0, R2, R2, 0.0])
+        post = state([0.5, 0.5, 0.5, 0.5])
+        with np.errstate(all="ignore"):
+            with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
+                wm.symmetrized_joint_weak_value(ops, pre, post)
 
     def test_reduction_is_checked_for_commuting_to_rounding(self, monkeypatch, rng):
         a, a2 = matrix_and_square(rng)
@@ -167,7 +174,7 @@ class TestSymmetrizedJointWeakValue:
             wm.weak_values, "analytic_weak_value", lambda *a, **k: exact(*a, **k) + 1e-6
         )
         with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
-            wm.symmetrized_joint_weak_value([op(a), op(a2)], state(pre), state(post))
+            wm.symmetrized_joint_weak_value([a, a2], state(pre), state(post))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_recursion_matches_permutation_reference(self, rng, n):
@@ -175,9 +182,7 @@ class TestSymmetrizedJointWeakValue:
         pool = [m / np.linalg.norm(m, 2) for m in pool]
         pre, post = overlapping_states(rng, 3)
         for matrices in (pool, [pool[j % 2] for j in range(n)]):
-            value = wm.symmetrized_joint_weak_value(
-                [op(m) for m in matrices], state(pre), state(post)
-            )
+            value = wm.symmetrized_joint_weak_value(matrices, state(pre), state(post))
             reference = permutation_reference(matrices, pre, post)
             assert abs(value - reference) <= 1e-13 * (1.0 + abs(reference))
 
@@ -188,14 +193,14 @@ class TestSymmetrizedJointWeakValue:
         pool = [m / np.linalg.norm(m, 2) for m in pool]
         pre, post = overlapping_states(rng, 4)
         multisets = [k for k in itertools.product(range(4), range(3), range(2)) if any(k)]
-        values = _symmetrized_values([op(m) for m in pool], state(pre), state(post), multisets)
+        values = _symmetrized_values(pool, state(pre), state(post), multisets)
         for k in multisets:
             repeated = [m for m, kj in zip(pool, k) for _ in range(kj)]
             reference = permutation_reference(repeated, pre, post)
             assert abs(values[k] - reference) <= 1e-13 * (1.0 + abs(reference))
 
     def test_permutation_cap(self):
-        ops = [op(SZ)] * 9
+        ops = [SZ] * 9
         with pytest.raises(wm.CapacityError):
             wm.symmetrized_joint_weak_value(ops, state([1.0, 0.0]), state([R2, R2]))
 
@@ -306,6 +311,14 @@ DATA_SCENARIOS = sorted(
     if path.stem not in {"catalog_values", "sample_digests"}
 )
 
+#: Every catalog and ``tests/data`` scenario whose pointers are all Fock: the
+#: scenarios the correlator route takes.
+ALL_FOCK = [
+    ref
+    for ref in wm.catalog_names() + DATA_SCENARIOS
+    if all(isinstance(p, FockPointerSpec) for p in wm.resolve_scenario(ref).pointers)
+]
+
 
 def spin8_triple():
     """``triple_ghz_mix`` read out by three spin-8 pointers: D = 17^3 = 4913, whose
@@ -335,7 +348,7 @@ class TestContractedLadderRoute:
     @pytest.mark.parametrize("route", [wm.extract_joint_fock, wm.extract_joint_spin])
     def test_zero_norm_state_rejected(self, route):
         s = wm.resolve_scenario("joint_pair")
-        zero = np.zeros(s.pointer_layout.dims, dtype=complex)
+        zero = np.zeros(s.pointer_dims, dtype=complex)
         with pytest.raises(wm.ZeroNormError):
             route([(PostSelectionResult(conditioned=zero, prob_success=1.0), s)])
 
@@ -350,7 +363,7 @@ class TestContractedLadderRoute:
 
     def test_spin8_triple_runs_past_the_dense_cap(self):
         s = spin8_triple()
-        assert s.pointer_layout.dim == 17**3
+        assert s.pointer_dims == (17,) * 3
         report = wm.run_scenario(s)
         assert list(report.extracted) == ["spin"]
         assert report.passed
@@ -388,17 +401,47 @@ class TestCorrelatorDecomposition:
         assert len(table) == 8
         assert all(isinstance(v, float) for v in table.values())
 
-    @pytest.mark.parametrize(
-        "name",
-        ["aav_qubit", "aav_amplified", "aav_imaginary", "joint_pair",
-         "joint_pair_entangled", "pair_anticommuting", "triple_ghz_mix"],
-    )
+    @pytest.mark.parametrize("ref", ALL_FOCK, ids=lambda ref: Path(ref).name)
+    def test_matches_the_dense_correlator_table(self, ref):
+        # each entry is the real part the route keeps; the imaginary part it
+        # drops must be rounding, since every product is Hermitian
+        result, s = conditioned(ref)
+        [(table, recombined)] = wm.correlator_decomposition([(result, s)])
+        dense, dense_recombined = dense_correlator_table(result, s)
+        assert list(table) == list(dense)
+        largest = max(abs(v) for v in dense.values())
+        for key, value in dense.items():
+            assert abs(table[key] - value.real) <= 1e-12 * largest, key
+            assert abs(value.imag) <= 1e-12 * largest, key
+        assert abs(recombined - dense_recombined) <= 1e-12 * (1.0 + abs(dense_recombined))
+
+    @pytest.mark.parametrize("name", ALL_FOCK, ids=lambda ref: Path(ref).name)
     def test_route_identity(self, name):
         # pure operator algebra on the same state: the routes must agree
         result, s = conditioned(name)
         [(_, recombined)] = wm.correlator_decomposition([(result, s)])
         [direct] = wm.extract_joint_fock([(result, s)])
         assert abs(recombined - direct) <= 1e-12
+
+
+def dense_correlator_table(result, s):
+    """Reference: every X/P correlator ``<Q_1 x ... x Q_N>`` as a complex number, with
+    the product built by numpy's own ``np.kron`` on :func:`weakmeas.fock_operators`
+    arrays, and their recombination with weights ``1/(2 sigma_j)`` for X and
+    ``i sigma_j`` for P, times the route scale."""
+    psi = result.conditioned.reshape(-1)
+    ops = [wm.fock_operators(p) for p in s.pointers]
+    table, recombined = {}, 0j
+    for signature in itertools.product("XP", repeat=len(ops)):
+        pairs = list(zip(signature, ops, s.pointers))
+        product = reduce(np.kron, [o.x if letter == "X" else o.p for letter, o, _ in pairs])
+        value = np.vdot(psi, product @ psi) / np.vdot(psi, psi).real
+        table["".join(signature)] = complex(value)
+        recombined += value * math.prod(
+            1.0 / (2.0 * p.sigma) if letter == "X" else 1j * p.sigma for letter, _, p in pairs
+        )
+    scale = math.prod(p.route_scale(gt) for p, gt in zip(s.pointers, s.couplings))
+    return table, complex(recombined * scale)
 
 
 def dense_pointer_shifts(result, s):
@@ -490,7 +533,7 @@ class TestSpinExtraction:
 def dense_strong_position_estimate(scenario):
     """Reference: <I_S (x) X_1 (x) ... (x) X_N> as one full-space operator."""
     evolved = wm.evolve_exact(scenario)
-    factors = [np.eye(scenario.system_layout.dim)] + [
+    factors = [np.eye(math.prod(scenario.system_dims))] + [
         wm.fock_operators(p).x for p in scenario.pointers
     ]
     value = wm.expectation(evolved, wm.kron(factors))
@@ -519,15 +562,15 @@ class TestStrongEstimate:
         # no time evolution involved
         s = wm.resolve_scenario("strong_pair_entangled")
         gt = s.couplings[0]
-        layout = FactorLayout(s.system_layout.dims + s.pointer_layout.dims)
+        dims = s.system_dims + s.pointer_dims
         x_ops = [wm.fock_operators(p).x for p in s.pointers]
         shifted = []
         for j, obs in enumerate(s.embedded_observables()):
-            a_full = wm.embed_factors(obs, tuple(range(len(s.system_dims))), layout)
-            x_full = wm.embed_factors(op(x_ops[j]), (len(s.system_dims) + j,), layout)
-            shifted.append(x_full.matrix + gt * a_full.matrix)
-        initial = initial_joint_state(s).reshape(layout.dims)
-        oracle = wm.expectation(initial, wm.Operator(layout, shifted[0] @ shifted[1])) / gt**2
+            a_full = wm.embed_factors(obs, tuple(range(len(s.system_dims))), dims)
+            x_full = wm.embed_factors(x_ops[j], (len(s.system_dims) + j,), dims)
+            shifted.append(x_full + gt * a_full)
+        initial = initial_joint_state(s).reshape(dims)
+        oracle = wm.expectation(initial, wm.Operator(dims, shifted[0] @ shifted[1])) / gt**2
         value = wm.strong_position_estimate(s)
         assert value == pytest.approx(oracle, abs=1e-8)
         assert value.real == pytest.approx(-1.0, abs=1e-8)
@@ -539,8 +582,8 @@ class TestStrongEstimate:
         s = Scenario(
             system_dims=(3,),
             observables=(
-                ObservableSpec(name="a", matrix=op(a), target=(0,)),
-                ObservableSpec(name="a2", matrix=op(a2), target=(0,)),
+                ObservableSpec(name="a", matrix=a, target=(0,)),
+                ObservableSpec(name="a2", matrix=a2, target=(0,)),
             ),
             pointers=(FockPointerSpec(sigma=1.0, dim=8),) * 2,
             couplings=(0.02,) * 2,
@@ -566,14 +609,14 @@ class TestMultiFactorObservable:
         pre[0b011] = r3
         pre[0b110] = r3
         post = np.full(8, 1.0 / np.sqrt(8.0), dtype=complex)
-        joint = op(np.kron(SZ, SZ), 2, 2)
+        joint = np.kron(SZ, SZ)
         s = Scenario(
             system_dims=(2, 2, 2),
             observables=(ObservableSpec(name="sz0_sz2", matrix=joint, target=(0, 2)),),
             pointers=(FockPointerSpec(sigma=1.0, dim=12),),
             couplings=(0.02,),
-            pre=state(pre, 2, 2, 2),
-            post=state(post, 2, 2, 2),
+            pre=state(pre),
+            post=state(post),
         )
         assert wm.validate(s) == []
         analytic = wm.analytic_oracle(s)
@@ -591,7 +634,7 @@ class TestWeakLimitProperties:
         pre = [np.cos(theta), np.sin(theta)]
         s = Scenario(
             system_dims=(2,),
-            observables=(ObservableSpec(name="sz", matrix=op(SZ), target=(0,)),),
+            observables=(ObservableSpec(name="sz", matrix=SZ, target=(0,)),),
             pointers=(FockPointerSpec(sigma=1.0, dim=12),),
             couplings=(0.004,),
             pre=state(pre),
