@@ -2,15 +2,14 @@
 
 A :class:`Scenario` names the system factors, the observables coupled to
 each pointer, the pointer specs, the couplings ``g t``, and the pre- and
-post-selection states.  The observables and states are plain read-only
-``complex128`` arrays, checked once when the scenario is built (finite;
-square for an observable, one axis for a state); :func:`validate` checks
-what they must satisfy against the rest of the scenario (dims against the
-targets, lengths against ``system_dims``, Hermiticity, normalization and the
-overlap floor).  Scenarios are plain JSON documents on disk (see
-``docs/scenario_format.md``); a small catalog of named scenarios ships with
-the package and can be overridden through the ``WEAKMEAS_CATALOG``
-environment variable.
+post-selection states.  Its structure is checked once, when it is built: the
+observables and states become read-only ``complex128`` arrays (finite; square
+or one axis) that fit the counts, targets and ``system_dims``, or one
+:class:`LayoutError` lists every defect.  :func:`validate` checks the physics
+(Hermiticity, the lambda limits, normalization and the overlap floor).
+Scenarios are plain JSON documents on disk (see ``docs/scenario_format.md``);
+a small catalog of named scenarios ships with the package and can be
+overridden through the ``WEAKMEAS_CATALOG`` environment variable.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import (
     DivergentWeakValueError,
     HermiticityError,
+    LayoutError,
     ScenarioValidationError,
     SchemaError,
     WeakRegimeWarning,
@@ -95,7 +95,8 @@ class Scenario:
 
     ``couplings`` holds one product ``g t`` of coupling constant and
     interaction time per pointer.  ``pre`` and ``post`` are held as
-    read-only complex vectors, refused when built unless finite.
+    read-only complex vectors, refused when built unless finite; a scenario
+    whose parts do not fit together is refused with one :class:`LayoutError`.
     """
 
     system_dims: tuple[int, ...]
@@ -115,6 +116,9 @@ class Scenario:
         object.__setattr__(self, "couplings", tuple(float(gt) for gt in self.couplings))
         object.__setattr__(self, "pre", _frozen_complex(self.pre, "pre", 1))
         object.__setattr__(self, "post", _frozen_complex(self.post, "post", 1))
+        defects = _structural_defects(self)
+        if defects:
+            raise LayoutError("; ".join(defects))
         object.__setattr__(self, "_kept", {})
 
     __eq__ = _equal_fields
@@ -203,13 +207,44 @@ class Scenario:
         )
 
 
-def validate(scenario: Scenario) -> list[str]:
-    """Check every scenario invariant; an empty list means the scenario is valid.
+def _structural_defects(scenario: Scenario) -> list[str]:
+    """Every way the scenario's parts fail to fit together, one string per defect."""
+    n, dims = len(scenario.observables), scenario.system_dims
+    defects = []
+    if not dims or min(dims) < 2:
+        defects.append(f"system_dims: expected one or more dims >= 2, got {dims}")
+    if n < 1:
+        defects.append("observables: N >= 1 required")
+    for label, entries in (("pointers", scenario.pointers), ("couplings", scenario.couplings)):
+        if len(entries) != n:
+            defects.append(f"{label}: expected {n} entries, got {len(entries)}")
+    for i, obs in enumerate(scenario.observables):
+        t = obs.target
+        if not t or len(set(t)) != len(t) or not set(t) <= set(range(len(dims))):
+            defects.append(f"observables[{i}].target: invalid factor indices {t}")
+            continue
+        factors = tuple(dims[k] for k in t)
+        if len(obs.matrix) != math.prod(factors):
+            defects.append(
+                f"observables[{i}].matrix: dimension {len(obs.matrix)} does not match "
+                f"target factors {factors}"
+            )
+    for i, gt in enumerate(scenario.couplings):
+        if not math.isfinite(gt):
+            defects.append(f"couplings[{i}].gt: must be finite")
+    for label, state in (("pre", scenario.pre), ("post", scenario.post)):
+        if len(state) != math.prod(dims):
+            defects.append(f"{label}: length {len(state)} does not match system dims {dims}")
+    return defects
 
-    Never raises on a structurally well-formed scenario: each problem is
-    reported as one human-readable violation string naming the offending
-    field.  Couplings in the warning band (lambda above 0.2 but within the
-    hard limit) emit a :class:`WeakRegimeWarning` instead of a violation.
+
+def validate(scenario: Scenario) -> list[str]:
+    """Check Hermiticity, the lambda limits, normalization and the overlap floor.
+
+    Never raises (a scenario that exists is structurally sound): each problem
+    is one violation string naming the offending field; an empty list means
+    the scenario is valid.  Couplings in the warning band (lambda above 0.2
+    but within the hard limit) emit a :class:`WeakRegimeWarning` instead.
     """
     return _violations(scenario)[0]
 
@@ -223,36 +258,13 @@ def _violations(scenario: Scenario) -> tuple[list[str], bool]:
     """
     with np.errstate(over="ignore"):
         v: list[str] = []
-        divergent = False
-        n = len(scenario.observables)
-        if n < 1:
-            v.append("observables: N >= 1 required")
-        if len(scenario.pointers) != n:
-            v.append(f"pointers: expected {n} entries, got {len(scenario.pointers)}")
-        if len(scenario.couplings) != n:
-            v.append(f"couplings: expected {n} entries, got {len(scenario.couplings)}")
-
-        dims = scenario.system_dims
         for i, obs in enumerate(scenario.observables):
-            bad_target = any(t < 0 or t >= len(dims) for t in obs.target)
-            if bad_target or len(set(obs.target)) != len(obs.target):
-                v.append(f"observables[{i}].target: invalid factor indices {obs.target}")
-                continue
-            expected_dims = tuple(dims[t] for t in obs.target)
-            if len(obs.matrix) != math.prod(expected_dims):
-                v.append(
-                    f"observables[{i}].matrix: dimension {len(obs.matrix)} does not match "
-                    f"target factors {expected_dims}"
-                )
             try:
                 require_hermitian(obs.matrix)
             except HermiticityError:
                 v.append(f"observables[{i}].matrix: observable not Hermitian")
 
         for i, (gt, p) in enumerate(zip(scenario.couplings, scenario.pointers)):
-            if not math.isfinite(gt):
-                v.append(f"couplings[{i}].gt: must be finite")
-                continue
             lam = p.expansion(gt)
             if lam > LAMBDA_HARD_LIMIT:
                 v.append(
@@ -269,18 +281,15 @@ def _violations(scenario: Scenario) -> tuple[list[str], bool]:
 
         for label, state in (("pre", scenario.pre), ("post", scenario.post)):
             norm = float(np.linalg.norm(state))
-            if len(state) != math.prod(dims):
-                v.append(f"{label}: length {len(state)} does not match system dims {dims}")
-            elif abs(norm - 1.0) > NORMALIZATION_TOL:
+            if abs(norm - 1.0) > NORMALIZATION_TOL:
                 v.append(f"{label}: state not normalized (norm = {norm:.12g})")
 
-        if len(scenario.pre) == len(scenario.post):
-            try:
-                weak_value_denominator(scenario.pre, scenario.post)
-            except DivergentWeakValueError as exc:
-                v.append(str(exc))
-                divergent = True
-        return v, divergent
+        try:
+            weak_value_denominator(scenario.pre, scenario.post)
+        except DivergentWeakValueError as exc:
+            v.append(str(exc))
+            return v, True
+        return v, False
 
 
 def ensure_valid(scenario: Scenario) -> Scenario:
@@ -381,9 +390,10 @@ def _parse_pointer(raw, field: str) -> PointerSpec:
 def load_scenario(text: str) -> Scenario:
     """Parse a scenario document; raises :class:`SchemaError` with field context.
 
-    Structural consistency (shapes, factor indices, pointer kinds) is
-    enforced here; physical invariants are left to :func:`validate` so that
-    malformed-but-parseable scenarios can still be inspected.
+    Checks the JSON types, naming the field; a structural defect (counts,
+    factor indices, sizes) is construction's :class:`LayoutError`, raised as
+    a :class:`SchemaError` of the same text.  Physical invariants are left to
+    :func:`validate`, so a scenario that breaks them can still be inspected.
     """
     try:
         doc = json.loads(text)
@@ -393,85 +403,63 @@ def load_scenario(text: str) -> Scenario:
         raise SchemaError("top level must be an object")
 
     system_dims = doc.get("system_dims")
-    if (
-        not isinstance(system_dims, list)
-        or not system_dims
-        or not all(_is_number(d, int) and d >= 2 for d in system_dims)
-    ):
-        raise SchemaError("system_dims: expected a non-empty list of integers >= 2")
-    system_dims = tuple(system_dims)
+    if not isinstance(system_dims, list) or not all(_is_number(d, int) for d in system_dims):
+        raise SchemaError("system_dims: expected a list of integers")
 
     raw_obs = doc.get("observables")
-    if not isinstance(raw_obs, list) or not raw_obs:
-        raise SchemaError("observables: N >= 1 required")
+    if not isinstance(raw_obs, list):
+        raise SchemaError("observables: expected a list")
     observables = []
     for i, raw in enumerate(raw_obs):
         field = f"observables[{i}]"
         if not isinstance(raw, dict):
             raise SchemaError(f"{field}: expected an object")
         target = raw.get("target")
-        if (
-            not isinstance(target, list)
-            or not target
-            or not all(_is_number(t, int) for t in target)
-        ):
+        if not isinstance(target, list) or not all(_is_number(t, int) for t in target):
             raise SchemaError(f"{field}.target: expected a list of factor indices")
-        if any(t < 0 or t >= len(system_dims) for t in target):
-            raise SchemaError(f"{field}.target: factor index out of range {target}")
-        matrix = _parse_matrix(raw.get("matrix"), f"{field}.matrix")
-        want = math.prod(system_dims[t] for t in target)
-        if matrix.shape[0] != want:
-            raise SchemaError(
-                f"{field}.matrix: dimension {matrix.shape[0]} does not match the "
-                f"targeted factors (product {want})"
-            )
         observables.append(
             ObservableSpec(
                 name=str(raw.get("name", f"A{i + 1}")),
-                matrix=matrix,
+                matrix=_parse_matrix(raw.get("matrix"), f"{field}.matrix"),
                 target=tuple(target),
             )
         )
 
     raw_ptr = doc.get("pointers")
-    if not isinstance(raw_ptr, list) or len(raw_ptr) != len(observables):
-        raise SchemaError("pointers: expected one entry per observable")
+    if not isinstance(raw_ptr, list):
+        raise SchemaError("pointers: expected a list")
     pointers = [_parse_pointer(raw, f"pointers[{i}]") for i, raw in enumerate(raw_ptr)]
 
     raw_cpl = doc.get("couplings")
-    if not isinstance(raw_cpl, list) or len(raw_cpl) != len(observables):
-        raise SchemaError("couplings: expected one entry per observable")
+    if not isinstance(raw_cpl, list):
+        raise SchemaError("couplings: expected a list")
     couplings = []
     for i, raw in enumerate(raw_cpl):
         if not isinstance(raw, dict):
             raise SchemaError(f"couplings[{i}]: expected an object")
         couplings.append(_number(raw.get("gt"), f"couplings[{i}].gt"))
 
-    states = {}
-    for label in ("pre", "post"):
-        vec = _parse_vector(doc.get(label), label)
-        if vec.size != math.prod(system_dims):
-            raise SchemaError(
-                f"{label}: length {vec.size} does not match the system dimension "
-                f"{math.prod(system_dims)}"
-            )
-        states[label] = vec
+    pre = _parse_vector(doc.get("pre"), "pre")
+    post = _parse_vector(doc.get("post"), "post")
 
     expected = doc.get("expected")
     if expected is not None and not isinstance(expected, dict):
         raise SchemaError("expected: must be an object when present")
 
-    return Scenario(
-        system_dims=system_dims,
-        observables=tuple(observables),
-        pointers=tuple(pointers),
-        couplings=tuple(couplings),
-        pre=states["pre"],
-        post=states["post"],
-        name=doc.get("name"),
-        description=doc.get("description"),
-        expected=expected,
-    )
+    try:
+        return Scenario(
+            system_dims=system_dims,
+            observables=tuple(observables),
+            pointers=tuple(pointers),
+            couplings=tuple(couplings),
+            pre=pre,
+            post=post,
+            name=doc.get("name"),
+            description=doc.get("description"),
+            expected=expected,
+        )
+    except LayoutError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def _pair(z: complex) -> list[float]:

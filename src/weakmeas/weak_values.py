@@ -48,6 +48,7 @@ error for every pointer kind.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -105,7 +106,9 @@ def _symmetrized_values(
     ``T_k |I>`` comes from the recursion ``T_k = sum_{j: k_j > 0} A_j T_{k - e_j}``
     with ``T_0 = 1``, memoized over the multisets below each requested k in
     ``vectors``: a fresh dict, or the word sums of the same observables and
-    pre-selection kept from an earlier call (:func:`_word_sums`).
+    pre-selection kept from an earlier call (:func:`_word_sums`).  A value
+    past the float range (observables whose products overflow) raises
+    :class:`CapacityError`, with numpy's overflow warnings silenced.
     """
     n = len(observables)
     if n < 1:
@@ -132,9 +135,15 @@ def _symmetrized_values(
         return vec
 
     values = {}
-    for k in multisets:
-        words = math.factorial(sum(k)) // math.prod(math.factorial(kj) for kj in k)
-        values[k] = complex(np.vdot(post, word_sum(k)) / (words * denom))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in multisets:
+            words = math.factorial(sum(k)) // math.prod(math.factorial(kj) for kj in k)
+            values[k] = complex(np.vdot(post, word_sum(k)) / (words * denom))
+    for k, value in values.items():
+        if not cmath.isfinite(value):
+            raise CapacityError(
+                f"the symmetrized weak value W{k} is {value}, past the float range"
+            )
     return values
 
 
@@ -162,8 +171,9 @@ def _joint_value(observables, pre, post, commuting, vectors=None) -> complex:
     value = _symmetrized_values(observables, pre, post, [ones], vectors)[ones]
 
     if commuting():
-        direct = analytic_weak_value(reduce(np.matmul, observables), pre, post)
-        if not abs(value - direct) <= 1e-12 * (1.0 + abs(direct)):  # NaN fails too
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = analytic_weak_value(reduce(np.matmul, observables), pre, post)
+        if not abs(value - direct) <= 1e-12 * (1.0 + abs(direct)):  # NaN, an overflow, fails too
             raise WeakMeasurementError(
                 f"symmetrized value {value} does not reduce to the plain-product "
                 f"value {direct} for commuting observables"

@@ -632,6 +632,25 @@ class TestCli:
         assert captured.err.endswith(" overflows the tolerance model 3 lambda^2 (1 + |A_w|)^3\n")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_oracle_overflow_is_a_capacity_error(self, capsys, tmp_path, command):
+        # 1e160-scale observables overflow the oracle's word sums: one typed
+        # error line, exit 2, and no numpy warning (which pytest makes an error)
+        doc = catalog_doc("joint_pair")
+        for obs in doc["observables"]:
+            obs["matrix"] = [[[1e160 * x for x in z] for z in row] for row in obs["matrix"]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, str(path)]
+        if command == "sweep":
+            argv += ["--grid", "0.16,0.08,0.04,0.02"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {path}: the symmetrized weak value W(1, 1) is (nan+nanj), "
+            "past the float range\n",
+        )
+
     def test_run_non_finite_tolerance_errors(self, capsys):
         assert cli.main(["run", "aav_qubit", "--tolerance", "nan"]) == 2
         captured = capsys.readouterr()

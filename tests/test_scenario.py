@@ -7,6 +7,7 @@ import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import weakmeas as wm
 from weakmeas import (
+    cli,
     FockPointerSpec,
     ObservableSpec,
     Scenario,
@@ -99,30 +101,24 @@ class TestValidate:
         assert wm.ensure_valid(mixed) is mixed
 
     def test_target_out_of_range(self):
-        s = qubit_scenario()
-        bad = Scenario(
-            system_dims=(2,),
-            observables=(ObservableSpec(name="sz", matrix=SZ, target=(1,)),),
-            pointers=s.pointers,
-            couplings=s.couplings,
-            pre=s.pre,
-            post=s.post,
-        )
-        assert any("invalid factor indices" in v for v in wm.validate(bad))
+        # a structural defect is refused when the scenario is built, not validated
+        observable = ObservableSpec(name="sz", matrix=SZ, target=(1,))
+        with pytest.raises(
+            wm.LayoutError, match=r"^observables\[0\]\.target: invalid factor indices \(1,\)$"
+        ):
+            replace(qubit_scenario(), observables=(observable,))
 
     def test_validate_is_total_on_inconsistent_scenario(self):
-        # wrong-dimension pre-state: reported, not raised
-        s = qubit_scenario()
-        broken = Scenario(
-            system_dims=(2,),
-            observables=s.observables,
-            pointers=s.pointers,
-            couplings=s.couplings,
-            pre=[1.0, 0.0, 0.0],
-            post=s.post,
+        # every physical violation is reported, none raised
+        broken = qubit_scenario(
+            observable=np.array([[0.0, 1.0], [0.0, 0.0]]), pre=[2.0, 0.0], post=[0.0, 1.0]
         )
-        violations = wm.validate(broken)
-        assert any("does not match system dims" in v for v in violations)
+        assert wm.validate(broken) == [
+            "observables[0].matrix: observable not Hermitian",
+            "pre: state not normalized (norm = 2)",
+            "pre/post: overlap 0.000e+00 at or below the floor 1e-10; "
+            "the weak-value denominator diverges",
+        ]
 
 
 SHIPPED = wm.catalog_names() + sorted(
@@ -169,18 +165,117 @@ class TestConstructionChecks:
         assert pre.flags.writeable
         assert s.pre[0] == 0.5**0.5
 
-    def test_wrong_length_state_is_a_violation(self):
+    def test_wrong_length_state_is_refused(self):
         for field in ("pre", "post"):
-            s = qubit_scenario(**{field: [1.0, 0.0, 0.0]})
-            assert f"{field}: length 3 does not match system dims (2,)" in wm.validate(s)
-            with pytest.raises(wm.ScenarioValidationError, match="does not match system dims"):
-                wm.ensure_valid(s)
+            message = f"{field}: length 3 does not match system dims (2,)"
+            with pytest.raises(wm.LayoutError, match=f"^{re.escape(message)}$"):
+                qubit_scenario(**{field: [1.0, 0.0, 0.0]})
 
-    def test_observable_of_the_wrong_size_is_a_violation(self):
-        s = qubit_scenario(observable=np.eye(3))
-        assert wm.validate(s) == [
-            "observables[0].matrix: dimension 3 does not match target factors (2,)"
-        ]
+    def test_observable_of_the_wrong_size_is_refused(self):
+        message = "observables[0].matrix: dimension 3 does not match target factors (2,)"
+        with pytest.raises(wm.LayoutError, match=f"^{re.escape(message)}$"):
+            qubit_scenario(observable=np.eye(3))
+
+    def test_non_finite_coupling_is_refused(self):
+        # a document cannot hold one (the loader refuses NaN and Infinity)
+        with pytest.raises(wm.LayoutError, match=r"^couplings\[0\]\.gt: must be finite$"):
+            qubit_scenario(gt=math.inf)
+
+
+def pair_fields(**changes) -> dict:
+    """The fields of a valid two-qubit, two-pointer scenario, with ``changes``."""
+    fields = dict(
+        system_dims=(2, 2),
+        observables=(
+            ObservableSpec(name="a1", matrix=SZ, target=(0,)),
+            ObservableSpec(name="a2", matrix=SZ, target=(1,)),
+        ),
+        pointers=(FockPointerSpec(sigma=1.0, dim=8), FockPointerSpec(sigma=1.0, dim=8)),
+        couplings=(0.02, 0.02),
+        pre=np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0),
+        post=np.full(4, 0.5),
+        name=None,
+        description=None,
+        expected=None,
+    )
+    return {**fields, **changes}
+
+
+def with_observable(index, **changes):
+    observables = list(pair_fields()["observables"])
+    observables[index] = replace(observables[index], **changes)
+    return {"observables": tuple(observables)}
+
+
+#: Field changes that break a scenario's structure, and construction's text for each.
+STRUCTURAL_DEFECTS = {
+    "system-dims": (
+        dict(system_dims=(2, 2, 1)),
+        "system_dims: expected one or more dims >= 2, got (2, 2, 1)",
+    ),
+    "no-observables": (
+        dict(observables=(), pointers=(), couplings=()),
+        "observables: N >= 1 required",
+    ),
+    "pointer-count": (
+        dict(pointers=(FockPointerSpec(sigma=1.0, dim=8),)),
+        "pointers: expected 2 entries, got 1",
+    ),
+    "coupling-count": (dict(couplings=(0.02,) * 3), "couplings: expected 2 entries, got 3"),
+    "target-out-of-range": (
+        with_observable(1, target=(2,)),
+        "observables[1].target: invalid factor indices (2,)",
+    ),
+    "target-negative": (
+        with_observable(0, target=(-1,)),
+        "observables[0].target: invalid factor indices (-1,)",
+    ),
+    "target-repeated": (
+        with_observable(1, target=(0, 0), matrix=np.eye(4)),
+        "observables[1].target: invalid factor indices (0, 0)",
+    ),
+    "target-empty": (
+        with_observable(1, target=(), matrix=np.eye(1)),
+        "observables[1].target: invalid factor indices ()",
+    ),
+    "observable-size": (
+        with_observable(0, matrix=np.eye(4)),
+        "observables[0].matrix: dimension 4 does not match target factors (2,)",
+    ),
+    "pre-length": (dict(pre=np.eye(8)[0]), "pre: length 8 does not match system dims (2, 2)"),
+    "post-length": (dict(post=np.eye(2)[0]), "post: length 2 does not match system dims (2, 2)"),
+    "several": (
+        dict(couplings=(0.02,), **with_observable(0, target=(0, 1)), pre=np.eye(2)[0]),
+        "couplings: expected 2 entries, got 1; "
+        "observables[0].matrix: dimension 2 does not match target factors (2, 2); "
+        "pre: length 2 does not match system dims (2, 2)",
+    ),
+}
+
+
+class TestStructuralParity:
+    """Construction is the one structural check: code, the loader and the CLI
+    refuse each defect with the same text."""
+
+    @pytest.mark.parametrize(
+        "changes, message", STRUCTURAL_DEFECTS.values(), ids=list(STRUCTURAL_DEFECTS)
+    )
+    def test_code_loader_and_cli_refuse_alike(self, capsys, tmp_path, changes, message):
+        fields = pair_fields(**changes)
+        with pytest.raises(wm.LayoutError) as built:
+            Scenario(**fields)
+        # dump_scenario reads only the fields, so it writes the broken document
+        text = wm.dump_scenario(SimpleNamespace(**fields))
+        with pytest.raises(wm.SchemaError) as loaded:
+            wm.load_scenario(text)
+        assert str(built.value) == str(loaded.value) == message
+        path = tmp_path / "broken.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    def test_the_valid_fields_build(self):
+        assert wm.validate(Scenario(**pair_fields())) == []
 
 
 class TestSerialization:
@@ -199,7 +294,7 @@ class TestSerialization:
         assert replace(s, pre=flipped) != s
         assert replace(s, post=s.pre) != s
         assert qubit_scenario(observable=-SZ) != s
-        assert replace(s, pre=np.append(s.pre, 0.0)) != s
+        assert Scenario(**pair_fields()) != s
         assert s != s.observables[0]
 
     @pytest.mark.parametrize("ref", SHIPPED, ids=lambda ref: Path(ref).name)
@@ -415,6 +510,8 @@ class TestDocumentFuzz:
         except (wm.SchemaError, wm.CapacityError):
             # a pointer whose operators pass the array cap is refused by its spec
             return
+        # a scenario that loads is structurally sound
+        assert len(scenario.embedded_observables()) == scenario.n_pointers
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", wm.WeakRegimeWarning)
             try:

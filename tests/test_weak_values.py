@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -157,14 +158,25 @@ class TestSymmetrizedJointWeakValue:
             wm.symmetrized_joint_weak_value(ops, pre, post)
 
     def test_non_finite_plain_product_is_refused(self):
-        # the product of two 1e160-scale observables overflows: a NaN difference
-        # must fail the reduction check, not slip past it
+        # the product of two 1e160-scale projectors overflows while |I> = |11>,
+        # which both annihilate, keeps the word sums at 0: a NaN difference must
+        # fail the reduction check, not slip past it, and no numpy warning escapes
+        proj = np.diag([1.0, 0.0])
+        ops = [1e160 * wm.embed_factors(proj, (k,), (2, 2)) for k in range(2)]
+        pre = state([0.0, 0.0, 0.0, 1.0])
+        post = state([0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(wm.WeakMeasurementError, match=r"value 0j does not reduce .*nan"):
+            wm.symmetrized_joint_weak_value(ops, pre, post)
+
+    def test_overflowing_word_sums_are_a_capacity_error(self):
+        # 1e160-scale observables overflow the word sum A_1 A_2 |I>: a typed
+        # refusal, before the plain-product check and with no numpy warning
         ops = [1e160 * wm.embed_factors(SZ, (k,), (2, 2)) for k in range(2)]
         pre = state([0.0, R2, R2, 0.0])
         post = state([0.5, 0.5, 0.5, 0.5])
-        with np.errstate(all="ignore"):
-            with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
-                wm.symmetrized_joint_weak_value(ops, pre, post)
+        message = "the symmetrized weak value W(1, 1) is (nan+nanj), past the float range"
+        with pytest.raises(wm.CapacityError, match=f"^{re.escape(message)}$"):
+            wm.symmetrized_joint_weak_value(ops, pre, post)
 
     def test_reduction_is_checked_for_commuting_to_rounding(self, monkeypatch, rng):
         a, a2 = matrix_and_square(rng)
