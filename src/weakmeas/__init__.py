@@ -43,7 +43,6 @@ from .harness import (
 )
 from .pointers import (
     FockPointerSpec,
-    PointerOperators,
     SpinPointerSpec,
     fock_operators,
     position_wavefunctions,
@@ -62,7 +61,6 @@ from .scenario import (
 from .tensor import (
     MAX_ARRAY_BYTES,
     Operator,
-    embed_factors,
     expectation,
     hermitian_propagator,
     kron,

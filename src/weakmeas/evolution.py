@@ -41,14 +41,7 @@ import numpy as np
 from .errors import PostSelectionFailureError, TruncationLeakageError
 from .pointers import FockPointerSpec
 from .scenario import Scenario
-from .tensor import (
-    Operator,
-    _check_capacity,
-    _require_shape,
-    _rotate,
-    embed_factors,
-    require_hermitian,
-)
+from .tensor import Operator, _check_capacity, _embed, _require_shape, _rotate, require_hermitian
 
 #: Maximum tolerated population in the top two levels of any Fock pointer.
 LEAKAGE_GUARD = 1e-8
@@ -101,7 +94,7 @@ def build_hamiltonian(scenario: Scenario) -> Operator:
     for j, (obs_full, gt, pointer) in enumerate(
         zip(scenario.embedded_observables(), scenario.couplings, scenario.pointers)
     ):
-        block = embed_factors(pointer.coupling(), (j,), scenario.pointer_dims)
+        block = _embed(pointer.coupling(), (j,), scenario.pointer_dims)
         term = gt * np.kron(obs_full, block)
         terms = term if terms is None else terms + term
     hamiltonian = Operator(scenario.system_dims + scenario.pointer_dims, terms)

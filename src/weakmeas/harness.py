@@ -394,7 +394,7 @@ def position_density(
         density = np.einsum("mx,mn,nx->x", basis, reduced, basis).real
         mass = float(np.trapezoid(density, grid))
         moment = float(np.trapezoid(grid * density, grid))
-        x_mean = float(np.einsum("mn,nm->", fock_operators(spec).x, reduced).real)
+        x_mean = float(np.einsum("mn,nm->", fock_operators(spec)[0], reduced).real)
     if not abs(1.0 - mass) <= DENSITY_MASS_TOL:
         raise GridError(
             f"density mass off the sampling grid: 1 - integral = {1.0 - mass:.3e}"

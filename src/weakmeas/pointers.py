@@ -23,11 +23,12 @@ the float range, cannot be built.
 
 Pointer operators are plain ``dim x dim`` complex arrays, not checked
 containers: that refusal keeps them finite and under the cap.  Each is built
-fresh on every call and cached nowhere.  A Fock spec's ``coupling()`` and
-``lowering()`` build only the operator they return, with the same bits as the
-matching :func:`fock_operators` entry, which builds the whole set for the
-correlator route and the diagnostics; a spin spec takes both from
-:func:`spin_operators`.
+fresh on every call and cached nowhere.  :func:`fock_operators` returns the
+quadrature pair ``(X, P)`` for the correlator route and the diagnostics, and
+:func:`spin_operators` the pair ``(S-, S_y)``.  A Fock spec's ``coupling()``
+and ``lowering()`` build only the operator they return, with the same bits
+as the matching entry (``lowering()`` is the ``a`` the quadratures are built
+from); a spin spec takes both from :func:`spin_operators`.
 
 Basis ordering conventions: Fock levels ascending, spin m ascending; every
 pointer starts in level 0 (see ``evolution.evolve_exact``).
@@ -126,25 +127,14 @@ class SpinPointerSpec:
 
     def coupling(self) -> np.ndarray:
         """Pointer operator entering the interaction, ``-S_y``, as a new array."""
-        return -spin_operators(self).sy
+        return -spin_operators(self)[1]
 
     def lowering(self) -> np.ndarray:
         """Ladder operator of the extraction route, ``S-``, as a new array."""
-        return spin_operators(self).lowering
+        return spin_operators(self)[0]
 
 
 PointerSpec = FockPointerSpec | SpinPointerSpec
-
-
-@dataclass(frozen=True)
-class PointerOperators:
-    """Operator set of one pointer, as plain ``dim x dim`` complex arrays built
-    fresh by each call; quadratures are Fock-only, sy is spin-only."""
-
-    lowering: np.ndarray
-    x: np.ndarray | None = None
-    p: np.ndarray | None = None
-    sy: np.ndarray | None = None
 
 
 def _check_dim(spec: PointerSpec) -> None:
@@ -166,18 +156,14 @@ def _fock_p(lowering: np.ndarray, sigma: float) -> np.ndarray:
     return (lowering.conj().T - lowering) * (0.5j / sigma)
 
 
-def fock_operators(spec: FockPointerSpec) -> PointerOperators:
-    """Lowering operator and derived X, P quadratures of a Fock pointer."""
+def fock_operators(spec: FockPointerSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratures ``(X, P)`` of a Fock pointer, derived from its lowering operator."""
     lowering = _fock_lowering(spec.dim)
-    return PointerOperators(
-        lowering=lowering,
-        x=(lowering + lowering.conj().T) * spec.sigma,
-        p=_fock_p(lowering, spec.sigma),
-    )
+    return (lowering + lowering.conj().T) * spec.sigma, _fock_p(lowering, spec.sigma)
 
 
-def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
-    """Lowering operator ``S-`` and ``S_y`` of a spin-s pointer, ascending-m basis.
+def spin_operators(spec: SpinPointerSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(S-, S_y)`` of a spin-s pointer, in the ascending-m basis.
 
     ``S+ |m> = sqrt(s(s+1) - m(m+1)) |m+1>`` and ``S- = (S+)^dag``;
     ``S_y = (S+ - S-) / 2i``.
@@ -187,7 +173,7 @@ def spin_operators(spec: SpinPointerSpec) -> PointerOperators:
     coeffs = np.sqrt(s * (s + 1.0) - m * (m + 1.0))
     raising = np.diag(coeffs, -1).astype(np.complex128)
     lowering = raising.conj().T
-    return PointerOperators(lowering=lowering, sy=(raising - lowering) * (1.0 / 2.0j))
+    return lowering, (raising - lowering) * (1.0 / 2.0j)
 
 
 def position_wavefunctions(spec: FockPointerSpec, x: np.ndarray) -> np.ndarray:
@@ -209,8 +195,7 @@ def position_wavefunctions(spec: FockPointerSpec, x: np.ndarray) -> np.ndarray:
     xi = x / scale
     out = np.zeros((spec.dim, x.size), dtype=np.float64)
     out[0] = math.pi ** (-0.25) * np.exp(-0.5 * xi**2)
-    if spec.dim > 1:
-        out[1] = math.sqrt(2.0) * xi * out[0]
+    out[1] = math.sqrt(2.0) * xi * out[0]
     for n in range(2, spec.dim):
         out[n] = math.sqrt(2.0 / n) * xi * out[n - 1] - math.sqrt((n - 1) / n) * out[n - 2]
     return out / math.sqrt(scale)

@@ -33,7 +33,7 @@ from .errors import (
     WeakRegimeWarning,
 )
 from .pointers import FockPointerSpec, PointerSpec, SpinPointerSpec
-from .tensor import _frozen_complex, embed_factors, require_hermitian
+from .tensor import _embed, _frozen_complex, require_hermitian
 
 #: Couplings whose expansion parameter exceeds this are rejected outright.
 LAMBDA_HARD_LIMIT = 0.5
@@ -201,9 +201,7 @@ class Scenario:
         """
         return self._once(
             "_embedded",
-            lambda: tuple(
-                embed_factors(o.matrix, o.target, self.system_dims) for o in self.observables
-            ),
+            lambda: tuple(_embed(o.matrix, o.target, self.system_dims) for o in self.observables),
         )
 
 
@@ -390,9 +388,10 @@ def _parse_pointer(raw, field: str) -> PointerSpec:
 def load_scenario(text: str) -> Scenario:
     """Parse a scenario document; raises :class:`SchemaError` with field context.
 
-    Checks the JSON types, naming the field; a structural defect (counts,
-    factor indices, sizes) is construction's :class:`LayoutError`, raised as
-    a :class:`SchemaError` of the same text.  Physical invariants are left to
+    Checks the JSON types, naming the field (names and the description are
+    strings); a structural defect (counts, factor indices, sizes) is
+    construction's :class:`LayoutError`, raised as a :class:`SchemaError` of
+    the same text.  Physical invariants are left to
     :func:`validate`, so a scenario that breaks them can still be inspected.
     """
     try:
@@ -401,6 +400,9 @@ def load_scenario(text: str) -> Scenario:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
+    for key in ("name", "description"):
+        if doc.get(key) is not None and not isinstance(doc[key], str):
+            raise SchemaError(f"{key}: expected a string, got {doc[key]!r}")
 
     system_dims = doc.get("system_dims")
     if not isinstance(system_dims, list) or not all(_is_number(d, int) for d in system_dims):
@@ -417,9 +419,12 @@ def load_scenario(text: str) -> Scenario:
         target = raw.get("target")
         if not isinstance(target, list) or not all(_is_number(t, int) for t in target):
             raise SchemaError(f"{field}.target: expected a list of factor indices")
+        name = raw.get("name", f"A{i + 1}")
+        if not isinstance(name, str):
+            raise SchemaError(f"{field}.name: expected a string, got {name!r}")
         observables.append(
             ObservableSpec(
-                name=str(raw.get("name", f"A{i + 1}")),
+                name=name,
                 matrix=_parse_matrix(raw.get("matrix"), f"{field}.matrix"),
                 target=tuple(target),
             )

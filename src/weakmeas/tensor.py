@@ -13,14 +13,16 @@ across threads.
 the Kronecker product :func:`kron` and the dense references
 :func:`hermitian_propagator` and ``evolution.build_hamiltonian``.  It holds
 the factor dims beside its checked, read-only matrix and defines no
-arithmetic.
+arithmetic.  :func:`_embed` lifts a matrix on some factors to all of them;
+it checks only the array cap, because its target slots and sizes are those
+``Scenario`` construction has already checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,47 +115,25 @@ def kron(factors: Sequence[np.ndarray]) -> Operator:
     return Operator(tuple(len(f) for f in factors), product)
 
 
-def embed_factors(
-    matrix: np.ndarray, slots: Iterable[int], dims: tuple[int, ...]
-) -> np.ndarray:
-    """Embed a matrix acting on the given factor slots into the space of factor ``dims``.
-
-    ``matrix`` must act on exactly the factors named by ``slots``, in that
-    order; the result is a read-only array that acts as the identity on
+def _embed(matrix: np.ndarray, target: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
+    """Embed ``matrix``, acting on the factors ``target`` in that order, into the
+    space of factor ``dims``, as a read-only array that acts as the identity on
     every other factor.
 
-    Parameters
-    ----------
-    matrix : ndarray
-        Square matrix on the targeted factors.
-    slots : iterable of int
-        Distinct indices into ``dims``, in the factor order ``matrix`` uses.
-    dims : tuple of int
-        Factor dims of the enclosing space; the embedded matrix may not take
-        more than :data:`MAX_ARRAY_BYTES`.
+    The caller guarantees what ``Scenario`` construction checks: distinct,
+    in-range target slots and a matrix of their size.  The result may not take
+    more than :data:`MAX_ARRAY_BYTES`.
     """
-    slots = tuple(int(s) for s in slots)
     k = len(dims)
-    if not slots:
-        raise LayoutError("embed needs at least one target slot")
-    if len(set(slots)) != len(slots):
-        raise LayoutError(f"duplicate target slots {slots}")
-    if any(s < 0 or s >= k for s in slots):
-        raise LayoutError(f"slot out of range for a {k}-factor layout: {slots}")
-    expected = tuple(dims[s] for s in slots)
-    if matrix.shape != (math.prod(expected),) * 2:
-        raise LayoutError(
-            f"matrix shape {matrix.shape} does not match target factor dims {expected}"
-        )
     dim = math.prod(dims)
     _check_capacity(dim**2 * 16)
 
-    rest = tuple(i for i in range(k) if i not in slots)
+    rest = tuple(i for i in range(k) if i not in target)
     rest_dim = math.prod(dims[i] for i in rest)
     big = np.kron(matrix, np.eye(rest_dim, dtype=np.complex128))
 
-    # big is ordered (slots..., rest...); permute tensor axes back to factor order
-    order_from = slots + rest
+    # big is ordered (target..., rest...); permute tensor axes back to factor order
+    order_from = target + rest
     dims_from = [dims[i] for i in order_from]
     perm = [order_from.index(i) for i in range(k)]
     tensor = big.reshape(dims_from + dims_from)

@@ -272,12 +272,12 @@ def correlator_decomposition(
     for signature in itertools.product(QUADRATURE_LETTERS, repeat=len(pointers)):
         factors = []
         weight = 1.0 + 0.0j
-        for letter, ops, spec in zip(signature, pointer_ops, pointers):
+        for letter, (x, p), spec in zip(signature, pointer_ops, pointers):
             if letter == "X":
-                factors.append(ops.x)
+                factors.append(x)
                 weight *= 1.0 / (2.0 * spec.sigma)
             else:
-                factors.append(ops.p)
+                factors.append(p)
                 weight *= 1j * spec.sigma
         key = "".join(signature)
         product = kron(factors)
@@ -304,9 +304,9 @@ def pointer_shift_check(
     if scenario.n_pointers != 1:
         raise UnsupportedScenarioError("quadrature shifts are a single-pointer diagnostic")
     _fock_pointers([scenario])
-    ops = fock_operators(scenario.pointers[0])
-    x_mean = product_expectation(result.conditioned, [ops.x]).real
-    p_mean = product_expectation(result.conditioned, [ops.p]).real
+    x, p = fock_operators(scenario.pointers[0])
+    x_mean = product_expectation(result.conditioned, [x]).real
+    p_mean = product_expectation(result.conditioned, [p]).real
     return float(x_mean), float(p_mean)
 
 
@@ -336,7 +336,7 @@ def strong_position_estimate(scenario: Scenario) -> complex:
         raise UnsupportedScenarioError(
             "the strong-measurement analog requires commuting observables"
         )
-    xs = [fock_operators(pointer).x for pointer in scenario.pointers]
+    xs = [fock_operators(pointer)[0] for pointer in scenario.pointers]
     value = product_expectation(evolve_exact(scenario), xs)
     scale = math.prod(1.0 / gt for gt in scenario.couplings)
     return complex(value * scale)

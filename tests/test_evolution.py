@@ -61,9 +61,14 @@ def dense_series(s, order):
 
 
 def catalog_at_dense_size():
-    """Every catalog scenario, at Fock dim 5 where its full space exceeds
-    :data:`DENSE_REFERENCE_MAX_DIM`."""
-    for name in wm.catalog_names():
+    """Every catalog and ``tests/data`` scenario, at Fock dim 5 where its full
+    space exceeds :data:`DENSE_REFERENCE_MAX_DIM`."""
+    data = sorted(
+        str(path)
+        for path in DATA.glob("*.json")
+        if path.stem not in {"catalog_values", "sample_digests"}
+    )
+    for name in wm.catalog_names() + data:
         s = wm.resolve_scenario(name)
         if math.prod(s.system_dims + s.pointer_dims) > DENSE_REFERENCE_MAX_DIM:
             s = s.with_fock_dim(5)
@@ -112,14 +117,14 @@ def pair_scenario(gt=0.02, *, dim=12, pre=None, post=None, same_qubit=False):
 class TestBuildHamiltonian:
     def test_single_fock_term(self):
         s = single_scenario(gt=1.0)
-        p = wm.fock_operators(s.pointers[0]).p
+        _, p = wm.fock_operators(s.pointers[0])
         np.testing.assert_allclose(
             wm.build_hamiltonian(s).matrix, np.kron(SZ, p), atol=1e-15
         )
 
     def test_two_terms_sum_and_commute(self):
         s = pair_scenario(gt=0.3, dim=6)
-        p = wm.fock_operators(s.pointers[0]).p
+        _, p = wm.fock_operators(s.pointers[0])
         i2, i6 = np.eye(2), np.eye(6)
         term1 = 0.3 * np.kron(np.kron(np.kron(SZ, i2), p), i6)
         term2 = 0.3 * np.kron(np.kron(np.kron(i2, SZ), i6), p)
@@ -130,7 +135,7 @@ class TestBuildHamiltonian:
     def test_spin_pointer_coupling_sign(self):
         # H = -g A S_y, with S_y in the ascending-m basis
         s = single_scenario(gt=0.5, kind="spin")
-        sy = wm.spin_operators(s.pointers[0]).sy
+        _, sy = wm.spin_operators(s.pointers[0])
         np.testing.assert_allclose(
             wm.build_hamiltonian(s).matrix, -0.5 * np.kron(SZ, sy), atol=1e-15
         )
@@ -172,7 +177,7 @@ class TestEvolveExact:
         np.testing.assert_allclose(amps[1], 0.0, atol=1e-15)
         oracle = coherent_amplitudes(gt / (2 * sigma), 12)
         np.testing.assert_allclose(amps[0], oracle, atol=1e-8)
-        x = wm.fock_operators(s.pointers[0]).x
+        x, _ = wm.fock_operators(s.pointers[0])
         assert wm.expectation(amps[0], op(x)).real == pytest.approx(gt, abs=1e-8)
 
     @pytest.mark.parametrize(
@@ -291,7 +296,7 @@ class TestEvolveExact:
         )
         amps = wm.evolve_exact(s)
         assert amps.shape == (8, 8, 8, 8)
-        p = wm.fock_operators(s.pointers[0]).p
+        _, p = wm.fock_operators(s.pointers[0])
         single = wm.hermitian_propagator(op(p), 0.02).matrix[:, 0]
         product = np.einsum("a,b,c->abc", single[:2], single[:2], single[:2])
         np.testing.assert_allclose(amps[0, :2, :2, :2], product, rtol=1e-12, atol=0)
@@ -413,7 +418,7 @@ class TestPostSelect:
         pre = (np.cos(0.3), np.sin(0.3))
         s = single_scenario(gt, pre=pre)
         result = wm.post_select(wm.evolve_exact(s), s)
-        x = wm.fock_operators(s.pointers[0]).x
+        x, _ = wm.fock_operators(s.pointers[0])
         mean_x = wm.expectation(result.conditioned, op(x)).real
         a_mean = np.cos(0.3) ** 2 - np.sin(0.3) ** 2
         assert mean_x == pytest.approx(gt * a_mean, abs=5e-8)

@@ -686,6 +686,15 @@ class TestCli:
             "in position 0: invalid start byte\n"
         )
 
+    def test_non_string_name_is_a_schema_error(self, capsys, tmp_path):
+        # a list would otherwise reach the CSV scenario column as "[1, 2]"
+        doc = catalog_doc("aav_qubit")
+        doc["name"] = [1, 2]
+        path = tmp_path / "listname.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", str(path), "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: name: expected a string, got [1, 2]\n")
+
     def test_sweep_non_finite_grid_errors(self, capsys):
         assert cli.main(["sweep", "aav_qubit", "--grid", "nan,0.1,0.05,0.02"]) == 2
         captured = capsys.readouterr()

@@ -160,13 +160,13 @@ def bounds(name: str) -> dict:
             out[key] = shift * scale * ladder
         elif key == "route correlators":
             out[key] = shift * scale * math.prod(
-                _norm(wm.fock_operators(p).x) / (2 * p.sigma)
-                + p.sigma * _norm(wm.fock_operators(p).p)
+                _norm(wm.fock_operators(p)[0]) / (2 * p.sigma)
+                + p.sigma * _norm(wm.fock_operators(p)[1])
                 for p in scenario.pointers
             )
         elif kind == "table":
             out[key] = shift * math.prod(
-                _norm(getattr(wm.fock_operators(p), letter.lower()))
+                _norm(wm.fock_operators(p)["XP".index(letter)])
                 for letter, p in zip(label, scenario.pointers)
             )
     return out

@@ -13,17 +13,16 @@ from conftest import SZ, op
 
 class TestFockOperators:
     def test_lowering_entries_d3(self):
-        ops = wm.fock_operators(FockPointerSpec(sigma=1.0, dim=3))
+        lowering = FockPointerSpec(sigma=1.0, dim=3).lowering()
         expected = np.zeros((3, 3))
         expected[0, 1] = 1.0
         expected[1, 2] = np.sqrt(2.0)
-        np.testing.assert_array_equal(ops.lowering, expected)
+        np.testing.assert_array_equal(lowering, expected)
 
     @pytest.mark.parametrize("sigma,dim", [(1.0, 3), (0.5, 8), (2.0, 12)])
     def test_canonical_commutator_with_truncation_defect(self, sigma, dim):
         # [x, p] = i (I - d E_top): the defect is confined to the top level
-        ops = wm.fock_operators(FockPointerSpec(sigma=sigma, dim=dim))
-        x, p = ops.x, ops.p
+        x, p = wm.fock_operators(FockPointerSpec(sigma=sigma, dim=dim))
         comm = x @ p - p @ x
         expected = 1j * np.eye(dim)
         expected[-1, -1] = 1j * (1 - dim)
@@ -32,74 +31,70 @@ class TestFockOperators:
     def test_ground_state_position_variance(self):
         # sigma = 1/2 means x = (a + adag)/2 and <0|x^2|0> = sigma^2 = 1/4
         spec = FockPointerSpec(sigma=0.5, dim=6)
-        ops = wm.fock_operators(spec)
+        x, _ = wm.fock_operators(spec)
         ground = np.eye(6, dtype=complex)[0]
-        np.testing.assert_allclose(
-            wm.expectation(ground, op(ops.x @ ops.x)).real, 0.25, atol=1e-14
-        )
+        np.testing.assert_allclose(wm.expectation(ground, op(x @ x)).real, 0.25, atol=1e-14)
 
     @pytest.mark.parametrize("sigma,dim", [(1.0, 4), (0.37, 9), (3.0, 12)])
     def test_lowering_identity_entrywise(self, sigma, dim):
         # a = x/(2 sigma) + i sigma p holds by construction
-        ops = wm.fock_operators(FockPointerSpec(sigma=sigma, dim=dim))
-        synthesized = (1.0 / (2.0 * sigma)) * ops.x + (1j * sigma) * ops.p
-        assert np.abs(synthesized - ops.lowering).max() <= 1e-14
+        spec = FockPointerSpec(sigma=sigma, dim=dim)
+        x, p = wm.fock_operators(spec)
+        synthesized = (1.0 / (2.0 * sigma)) * x + (1j * sigma) * p
+        assert np.abs(synthesized - spec.lowering()).max() <= 1e-14
 
     def test_quadratures_hermitian(self):
-        ops = wm.fock_operators(FockPointerSpec(sigma=0.8, dim=10))
-        for quadrature in (ops.x, ops.p):
+        for quadrature in wm.fock_operators(FockPointerSpec(sigma=0.8, dim=10)):
             wm.tensor.require_hermitian(quadrature)
 
     @pytest.mark.parametrize("sigma,dim", [(1.0, 2), (0.37, 9), (3.0, 16)])
     def test_spec_builds_only_the_operator_it_returns(self, monkeypatch, sigma, dim):
         spec = FockPointerSpec(sigma=sigma, dim=dim)
-        ops = wm.fock_operators(spec)
+        _, p = wm.fock_operators(spec)
+        lowering = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
 
         def refused(spec):
             raise AssertionError("coupling() and lowering() must not build the full set")
 
         monkeypatch.setattr(wm.pointers, "fock_operators", refused)
-        assert spec.coupling().tobytes() == ops.p.tobytes()
-        assert spec.lowering().tobytes() == ops.lowering.tobytes()
+        assert spec.coupling().tobytes() == p.tobytes()
+        assert spec.lowering().tobytes() == lowering.tobytes()
 
 
 class TestSpinOperators:
     def test_half_spin_raising_element(self):
-        ops = wm.spin_operators(SpinPointerSpec(s=0.5))
+        lowering, _ = wm.spin_operators(SpinPointerSpec(s=0.5))
         down = np.array([1.0, 0.0], dtype=complex)
         up = np.array([0.0, 1.0], dtype=complex)
-        np.testing.assert_allclose(ops.lowering.conj().T @ down, up, atol=1e-15)
+        np.testing.assert_allclose(lowering.conj().T @ down, up, atol=1e-15)
 
     def test_spin1_raising_element(self):
-        ops = wm.spin_operators(SpinPointerSpec(s=1.0))
+        lowering, _ = wm.spin_operators(SpinPointerSpec(s=1.0))
         lowest = np.zeros(3, dtype=complex)
         lowest[0] = 1.0
         middle = np.zeros(3, dtype=complex)
         middle[1] = 1.0
-        np.testing.assert_allclose(
-            ops.lowering.conj().T @ lowest, np.sqrt(2.0) * middle, atol=1e-15
-        )
+        np.testing.assert_allclose(lowering.conj().T @ lowest, np.sqrt(2.0) * middle, atol=1e-15)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_ladder_commutator(self, s):
         # [S_z, S+] = S+ with S_z reconstructed as [S+, S-]/2
-        ops = wm.spin_operators(SpinPointerSpec(s=s))
-        sp, sm = ops.lowering.conj().T, ops.lowering
+        sm, _ = wm.spin_operators(SpinPointerSpec(s=s))
+        sp = sm.conj().T
         sz = 0.5 * (sp @ sm - sm @ sp)
         np.testing.assert_allclose(sz @ sp - sp @ sz, sp, atol=1e-13)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_casimir(self, s):
-        ops = wm.spin_operators(SpinPointerSpec(s=s))
-        sp, sm = ops.lowering.conj().T, ops.lowering
+        sm, sy = wm.spin_operators(SpinPointerSpec(s=s))
+        sp = sm.conj().T
         sx = 0.5 * (sp + sm)
-        sy = ops.sy
         sz = 0.5 * (sp @ sm - sm @ sp)
         total = sx @ sx + sy @ sy + sz @ sz
-        np.testing.assert_allclose(total, s * (s + 1.0) * np.eye(len(ops.sy)), atol=1e-12)
+        np.testing.assert_allclose(total, s * (s + 1.0) * np.eye(len(sy)), atol=1e-12)
 
     def test_sy_hermitian(self):
-        wm.tensor.require_hermitian(wm.spin_operators(SpinPointerSpec(s=1.5)).sy)
+        wm.tensor.require_hermitian(wm.spin_operators(SpinPointerSpec(s=1.5))[1])
 
 
 @pytest.mark.parametrize("spec", [FockPointerSpec(sigma=0.7, dim=5), SpinPointerSpec(s=1.5)])
@@ -188,8 +183,8 @@ class TestSpecValidation:
                 except ValueError:
                     pass
                 else:
-                    ops = wm.fock_operators(spec)
-                    assert np.isfinite(ops.x).all() and np.isfinite(ops.p).all()
+                    x, p = wm.fock_operators(spec)
+                    assert np.isfinite(x).all() and np.isfinite(p).all()
                 if sigma == big:
                     break
                 sigma = np.nextafter(sigma, np.inf)

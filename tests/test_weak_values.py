@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import string
 from functools import reduce
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from conftest import (
 )
 from weakmeas.evolution import PostSelectionResult
 from weakmeas.scenario import catalog_dir
+from weakmeas.tensor import _embed
 from weakmeas.weak_values import _ladder_route, _symmetrized_values, _word_sums
 
 R2 = 1.0 / np.sqrt(2.0)
@@ -116,8 +118,8 @@ class TestAnalyticWeakValue:
 
 class TestSymmetrizedJointWeakValue:
     def test_joint_eigenstate(self):
-        a1 = wm.embed_factors(SZ, (0,), (2, 2))
-        a2 = wm.embed_factors(SZ, (1,), (2, 2))
+        a1 = _embed(SZ, (0,), (2, 2))
+        a2 = _embed(SZ, (1,), (2, 2))
         pre = state([0.0, R2, R2, 0.0])
         post = state([0.5, 0.5, 0.5, 0.5])
         assert wm.symmetrized_joint_weak_value([a1, a2], pre, post) == pytest.approx(-1.0)
@@ -133,7 +135,7 @@ class TestSymmetrizedJointWeakValue:
             assert abs(value) <= 1e-12
 
     def test_commuting_triple_reduces_to_product(self, rng):
-        ops = [wm.embed_factors(SZ, (k,), (2, 2, 2)) for k in range(3)]
+        ops = [_embed(SZ, (k,), (2, 2, 2)) for k in range(3)]
         product = ops[0] @ ops[1] @ ops[2]
         for _ in range(5):
             pre = state(random_state(rng, 8))
@@ -147,7 +149,7 @@ class TestSymmetrizedJointWeakValue:
     def test_commuting_reduction_is_checked_at_run_time(self, monkeypatch):
         # a plain-product value that disagrees with the symmetrized sum must
         # raise a typed error, which (unlike an assert) survives python -O
-        ops = [wm.embed_factors(SZ, (k,), (2, 2)) for k in range(2)]
+        ops = [_embed(SZ, (k,), (2, 2)) for k in range(2)]
         exact = wm.weak_values.analytic_weak_value
         monkeypatch.setattr(
             wm.weak_values, "analytic_weak_value", lambda *a, **k: exact(*a, **k) + 1e-6
@@ -162,7 +164,7 @@ class TestSymmetrizedJointWeakValue:
         # which both annihilate, keeps the word sums at 0: a NaN difference must
         # fail the reduction check, not slip past it, and no numpy warning escapes
         proj = np.diag([1.0, 0.0])
-        ops = [1e160 * wm.embed_factors(proj, (k,), (2, 2)) for k in range(2)]
+        ops = [1e160 * _embed(proj, (k,), (2, 2)) for k in range(2)]
         pre = state([0.0, 0.0, 0.0, 1.0])
         post = state([0.5, 0.5, 0.5, 0.5])
         with pytest.raises(wm.WeakMeasurementError, match=r"value 0j does not reduce .*nan"):
@@ -171,7 +173,7 @@ class TestSymmetrizedJointWeakValue:
     def test_overflowing_word_sums_are_a_capacity_error(self):
         # 1e160-scale observables overflow the word sum A_1 A_2 |I>: a typed
         # refusal, before the plain-product check and with no numpy warning
-        ops = [1e160 * wm.embed_factors(SZ, (k,), (2, 2)) for k in range(2)]
+        ops = [1e160 * _embed(SZ, (k,), (2, 2)) for k in range(2)]
         pre = state([0.0, R2, R2, 0.0])
         post = state([0.5, 0.5, 0.5, 0.5])
         message = "the symmetrized weak value W(1, 1) is (nan+nanj), past the float range"
@@ -439,14 +441,14 @@ class TestCorrelatorDecomposition:
 def dense_correlator_table(result, s):
     """Reference: every X/P correlator ``<Q_1 x ... x Q_N>`` as a complex number, with
     the product built by numpy's own ``np.kron`` on :func:`weakmeas.fock_operators`
-    arrays, and their recombination with weights ``1/(2 sigma_j)`` for X and
+    pairs, and their recombination with weights ``1/(2 sigma_j)`` for X and
     ``i sigma_j`` for P, times the route scale."""
     psi = result.conditioned.reshape(-1)
     ops = [wm.fock_operators(p) for p in s.pointers]
     table, recombined = {}, 0j
     for signature in itertools.product("XP", repeat=len(ops)):
         pairs = list(zip(signature, ops, s.pointers))
-        product = reduce(np.kron, [o.x if letter == "X" else o.p for letter, o, _ in pairs])
+        product = reduce(np.kron, [o["XP".index(letter)] for letter, o, _ in pairs])
         value = np.vdot(psi, product @ psi) / np.vdot(psi, psi).real
         table["".join(signature)] = complex(value)
         recombined += value * math.prod(
@@ -459,8 +461,8 @@ def dense_correlator_table(result, s):
 def dense_pointer_shifts(result, s):
     """Reference: ``(<X>, <P>)`` of the one pointer through dense
     :func:`weakmeas.expectation`, with X and P wrapped in an ``Operator``."""
-    ops = wm.fock_operators(s.pointers[0])
-    return [wm.expectation(result.conditioned, op(q)).real for q in (ops.x, ops.p)]
+    quadratures = wm.fock_operators(s.pointers[0])
+    return [wm.expectation(result.conditioned, op(q)).real for q in quadratures]
 
 
 class TestPointerShifts:
@@ -546,7 +548,7 @@ def dense_strong_position_estimate(scenario):
     """Reference: <I_S (x) X_1 (x) ... (x) X_N> as one full-space operator."""
     evolved = wm.evolve_exact(scenario)
     factors = [np.eye(math.prod(scenario.system_dims))] + [
-        wm.fock_operators(p).x for p in scenario.pointers
+        wm.fock_operators(p)[0] for p in scenario.pointers
     ]
     value = wm.expectation(evolved, wm.kron(factors))
     return value * math.prod(1.0 / gt for gt in scenario.couplings)
@@ -575,11 +577,11 @@ class TestStrongEstimate:
         s = wm.resolve_scenario("strong_pair_entangled")
         gt = s.couplings[0]
         dims = s.system_dims + s.pointer_dims
-        x_ops = [wm.fock_operators(p).x for p in s.pointers]
+        x_ops = [wm.fock_operators(p)[0] for p in s.pointers]
         shifted = []
         for j, obs in enumerate(s.embedded_observables()):
-            a_full = wm.embed_factors(obs, tuple(range(len(s.system_dims))), dims)
-            x_full = wm.embed_factors(x_ops[j], (len(s.system_dims) + j,), dims)
+            a_full = _embed(obs, tuple(range(len(s.system_dims))), dims)
+            x_full = _embed(x_ops[j], (len(s.system_dims) + j,), dims)
             shifted.append(x_full + gt * a_full)
         initial = initial_joint_state(s).reshape(dims)
         oracle = wm.expectation(initial, wm.Operator(dims, shifted[0] @ shifted[1])) / gt**2
@@ -638,6 +640,39 @@ class TestMultiFactorObservable:
         lam = s.lambda_max
         assert abs(extracted - analytic) <= 3 * lam**2 * (1 + abs(analytic))
 
+
+    def test_split_target_file_matches_an_einsum_oracle(self):
+        # tests/data/split_target_triple.json couples X(q2) Z(q0), target [2, 0],
+        # and Z(q1): the reference reads the document's own numbers and applies
+        # each matrix to its factors of the (2, 2, 2) amplitude tensor by index
+        # contraction, so neither the loader nor the embedding is involved
+        path = DATA / "split_target_triple.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+
+        def pairs(raw):
+            values = np.asarray(raw, dtype=float)
+            return values[..., 0] + 1j * values[..., 1]
+
+        def apply(obs, vector):
+            # output axes take the letters k.., input axes the target's own letters
+            target = obs["target"]
+            k = len(doc["system_dims"])
+            axes = string.ascii_lowercase[:k]
+            fresh = string.ascii_lowercase[k : k + len(target)]
+            out = "".join(fresh[target.index(i)] if i in target else axes[i] for i in range(k))
+            shape = tuple(doc["system_dims"][f] for f in target) * 2
+            spec = fresh + "".join(axes[f] for f in target) + "," + axes + "->" + out
+            matrix = pairs(obs["matrix"]).reshape(shape)
+            return np.einsum(spec, matrix, vector.reshape(doc["system_dims"])).reshape(-1)
+
+        pre, post = pairs(doc["pre"]), pairs(doc["post"])
+        first, second = doc["observables"]
+        words = apply(first, apply(second, pre)) + apply(second, apply(first, pre))
+        reference = complex(np.vdot(post, words) / (2 * np.vdot(post, pre)))
+        assert abs(wm.analytic_oracle(wm.resolve_scenario(path)) - reference) <= 1e-12
+        assert doc["expected"]["weak_value"] == pytest.approx(
+            [reference.real, reference.imag], abs=1e-12
+        )
 
 class TestWeakLimitProperties:
     def test_trivial_post_selection_recovers_expectation_value(self):
