@@ -75,7 +75,6 @@ from .weak_values import (
     pointer_shift_check,
     second_order_error,
     strong_position_estimate,
-    symmetrized_joint_weak_value,
 )
 
 __version__ = "0.1.0"

@@ -75,7 +75,8 @@ SLOPE_WINDOW = 0.3
 #: A sweep whose errors are rounding noise (a scenario whose exact lambda^2 term
 #: is 0) also passes: fewer than two of its points exceed this multiple of the
 #: ladder route's rounding, eps |route scale| (1 + |A_w|).  The catalog's
-#: rounding-level sweeps reach 0.124 of that floor and its others 1e7.
+#: rounding-level sweeps reach 0.124 of that floor and its others 1e7.  It is
+#: also a run's least default tolerance: the rounding grows like 1/lambda.
 ROUNDING_FLOOR_MULTIPLE = 1e3
 
 #: Fock dimension the sweep escalates to when the leakage guard trips.
@@ -154,6 +155,12 @@ class SweepResult:
         return self.at_rounding_floor or abs(self.fitted_slope - 2.0) <= SLOPE_WINDOW
 
 
+def _rounding_floor(scenario: Scenario, analytic: complex) -> float:
+    """The rounding floor, ``ROUNDING_FLOOR_MULTIPLE eps |route scale| (1 + |A_w|)``."""
+    scale = abs(_route_scale(scenario))
+    return ROUNDING_FLOOR_MULTIPLE * math.ulp(1.0) * (1.0 + abs(analytic)) * scale
+
+
 def _reports(
     scenarios: list[Scenario], tolerance: float | None = None, label: str | None = None
 ) -> list[WeakValueReport]:
@@ -168,7 +175,9 @@ def _reports(
     :data:`ROUTE_IDENTITY_TOL` ``(1 + |A_w|)`` raises
     :class:`WeakMeasurementError`.  Any spin pointer, mixed with Fock ones or
     not, leaves no quadratures to correlate, so the ladder route alone is
-    reported, as the spin route.
+    reported, as the spin route.  A given ``tolerance`` replaces the default:
+    the largest of :func:`extraction_tolerance`, :func:`_rounding_floor` and
+    (all-Fock) :data:`SECOND_ORDER_MARGIN` ``|c2|``.
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
@@ -201,7 +210,10 @@ def _reports(
             xp_shift = pointer_shift_check(result, scenario)
         tol = tolerance
         if tol is None:
-            tol = extraction_tolerance(scenario.lambda_max, analytic)
+            tol = max(
+                extraction_tolerance(scenario.lambda_max, analytic),
+                _rounding_floor(scenario, analytic),
+            )
             if fock:
                 tol = max(tol, SECOND_ORDER_MARGIN * abs(second_order_error(scenario)))
         reports.append(
@@ -311,8 +323,7 @@ def sweep_lambda(
             reports = _reports([scenario.with_lambda(lam) for lam in grid])
     errors = [next(iter(report.abs_errors.values())) for report in reports]
     above_floor = sum(
-        error > ROUNDING_FLOOR_MULTIPLE * math.ulp(1.0) * (1.0 + abs(report.analytic))
-        * abs(_route_scale(scenario.with_lambda(lam)))
+        error > _rounding_floor(scenario.with_lambda(lam), report.analytic)
         for lam, error, report in zip(grid, errors, reports)
     )
 

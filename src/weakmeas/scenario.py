@@ -194,7 +194,7 @@ class Scenario:
         * the system frame (``evolution.scenario_frame``), read by
           ``evolve_exact``, the oracle's plain-product guard and the strong
           estimate;
-        * the word sums ``T_k |I>`` (``weak_values._word_sums``), shared by
+        * the word sums ``T_k |I>`` (``weak_values._symmetrized_values``), shared by
           the oracle and the second-order error.
 
         Every caller shares what is kept; its arrays are read-only.

@@ -1,8 +1,8 @@
 """Weak-value oracles and extraction routes from conditioned pointer states.
 
-The analytic oracle is the exact ratio ``<F|A|I> / <F|I>`` (with the
-permutation-symmetrized product for several observables).  Three extraction
-routes recover it from simulated pointer states:
+The analytic oracle, :func:`analytic_oracle`, is the weak value of the
+symmetrized product of a scenario's observables (``<F|A|I> / <F|I>`` for one).
+Three extraction routes recover it from simulated pointer states:
 
 * the lowering-operator route, ``prod_j (2 sigma_j / gt_j) <prod_j a_j>``
   on the conditioned state, a non-Hermitian expectation the simulation can
@@ -62,7 +62,7 @@ from .errors import (
     WeakMeasurementError,
     ZeroCouplingError,
 )
-from .evolution import PostSelectionResult, _system_frame, evolve_exact, scenario_frame
+from .evolution import PostSelectionResult, evolve_exact, scenario_frame
 from .pointers import FockPointerSpec, fock_operators
 from .scenario import Scenario, weak_value_denominator
 from .tensor import expectation, kron, product_expectation
@@ -93,34 +93,25 @@ def analytic_weak_value(observable: np.ndarray, pre: np.ndarray, post: np.ndarra
 
 
 def _symmetrized_values(
-    observables: Sequence[np.ndarray],
-    pre: np.ndarray,
-    post: np.ndarray,
-    multisets: Iterable[tuple[int, ...]],
-    vectors: dict[tuple[int, ...], np.ndarray] | None = None,
+    scenario: Scenario, multisets: Iterable[tuple[int, ...]]
 ) -> dict[tuple[int, ...], complex]:
     """Symmetrized weak values ``W(k) = <F|T_k|I> / (<F|I> m! / prod_i k_i!)``.
 
-    ``T_k`` sums the distinct words that use observable i ``k_i`` times
-    (``m = sum_i k_i``), so ``W(k)`` averages the weak values of those words.
+    ``T_k`` sums the distinct words that use embedded observable i ``k_i``
+    times (``m = sum_i k_i``), so ``W(k)`` averages their weak values.
     ``T_k |I>`` comes from the recursion ``T_k = sum_{j: k_j > 0} A_j T_{k - e_j}``
-    with ``T_0 = 1``, memoized over the multisets below each requested k in
-    ``vectors``: a fresh dict, or the word sums of the same observables and
-    pre-selection kept from an earlier call (:func:`_word_sums`).  A value
-    past the float range (observables whose products overflow) raises
-    :class:`CapacityError`, with numpy's overflow warnings silenced.
+    with ``T_0 |I> = |I>``, memoized on the scenario.  A value past the float
+    range (observables whose products overflow) raises :class:`CapacityError`,
+    with numpy's overflow warnings silenced.
     """
+    observables = scenario.embedded_observables()
     n = len(observables)
-    if n < 1:
-        raise ValueError("at least one observable is required")
     if n > SYMMETRIZATION_CAP:
         raise CapacityError(
             f"symmetrization over {n} observables exceeds the cap N <= {SYMMETRIZATION_CAP}"
         )
-    denom = weak_value_denominator(pre, post)
-    if vectors is None:
-        vectors = {}
-    vectors.setdefault((0,) * n, pre)
+    denom = weak_value_denominator(scenario.pre, scenario.post)
+    vectors = scenario._once("_word_sums", lambda: {(0,) * n: scenario.pre})
 
     def word_sum(k: tuple[int, ...]) -> np.ndarray:
         vec = vectors.get(k)
@@ -138,47 +129,13 @@ def _symmetrized_values(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in multisets:
             words = math.factorial(sum(k)) // math.prod(math.factorial(kj) for kj in k)
-            values[k] = complex(np.vdot(post, word_sum(k)) / (words * denom))
+            values[k] = complex(np.vdot(scenario.post, word_sum(k)) / (words * denom))
     for k, value in values.items():
         if not cmath.isfinite(value):
             raise CapacityError(
                 f"the symmetrized weak value W{k} is {value}, past the float range"
             )
     return values
-
-
-def symmetrized_joint_weak_value(
-    observables: Sequence[np.ndarray],
-    pre: np.ndarray,
-    post: np.ndarray,
-) -> complex:
-    """Weak value of the symmetrized product, ``<F|P{A}|I> / (N! <F|I>)``.
-
-    ``P{A}`` sums the product over all N! orderings, which is what the
-    simultaneous coupling of N pointers actually probes; for commuting
-    observables (a diagonal system frame) it must equal the plain product,
-    and is checked against it.  The sum is built by the recursion
-    ``T_k = sum_j A_j T_{k - e_j}`` over the 2^N subsets of the observables,
-    in N 2^(N-1) matrix-vector products; N is capped at :data:`SYMMETRIZATION_CAP`.
-    """
-    return _joint_value(observables, pre, post, lambda: _system_frame(observables)[2])
-
-
-def _joint_value(observables, pre, post, commuting, vectors=None) -> complex:
-    """:func:`symmetrized_joint_weak_value`, with the frame's flag from ``commuting()``
-    and the word sums memoized in ``vectors``."""
-    ones = (1,) * len(observables)
-    value = _symmetrized_values(observables, pre, post, [ones], vectors)[ones]
-
-    if commuting():
-        with np.errstate(over="ignore", invalid="ignore"):
-            direct = analytic_weak_value(reduce(np.matmul, observables), pre, post)
-        if not abs(value - direct) <= 1e-12 * (1.0 + abs(direct)):  # NaN, an overflow, fails too
-            raise WeakMeasurementError(
-                f"symmetrized value {value} does not reduce to the plain-product "
-                f"value {direct} for commuting observables"
-            )
-    return value
 
 
 def _route_pointers(scenarios: Sequence[Scenario]) -> tuple:
@@ -342,24 +299,28 @@ def strong_position_estimate(scenario: Scenario) -> complex:
     return complex(value * scale)
 
 
-def _word_sums(scenario: Scenario) -> dict[tuple[int, ...], np.ndarray]:
-    """The scenario's word sums ``T_k |I>``, one memo shared by every oracle call."""
-    return scenario._once("_word_sums", dict)
-
-
 def analytic_oracle(scenario: Scenario) -> complex:
-    """Symmetrized joint weak value of the scenario's embedded observables.
+    """Weak value of the symmetrized product, ``<F|P{A}|I> / (N! <F|I>)``.
 
-    Reads the scenario's system frame and word sums, so :func:`second_order_error`
-    and ``evolve_exact`` on the same scenario reuse them.
+    ``P{A}`` sums the product of the embedded observables over all N!
+    orderings, which is what the simultaneous coupling of N pointers probes:
+    ``W(1, ..., 1)`` of :func:`_symmetrized_values`.  For commuting
+    observables (a diagonal system frame, kept on the scenario with the word
+    sums) it must equal the plain product, and is checked against it.
     """
-    return _joint_value(
-        scenario.embedded_observables(),
-        scenario.pre,
-        scenario.post,
-        lambda: scenario_frame(scenario)[2],
-        _word_sums(scenario),
-    )
+    ones = (1,) * len(scenario.observables)
+    value = _symmetrized_values(scenario, [ones])[ones]
+
+    if scenario_frame(scenario)[2]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = reduce(np.matmul, scenario.embedded_observables())
+            direct = analytic_weak_value(product, scenario.pre, scenario.post)
+        if not abs(value - direct) <= 1e-12 * (1.0 + abs(direct)):  # NaN, an overflow, fails too
+            raise WeakMeasurementError(
+                f"symmetrized value {value} does not reduce to the plain-product "
+                f"value {direct} for commuting observables"
+            )
+    return value
 
 
 def second_order_error(scenario: Scenario) -> complex:
@@ -372,8 +333,7 @@ def second_order_error(scenario: Scenario) -> complex:
     :func:`analytic_oracle` only the longer words are new.
     """
     _fock_pointers([scenario])
-    observables = scenario.embedded_observables()
-    n = len(observables)
+    n = len(scenario.observables)
     ones = (1,) * n
 
     def bumped(base: tuple[int, ...], j: int, by: int) -> tuple[int, ...]:
@@ -383,9 +343,7 @@ def second_order_error(scenario: Scenario) -> complex:
     multisets = [ones] + [
         bumped(base, j, by) for j in range(n) for base in (zero, ones) for by in (1, 2)
     ]
-    w = _symmetrized_values(
-        observables, scenario.pre, scenario.post, multisets, _word_sums(scenario)
-    )
+    w = _symmetrized_values(scenario, multisets)
     joint = w[ones]
     c2 = 0j
     for j, lam in enumerate(scenario.lambdas):
@@ -409,14 +367,14 @@ def extraction_tolerance(lambda_max: float, analytic: complex) -> float:
     ``lambda^2 |1 - A_w^2|``).  The cubic factor ``(1 + |A_w|)^3`` bounds
     that growth uniformly, and :data:`TOLERANCE_COEFFICIENT` covers the
     factor-2 transition-pair correction plus truncation residue.
-    :data:`TOLERANCE_FLOOR` absorbs double-precision noise on near-exact
-    scenarios.
+    :data:`TOLERANCE_FLOOR` is a fixed floor; the extraction's rounding,
+    about ``eps |route scale| (1 + |A_w|)``, grows like ``1/lambda`` past it,
+    so :func:`~weakmeas.harness.run_scenario` also takes the sweep's floor.
 
     The model sees only the joint value ``A_w``.  Joint extractions also
     carry the weak values of partial products, which the exact lambda^2 term
     of :func:`second_order_error` contains, so for Fock pointers
-    :func:`~weakmeas.harness.run_scenario` uses the larger of this tolerance
-    and twice ``|c2|``.
+    :func:`~weakmeas.harness.run_scenario` also raises it to twice ``|c2|``.
 
     Raises :class:`WeakMeasurementError` when ``(1 + |A_w|)^3`` overflows a
     float, which happens once ``|A_w|`` passes about 5.6e102.

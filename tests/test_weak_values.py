@@ -32,7 +32,7 @@ from conftest import (
 from weakmeas.evolution import PostSelectionResult
 from weakmeas.scenario import catalog_dir
 from weakmeas.tensor import _embed
-from weakmeas.weak_values import _ladder_route, _symmetrized_values, _word_sums
+from weakmeas.weak_values import _ladder_route, _symmetrized_values
 
 R2 = 1.0 / np.sqrt(2.0)
 
@@ -45,6 +45,13 @@ REGRESSION_FIXTURES = [
     str(DATA / "joint_s12_p17_29.json"),
 ]
 
+#: Every scenario file the suite keeps beside the catalog.
+DATA_SCENARIOS = sorted(
+    str(path)
+    for path in DATA.glob("*.json")
+    if path.stem not in {"catalog_values", "sample_digests"}
+)
+
 
 def permutation_reference(matrices, pre, post):
     """Symmetrized weak value by explicit enumeration of all N! orderings."""
@@ -56,6 +63,27 @@ def permutation_reference(matrices, pre, post):
         acc = acc + vec
     n_orderings = math.factorial(len(matrices))
     return complex(np.vdot(post, acc) / (n_orderings * np.vdot(post, pre)))
+
+
+def one_factor_scenario(matrices, pre, post):
+    """The matrices as observables on one system factor of ``len(pre)`` levels, each
+    read out by a sigma = 1 Fock pointer at gt = 0.02.  Embedding on one factor is
+    the identity, so the oracle's recursion reads the matrices unchanged."""
+    return Scenario(
+        system_dims=(len(pre),),
+        observables=tuple(
+            ObservableSpec(name=f"A{j + 1}", matrix=m, target=(0,)) for j, m in enumerate(matrices)
+        ),
+        pointers=(FockPointerSpec(sigma=1.0, dim=8),) * len(matrices),
+        couplings=(0.02,) * len(matrices),
+        pre=pre,
+        post=post,
+    )
+
+
+def one_factor_oracle(matrices, pre, post):
+    """:func:`weakmeas.analytic_oracle` of :func:`one_factor_scenario`."""
+    return wm.analytic_oracle(one_factor_scenario(matrices, pre, post))
 
 
 def overlapping_states(rng, dim, floor=0.3):
@@ -122,7 +150,7 @@ class TestSymmetrizedJointWeakValue:
         a2 = _embed(SZ, (1,), (2, 2))
         pre = state([0.0, R2, R2, 0.0])
         post = state([0.5, 0.5, 0.5, 0.5])
-        assert wm.symmetrized_joint_weak_value([a1, a2], pre, post) == pytest.approx(-1.0)
+        assert one_factor_oracle([a1, a2], pre, post) == pytest.approx(-1.0)
 
     def test_anticommuting_pair_vanishes(self, rng):
         # sigma_x sigma_y + sigma_y sigma_x = 0, so the value is 0 for any states
@@ -131,7 +159,7 @@ class TestSymmetrizedJointWeakValue:
             post = state(random_state(rng, 2))
             if abs(np.vdot(post, pre)) < 1e-3:
                 continue
-            value = wm.symmetrized_joint_weak_value([SX, SY], pre, post)
+            value = one_factor_oracle([SX, SY], pre, post)
             assert abs(value) <= 1e-12
 
     def test_commuting_triple_reduces_to_product(self, rng):
@@ -142,7 +170,7 @@ class TestSymmetrizedJointWeakValue:
             post = state(random_state(rng, 8))
             if abs(np.vdot(post, pre)) < 1e-3:
                 continue
-            joint = wm.symmetrized_joint_weak_value(ops, pre, post)
+            joint = one_factor_oracle(ops, pre, post)
             direct = wm.analytic_weak_value(product, pre, post)
             assert joint == pytest.approx(direct, abs=1e-12 * (1 + abs(direct)))
 
@@ -157,7 +185,7 @@ class TestSymmetrizedJointWeakValue:
         pre = state([0.0, R2, R2, 0.0])
         post = state([0.5, 0.5, 0.5, 0.5])
         with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
-            wm.symmetrized_joint_weak_value(ops, pre, post)
+            one_factor_oracle(ops, pre, post)
 
     def test_non_finite_plain_product_is_refused(self):
         # the product of two 1e160-scale projectors overflows while |I> = |11>,
@@ -168,7 +196,7 @@ class TestSymmetrizedJointWeakValue:
         pre = state([0.0, 0.0, 0.0, 1.0])
         post = state([0.5, 0.5, 0.5, 0.5])
         with pytest.raises(wm.WeakMeasurementError, match=r"value 0j does not reduce .*nan"):
-            wm.symmetrized_joint_weak_value(ops, pre, post)
+            one_factor_oracle(ops, pre, post)
 
     def test_overflowing_word_sums_are_a_capacity_error(self):
         # 1e160-scale observables overflow the word sum A_1 A_2 |I>: a typed
@@ -178,7 +206,7 @@ class TestSymmetrizedJointWeakValue:
         post = state([0.5, 0.5, 0.5, 0.5])
         message = "the symmetrized weak value W(1, 1) is (nan+nanj), past the float range"
         with pytest.raises(wm.CapacityError, match=f"^{re.escape(message)}$"):
-            wm.symmetrized_joint_weak_value(ops, pre, post)
+            one_factor_oracle(ops, pre, post)
 
     def test_reduction_is_checked_for_commuting_to_rounding(self, monkeypatch, rng):
         a, a2 = matrix_and_square(rng)
@@ -188,7 +216,7 @@ class TestSymmetrizedJointWeakValue:
             wm.weak_values, "analytic_weak_value", lambda *a, **k: exact(*a, **k) + 1e-6
         )
         with pytest.raises(wm.WeakMeasurementError, match="plain-product"):
-            wm.symmetrized_joint_weak_value([a, a2], state(pre), state(post))
+            one_factor_oracle([a, a2], state(pre), state(post))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_recursion_matches_permutation_reference(self, rng, n):
@@ -196,7 +224,7 @@ class TestSymmetrizedJointWeakValue:
         pool = [m / np.linalg.norm(m, 2) for m in pool]
         pre, post = overlapping_states(rng, 3)
         for matrices in (pool, [pool[j % 2] for j in range(n)]):
-            value = wm.symmetrized_joint_weak_value(matrices, state(pre), state(post))
+            value = one_factor_oracle(matrices, state(pre), state(post))
             reference = permutation_reference(matrices, pre, post)
             assert abs(value - reference) <= 1e-13 * (1.0 + abs(reference))
 
@@ -207,16 +235,26 @@ class TestSymmetrizedJointWeakValue:
         pool = [m / np.linalg.norm(m, 2) for m in pool]
         pre, post = overlapping_states(rng, 4)
         multisets = [k for k in itertools.product(range(4), range(3), range(2)) if any(k)]
-        values = _symmetrized_values(pool, state(pre), state(post), multisets)
+        values = _symmetrized_values(one_factor_scenario(pool, state(pre), state(post)), multisets)
         for k in multisets:
             repeated = [m for m, kj in zip(pool, k) for _ in range(kj)]
             reference = permutation_reference(repeated, pre, post)
             assert abs(values[k] - reference) <= 1e-13 * (1.0 + abs(reference))
 
+    @pytest.mark.parametrize(
+        "ref", wm.catalog_names() + DATA_SCENARIOS, ids=lambda ref: Path(ref).name
+    )
+    def test_oracle_matches_permutation_reference_on_shipped_scenarios(self, ref):
+        # every ordering applied in turn to the embedded observables: no word-sum
+        # recursion, no memo; split_target_triple's out-of-order target included
+        s = wm.resolve_scenario(ref)
+        reference = permutation_reference(s.embedded_observables(), s.pre, s.post)
+        assert abs(wm.analytic_oracle(s) - reference) <= 1e-13 * (1.0 + abs(reference))
+
     def test_permutation_cap(self):
         ops = [SZ] * 9
         with pytest.raises(wm.CapacityError):
-            wm.symmetrized_joint_weak_value(ops, state([1.0, 0.0]), state([R2, R2]))
+            one_factor_oracle(ops, state([1.0, 0.0]), state([R2, R2]))
 
 
 class TestSecondOrderError:
@@ -250,12 +288,12 @@ class TestSecondOrderError:
     def test_reuses_the_oracle_word_sums(self, name):
         s = wm.resolve_scenario(name)
         analytic = wm.analytic_oracle(s)
-        sums = _word_sums(s)
+        sums = s._kept["_word_sums"]
         kept = dict(sums)
         assert (1,) * s.n_pointers in kept
         c2 = wm.second_order_error(s)
         # The recursion continued the oracle's memo: no word sum was rebuilt.
-        assert _word_sums(s) is sums
+        assert s._kept["_word_sums"] is sums
         assert all(sums[k] is vector for k, vector in kept.items())
         assert len(sums) > len(kept)
         # Sharing changes no bit, in either call order.
@@ -263,7 +301,7 @@ class TestSecondOrderError:
         assert wm.second_order_error(fresh) == c2
         assert wm.analytic_oracle(fresh) == analytic
         observables = s.embedded_observables()
-        assert wm.symmetrized_joint_weak_value(observables, s.pre, s.post) == analytic
+        assert one_factor_oracle(observables, s.pre, s.post) == analytic
 
 
 class TestFockExtraction:
@@ -318,12 +356,59 @@ def dense_ladder_route(points):
     ]
 
 
-#: Every scenario file the suite keeps beside the catalog.
-DATA_SCENARIOS = sorted(
-    str(path)
-    for path in DATA.glob("*.json")
-    if path.stem not in {"catalog_values", "sample_digests"}
-)
+def momentum_ladder_route(s, nodes=8):
+    """Reference: the Fock lowering route to all orders in the couplings, with no
+    Fock truncation, from each pointer's momentum representation.
+
+    There the conditioned pointer state is ``phi(p) f(p)``, with
+    ``f(p) = <F| exp(-i sum_j gt_j p_j A_j) |I>`` and ``phi`` the Gaussian ground
+    state.  Since ``a_j phi = 0``, ``a_j (phi f) = phi (i / 2 sigma_j) d_j f``, so
+    the route's ``prod_j (2 sigma_j / gt_j) <prod_j a_j>`` is
+    ``prod_j (i / gt_j) E[conj(f) d_1...d_N f] / E[|f|^2]`` under ``|phi|^2``.
+    The mixed partial is the multilinear Taylor coefficient of the exponential:
+    the block from the full subset to the empty one of ``exp(G)``, where ``G`` is
+    2^N-block upper triangular over the subsets of the pointers, with
+    ``-i sum_j gt_j p_j A_j`` on its diagonal and ``-i gt_j A_j`` from each subset
+    without j to the subset with j.  ``exp(G)`` is applied to ``|I>`` in the full
+    subset's block by its Taylor series, and the expectations are Gauss-Hermite
+    sums with ``nodes`` nodes per axis.
+    """
+    observables = np.stack(s.embedded_observables())
+    n, dim = len(observables), len(s.pre)
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    # |phi_j(p)|^2 is proportional to exp(-2 sigma_j^2 p^2), so p = x / (sqrt(2) sigma_j)
+    axes = np.meshgrid(*[x] * n, indexing="ij")
+    gtp = np.stack(
+        [a.reshape(-1) * gt / (math.sqrt(2.0) * p.sigma)
+         for a, gt, p in zip(axes, s.couplings, s.pointers)],
+        axis=1,
+    )
+    weights = reduce(np.multiply.outer, [w] * n).reshape(-1)
+    g = np.zeros((len(gtp), 2**n * dim, 2**n * dim), dtype=complex)
+    diagonal = -1j * np.einsum("kj,jab->kab", gtp, observables)
+    for subset in range(2**n):
+        rows = slice(subset * dim, (subset + 1) * dim)
+        g[:, rows, rows] = diagonal
+        for j in range(n):
+            if not subset >> j & 1:
+                grown = subset | 1 << j
+                g[:, rows, grown * dim : (grown + 1) * dim] = -1j * s.couplings[j] * observables[j]
+    # scale G to norm <= 1/2 so that 18 Taylor terms leave under 1e-21 per step
+    steps = max(1, math.ceil(2.0 * np.abs(g).sum(axis=-1).max()))
+    g /= steps
+    vector = np.zeros((len(gtp), 2**n * dim, 1), dtype=complex)
+    vector[:, -dim:, 0] = s.pre
+    for _ in range(steps):
+        term = total = vector
+        for k in range(1, 18):
+            term = g @ term / k
+            total = total + term
+        vector = total
+    f = vector[:, -dim:, 0] @ s.post.conj()
+    mixed = vector[:, :dim, 0] @ s.post.conj()
+    ratio = np.sum(weights * f.conj() * mixed) / np.sum(weights * abs(f) ** 2)
+    return complex(ratio * math.prod(1j / gt for gt in s.couplings))
+
 
 #: Every catalog and ``tests/data`` scenario whose pointers are all Fock: the
 #: scenarios the correlator route takes.
@@ -332,6 +417,36 @@ ALL_FOCK = [
     for ref in wm.catalog_names() + DATA_SCENARIOS
     if all(isinstance(p, FockPointerSpec) for p in wm.resolve_scenario(ref).pointers)
 ]
+
+
+class TestAllOrdersReference:
+    # at N = 3 the reference takes about 0.1 s, so only triple_ghz_mix is checked
+    @pytest.mark.parametrize(
+        "ref",
+        [r for r in ALL_FOCK if wm.resolve_scenario(r).n_pointers < 3] + ["triple_ghz_mix"],
+        ids=lambda ref: Path(ref).name,
+    )
+    def test_lowering_route_matches_to_all_orders(self, ref):
+        # the simulated route misses the first-order oracle by up to 2e-2 here,
+        # so agreement covers every higher order; the route's own rounding is
+        # about eps |route scale| (1 + |A_w|), the unit of the sweep's floor
+        result, s = conditioned(ref)
+        [value] = wm.extract_joint_fock([(result, s)])
+        reference = momentum_ladder_route(s)
+        analytic = abs(wm.analytic_oracle(s))
+        scale = math.prod(p.route_scale(gt) for p, gt in zip(s.pointers, s.couplings))
+        rounding = np.finfo(float).eps * abs(scale) * (1.0 + analytic)
+        assert abs(value - reference) <= 1e-12 * (1.0 + analytic) + rounding
+
+    @pytest.mark.parametrize(
+        "ref",
+        ["aav_amplified", "strong_pair_entangled", str(DATA / "noncommuting_s11_p399_5.json")],
+        ids=lambda ref: Path(ref).name,
+    )
+    def test_eight_nodes_converge(self, ref):
+        s = wm.resolve_scenario(ref)
+        reference = momentum_ladder_route(s, 16)
+        assert abs(momentum_ladder_route(s) - reference) <= 1e-13 * (1.0 + abs(reference))
 
 
 def spin8_triple():
