@@ -43,7 +43,9 @@ from .pointers import FockPointerSpec
 from .scenario import Scenario
 from .tensor import Operator, _check_capacity, _embed, _require_shape, _rotate, require_hermitian
 
-#: Maximum tolerated population in the top two levels of any Fock pointer.
+#: Maximum tolerated population in the top two levels of any Fock pointer.  The
+#: lowering route's truncation error measured at most 0.05 of that population in
+#: units of 1 + |A_w|, so under the guard truncation stays below 5e-10 (1 + |A_w|).
 LEAKAGE_GUARD = 1e-8
 
 #: Post-selection probabilities below this floor are treated as failed runs.

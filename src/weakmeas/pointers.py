@@ -18,14 +18,16 @@ Fock pointer alone has tests it: leakage (``evolution.top_level_leakage``),
 ``--dim`` (``scenario.with_fock_dim``, ``harness.sweep_lambda``), the document
 form (``scenario.dump_scenario``), quadratures (``weak_values._fock_pointers``,
 ``harness._reports``) and sampling (``harness._sampled_pointer``).  A spec
-whose operators would pass the array cap, or whose quadratures would overflow
-the float range, cannot be built.
+whose sigma, s or dim is not a number (dim an integer; never a bool), whose
+operators would pass the array cap, or whose quadratures would overflow the
+float range, cannot be built.
 
 Pointer operators are plain ``dim x dim`` complex arrays, not checked
 containers: that refusal keeps them finite and under the cap.  Each is built
 fresh on every call and cached nowhere.  :func:`fock_operators` returns the
-quadrature pair ``(X, P)`` for the correlator route and the diagnostics, and
-:func:`spin_operators` the pair ``(S-, S_y)``.  A Fock spec's ``coupling()``
+quadrature pair ``(X, P)``, and a Fock spec's ``readouts()`` pairs each with
+its weight in ``a = X/(2 sigma) + i sigma P`` for the correlator route;
+:func:`spin_operators` returns ``(S-, S_y)``.  A Fock spec's ``coupling()``
 and ``lowering()`` build only the operator they return, with the same bits
 as the matching entry (``lowering()`` is the ``a`` the quadratures are built
 from); a spin spec takes both from :func:`spin_operators`.
@@ -61,8 +63,8 @@ class FockPointerSpec:
     dim: int = 12
 
     def __post_init__(self):
-        sigma = float(self.sigma)
-        dim = int(self.dim)
+        sigma = tensor._as_number(self.sigma, "sigma")
+        dim = tensor._as_number(self.dim, "dim", integer=True)
         if not math.isfinite(sigma) or sigma <= 0.0:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if dim < 2:
@@ -94,6 +96,11 @@ class FockPointerSpec:
         """Ladder operator of the extraction route, the annihilation operator a, as a new array."""
         return _fock_lowering(self.dim)
 
+    def readouts(self) -> tuple[tuple[str, np.ndarray, complex], ...]:
+        """``(letter, operator, weight)`` per Hermitian term of ``a = X/(2 sigma) + i sigma P``."""
+        x, p = fock_operators(self)
+        return ("X", x, 1.0 / (2.0 * self.sigma)), ("P", p, 1j * self.sigma)
+
 
 @dataclass(frozen=True)
 class SpinPointerSpec:
@@ -102,7 +109,7 @@ class SpinPointerSpec:
     s: float
 
     def __post_init__(self):
-        s = float(self.s)
+        s = tensor._as_number(self.s, "s")
         two_s = 2.0 * s
         if not math.isfinite(two_s) or s <= 0 or abs(two_s - round(two_s)) > 1e-12:
             raise ValueError(f"s must be a positive half-integer, got {self.s}")

@@ -33,7 +33,7 @@ from .errors import (
     WeakRegimeWarning,
 )
 from .pointers import FockPointerSpec, PointerSpec, SpinPointerSpec
-from .tensor import _embed, _frozen_complex, require_hermitian
+from .tensor import _as_number, _embed, _frozen_complex, _is_number, require_hermitian
 
 #: Couplings whose expansion parameter exceeds this are rejected outright.
 LAMBDA_HARD_LIMIT = 0.5
@@ -75,7 +75,8 @@ class ObservableSpec:
 
     ``matrix`` acts on the system factors listed in ``target`` (in that
     order); it must be Hermitian.  It is held as a read-only complex array,
-    refused when built unless finite and square.
+    refused when built unless finite and square; a non-string ``name`` or a
+    non-integer target raises ``TypeError``.
     """
 
     name: str
@@ -83,8 +84,11 @@ class ObservableSpec:
     target: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"name: expected a string, got {self.name!r}")
         object.__setattr__(self, "matrix", _frozen_complex(self.matrix, "observable", 2))
-        object.__setattr__(self, "target", tuple(int(t) for t in self.target))
+        target = tuple(_as_number(t, "target", integer=True) for t in self.target)
+        object.__setattr__(self, "target", target)
 
     __eq__ = _equal_fields
 
@@ -93,10 +97,10 @@ class ObservableSpec:
 class Scenario:
     """Full experiment description; immutable once constructed.
 
-    ``couplings`` holds one product ``g t`` of coupling constant and
-    interaction time per pointer.  ``pre`` and ``post`` are held as
-    read-only complex vectors, refused when built unless finite; a scenario
-    whose parts do not fit together is refused with one :class:`LayoutError`.
+    ``couplings`` holds one product ``g t`` per pointer, and ``pre`` and
+    ``post`` read-only complex vectors, refused unless finite.  A name, dim
+    or coupling of the wrong type raises ``TypeError``; parts that do not
+    fit together raise one :class:`LayoutError` listing every defect.
     """
 
     system_dims: tuple[int, ...]
@@ -110,10 +114,15 @@ class Scenario:
     expected: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "system_dims", tuple(int(d) for d in self.system_dims))
+        for key in ("name", "description"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise TypeError(f"{key}: expected a string, got {getattr(self, key)!r}")
+        dims = tuple(_as_number(d, "system_dims", integer=True) for d in self.system_dims)
+        object.__setattr__(self, "system_dims", dims)
         object.__setattr__(self, "observables", tuple(self.observables))
         object.__setattr__(self, "pointers", tuple(self.pointers))
-        object.__setattr__(self, "couplings", tuple(float(gt) for gt in self.couplings))
+        couplings = tuple(_as_number(gt, "couplings") for gt in self.couplings)
+        object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "pre", _frozen_complex(self.pre, "pre", 1))
         object.__setattr__(self, "post", _frozen_complex(self.post, "post", 1))
         defects = _structural_defects(self)
@@ -310,41 +319,22 @@ def ensure_valid(scenario: Scenario) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """Whether ``value`` is a JSON number of ``kind``; ``true`` and ``false`` are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _number(value, field: str, kind=(int, float)):
-    """``value`` if it passes :func:`_is_number`, as a float unless ``kind`` is int.
-
-    Otherwise, or when a float cannot hold it, or for the ``NaN`` and
-    ``Infinity`` literals, raises :class:`SchemaError` naming ``field``.
-    """
-    if not _is_number(value, kind):
-        noun = "an integer" if kind is int else "a number"
-        raise SchemaError(f"{field}: expected {noun}, got {value!r}")
-    if kind is int:
-        return value
+def _number(value, field: str, integer: bool = False):
+    """``value`` as :func:`~weakmeas.tensor._as_number` reads it; a non-number, a number a
+    float cannot hold, ``NaN`` and ``Infinity`` raise :class:`SchemaError` naming ``field``."""
     try:
-        number = float(value)
+        number = _as_number(value, field, integer)
+    except TypeError as exc:
+        raise SchemaError(str(exc)) from None
     except OverflowError:
         raise SchemaError(f"{field}: number too large for a float") from None
-    if not math.isfinite(number):
+    if not (integer or math.isfinite(number)):
         raise SchemaError(f"{field}: expected a finite number, got {value!r}")
     return number
 
 
 def _complex_pair(value, field: str) -> complex:
-    if type(value) is list and len(value) == 2:
-        re, im = value
-        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
-            return complex(re, im)
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_number(x) for x in value)
-    ):
+    if not isinstance(value, list) or len(value) != 2 or not all(_is_number(x) for x in value):
         raise SchemaError(f"{field}: expected a [re, im] pair, got {value!r}")
     return complex(*(_number(x, field) for x in value))
 
@@ -374,7 +364,7 @@ def _parse_pointer(raw, field: str) -> PointerSpec:
         if kind == "fock":
             return FockPointerSpec(
                 sigma=_number(raw["sigma"], f"{field}.sigma"),
-                dim=_number(raw.get("dim", 12), f"{field}.dim", int),
+                dim=_number(raw.get("dim", 12), f"{field}.dim", integer=True),
             )
         if kind == "spin":
             return SpinPointerSpec(s=_number(raw["s"], f"{field}.s"))
@@ -405,7 +395,7 @@ def load_scenario(text: str) -> Scenario:
             raise SchemaError(f"{key}: expected a string, got {doc[key]!r}")
 
     system_dims = doc.get("system_dims")
-    if not isinstance(system_dims, list) or not all(_is_number(d, int) for d in system_dims):
+    if not isinstance(system_dims, list) or not all(_is_number(d, True) for d in system_dims):
         raise SchemaError("system_dims: expected a list of integers")
 
     raw_obs = doc.get("observables")
@@ -417,7 +407,7 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(raw, dict):
             raise SchemaError(f"{field}: expected an object")
         target = raw.get("target")
-        if not isinstance(target, list) or not all(_is_number(t, int) for t in target):
+        if not isinstance(target, list) or not all(_is_number(t, True) for t in target):
             raise SchemaError(f"{field}.target: expected a list of factor indices")
         name = raw.get("name", f"A{i + 1}")
         if not isinstance(name, str):

@@ -53,6 +53,22 @@ def _frozen_complex(values, kind: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is an integer, or (unless ``integer``) a real number.
+    Python and numpy scalars count; ``True`` and ``False`` do not."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _as_number(value, field: str, integer: bool = False) -> int | float:
+    """``value`` as an int if ``integer``, else as a float; raises :class:`TypeError`
+    naming ``field`` unless it passes :func:`_is_number`."""
+    if not _is_number(value, integer):
+        noun = "an integer" if integer else "a number"
+        raise TypeError(f"{field}: expected {noun}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _require_shape(tensor: np.ndarray, dims: tuple[int, ...]) -> None:
     if tensor.shape != dims:
         raise LayoutError(f"state shape {tensor.shape} does not match the layout {dims}")

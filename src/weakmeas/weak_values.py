@@ -7,8 +7,8 @@ Three extraction routes recover it from simulated pointer states:
 * the lowering-operator route, ``prod_j (2 sigma_j / gt_j) <prod_j a_j>``
   on the conditioned state, a non-Hermitian expectation the simulation can
   take directly;
-* the correlator route, which expands every ``a_j`` into its X and P
-  quadratures and recombines the resulting 2^N Hermitian correlation
+* the correlator route, which expands every ``a_j`` into its pointer's X and P
+  ``readouts()`` and recombines the resulting 2^N Hermitian correlation
   functions, the quantities an ensemble experiment would actually measure.
   Its recombined value equals the lowering route identically (same state,
   same operator algebra), and that forced equality is a standing self-test;
@@ -71,9 +71,6 @@ from .tensor import expectation, kron, product_expectation
 #: recursion visits 2^N multisets for the joint value and (N + 1) 2^N for the
 #: second-order term, whose words are N + 2 operators long.
 SYMMETRIZATION_CAP = 8
-
-#: Mapping of signature letters to quadrature choices in correlator tables.
-QUADRATURE_LETTERS = ("X", "P")
 
 #: Coefficient and floor of :func:`extraction_tolerance`.
 TOLERANCE_COEFFICIENT = 3.0
@@ -210,11 +207,11 @@ def correlator_decomposition(
 ) -> list[tuple[CorrelatorTable, complex]]:
     """All 2^N quadrature correlators of each conditioned state, plus their recombination.
 
-    Each table entry keys a signature string (one letter per pointer, ``X``
-    or ``P``) to the real expectation value of the corresponding Hermitian
-    product, the quantities measurable on identically prepared ensembles.
-    Recombining them with weights ``1/(2 sigma_j)`` for X and ``i sigma_j``
-    for P, times the ``2 sigma_j / gt_j`` scale, reproduces the lowering
+    Each table entry keys a signature string (one readout letter per pointer,
+    ``X`` or ``P``) to the real expectation value of the corresponding
+    Hermitian product, the quantities measurable on identically prepared
+    ensembles.  Recombining them with the product of the weights in each
+    pointer's ``readouts()``, times the route scale, reproduces the lowering
     route exactly; the recombined value is returned alongside the table.
     Each of the 2^N products is a dense ``kron`` over the pointer space,
     built once, applied to every state, and freed before the next one is
@@ -223,20 +220,12 @@ def correlator_decomposition(
     compares two independent evaluations.
     """
     pointers = _fock_pointers([scenario for _, scenario in points])
-    pointer_ops = [fock_operators(p) for p in pointers]
     tables: list[CorrelatorTable] = [{} for _ in points]
     recombined = [0.0 + 0.0j for _ in points]
-    for signature in itertools.product(QUADRATURE_LETTERS, repeat=len(pointers)):
-        factors = []
-        weight = 1.0 + 0.0j
-        for letter, (x, p), spec in zip(signature, pointer_ops, pointers):
-            if letter == "X":
-                factors.append(x)
-                weight *= 1.0 / (2.0 * spec.sigma)
-            else:
-                factors.append(p)
-                weight *= 1j * spec.sigma
-        key = "".join(signature)
+    for signature in itertools.product(*(p.readouts() for p in pointers)):
+        letters, factors, weights = zip(*signature)
+        key = "".join(letters)
+        weight = math.prod(weights, start=1.0 + 0.0j)
         product = kron(factors)
         for i, (result, _) in enumerate(points):
             value = expectation(result.conditioned, product)

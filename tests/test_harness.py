@@ -309,6 +309,29 @@ class TestSweep:
         # an explicit tolerance still replaces the whole threshold
         assert not wm.run_scenario(s, tolerance=1e-9).passed
 
+    def test_a_weak_limit_run_tolerance_stays_near_its_rounding(self):
+        # the gt = 1e-9 error is 8.84e-8, 0.14 of eps |route scale| (1 + |A_w|)
+        doc = json.loads((catalog_dir() / "aav_qubit.json").read_text(encoding="utf-8"))
+        doc["couplings"][0]["gt"] = 1e-9
+        report = wm.run_scenario(wm.load_scenario(json.dumps(doc)))
+        assert report.passed
+        assert report.tolerance < 1e-5
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("aav_qubit", (1e-4, 5e-5, 2.5e-5, 1.25e-5)),
+            ("aav_imaginary", (1e-4, 5e-5, 2.5e-5, 1.25e-5)),
+            ("aav_qubit_spinptr", (1e-4, 5e-5, 2.5e-5, 1.25e-5)),
+            ("joint_pair", (1e-3, 5e-4, 2.5e-4, 1.25e-4)),
+        ],
+    )
+    def test_a_quadratic_sweep_near_the_weak_limit_passes_on_its_slope(self, name, grid):
+        result = wm.sweep_lambda(name, grid)
+        assert not result.at_rounding_floor
+        assert abs(result.fitted_slope - 2.0) < 0.01
+        assert result.passed
+
     @pytest.mark.parametrize("name,dim,grid", SWEPT)
     def test_errors_equal_single_runs(self, name, dim, grid):
         result = wm.sweep_lambda(name, grid, dim=dim)
@@ -440,6 +463,10 @@ class TestSampling:
         )
         with pytest.raises(wm.GridError, match="first moment"):
             wm.position_density(result, s, 0)
+
+    def test_the_shot_cap_keeps_the_positions_under_the_array_cap(self):
+        # check_sample_request's MAX_SHOTS is the one cap on the float64 positions
+        assert wm.harness.MAX_SHOTS * 8 <= wm.tensor.MAX_ARRAY_BYTES
 
     def test_undersized_grid_rejected(self, conditioned_aav, monkeypatch):
         result, s = conditioned_aav
@@ -844,8 +871,8 @@ class TestCli:
         )
 
     def test_run_over_the_array_cap_errors(self, monkeypatch, capsys):
-        # joint_pair evolves within 2^16 bytes; its 144-row lowering product
-        # would take 144^2 * 16 = 331776
+        # joint_pair evolves within 2^16 bytes; the correlator route's 144-row
+        # kron product would take 144^2 * 16 = 331776
         monkeypatch.setattr(wm.tensor, "MAX_ARRAY_BYTES", 2**16)
         assert cli.main(["run", "joint_pair"]) == 2
         captured = capsys.readouterr()

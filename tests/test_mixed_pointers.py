@@ -130,10 +130,10 @@ def test_dim_override_changes_only_the_fock_pointer(name):
         ),
     )
     assert [p.dim for p in by_hand.pointers] != [p.dim for p in s.pointers]
-    label = str(path(name))
-    code, stdout, stderr = call(["run", label, "--dim", "8"])
+    ref = str(path(name))
+    code, stdout, stderr = call(["run", ref, "--dim", "8"])
     assert (code, stderr) == (0, "")
-    want = wm.emit_report(wm.run_scenario(by_hand, label=label), "json")
+    want = wm.emit_report(replace(wm.run_scenario(by_hand), scenario=ref), "json")
     assert stdout == want + "\n"
 
 

@@ -278,6 +278,90 @@ class TestStructuralParity:
         assert wm.validate(Scenario(**pair_fields())) == []
 
 
+#: Values construction would otherwise coerce (``int(12.7)``, ``float("1.5")``,
+#: ``int(True)``), each built by a callable, and the text of its refusal.
+COERCIONS = {
+    "system-dims-float": (
+        lambda: Scenario(**pair_fields(system_dims=(2, 2.9))),
+        "system_dims: expected an integer, got 2.9",
+    ),
+    "system-dims-bool": (
+        lambda: Scenario(**pair_fields(system_dims=(True, 2))),
+        "system_dims: expected an integer, got True",
+    ),
+    "target-bool": (
+        lambda: ObservableSpec(name="a", matrix=SZ, target=(True,)),
+        "target: expected an integer, got True",
+    ),
+    "target-float": (
+        lambda: ObservableSpec(name="a", matrix=SZ, target=(0.5,)),
+        "target: expected an integer, got 0.5",
+    ),
+    "fock-dim-float": (
+        lambda: FockPointerSpec(sigma=1.5, dim=12.7),
+        "dim: expected an integer, got 12.7",
+    ),
+    "fock-dim-bool": (
+        lambda: FockPointerSpec(sigma=1.5, dim=True),
+        "dim: expected an integer, got True",
+    ),
+    "sigma-string": (
+        lambda: FockPointerSpec(sigma="1.5", dim=12),
+        "sigma: expected a number, got '1.5'",
+    ),
+    "sigma-bool": (
+        lambda: FockPointerSpec(sigma=True, dim=12),
+        "sigma: expected a number, got True",
+    ),
+    "s-string": (lambda: SpinPointerSpec(s="0.5"), "s: expected a number, got '0.5'"),
+    "s-bool": (lambda: SpinPointerSpec(s=True), "s: expected a number, got True"),
+    "gt-string": (
+        lambda: Scenario(**pair_fields(couplings=(0.02, "0.02"))),
+        "couplings: expected a number, got '0.02'",
+    ),
+    "gt-bool": (
+        lambda: Scenario(**pair_fields(couplings=(True, 0.02))),
+        "couplings: expected a number, got True",
+    ),
+    "name-list": (
+        lambda: Scenario(**pair_fields(name=["x"])),
+        "name: expected a string, got ['x']",
+    ),
+    "description-int": (
+        lambda: Scenario(**pair_fields(description=3)),
+        "description: expected a string, got 3",
+    ),
+    "observable-name-none": (
+        lambda: ObservableSpec(name=None, matrix=SZ, target=(0,)),
+        "name: expected a string, got None",
+    ),
+}
+
+
+class TestConstructionRefusesCoercion:
+    """Construction takes numbers, integers and strings as they are, or refuses them;
+    the loader refuses the same values first, naming their JSON path."""
+
+    @pytest.mark.parametrize("build, message", COERCIONS.values(), ids=list(COERCIONS))
+    def test_refused(self, build, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_a_replaced_catalog_scenario_is_refused_field_by_field(self):
+        s = wm.resolve_scenario("aav_qubit")
+        for changes in (dict(system_dims=(2.9,)), dict(couplings=("0.02",)), dict(name=["x"])):
+            with pytest.raises(TypeError):
+                replace(s, **changes)
+
+    def test_numpy_scalars_are_numbers(self):
+        pointer = FockPointerSpec(sigma=np.float32(1.5), dim=np.int64(8))
+        assert (type(pointer.sigma), type(pointer.dim)) == (float, int)
+        assert type(SpinPointerSpec(s=np.float64(0.5)).s) is float
+        s = Scenario(**pair_fields(system_dims=tuple(np.array([2, 2])), pointers=(pointer,) * 2))
+        assert all(type(d) is int for d in s.system_dims)
+        assert wm.load_scenario(wm.dump_scenario(s)) == s
+
+
 class TestSerialization:
     def test_round_trip_equality(self):
         s = qubit_scenario()
@@ -417,6 +501,35 @@ class TestLoadErrors:
         with pytest.raises(wm.SchemaError, match=f"^{re.escape(message)}$"):
             wm.load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ((), [], "top level must be an object"),
+            (("observables", 0), [], "observables[0]: expected an object"),
+            (("pointers", 0), "fock", "pointers[0]: expected an object"),
+            (("couplings", 0), 0.02, "couplings[0]: expected an object"),
+            (
+                ("observables", 0, "matrix"),
+                [[[1.0, 0.0], [0.0, 0.0]]],
+                "observables[0].matrix: matrix must be square",
+            ),
+            (("expected",), [1.0, 0.0], "expected: must be an object when present"),
+        ],
+        ids=["top-level", "observable", "pointer", "coupling", "non-square", "expected"],
+    )
+    def test_containers_of_the_wrong_kind(self, path, value, message):
+        doc = self.base_doc()
+        if path:
+            *parents, key = path
+            target = doc
+            for part in parents:
+                target = target[part]
+            target[key] = value
+        else:
+            doc = value
+        with pytest.raises(wm.SchemaError, match=f"^{re.escape(message)}$"):
+            wm.load_scenario(json.dumps(doc))
+
     def test_absent_or_null_names_keep_their_defaults(self):
         doc = self.base_doc()
         doc["name"] = doc["description"] = None
@@ -473,17 +586,21 @@ def mutations(draw):
 
 
 class TestComplexPair:
-    """A ``[float, float]`` list returns early; every other entry goes through
-    the per-entry checks, which a tuple always takes."""
+    """Every ``[re, im]`` entry goes through the one set of per-entry checks."""
 
-    @pytest.mark.parametrize("text", ["[1.0, -0.0]", "[-0.0, 2.5e-320]", "[1, 2.0]", "[1, 2]"])
+    #: Each document entry and the parts it must parse to, signed zeros included.
+    PARSED = {
+        "[1.0, -0.0]": (1.0, -0.0),
+        "[-0.0, 2.5e-320]": (-0.0, 2.5e-320),
+        "[1, 2.0]": (1.0, 2.0),
+        "[1, 2]": (1.0, 2.0),
+    }
+
+    @pytest.mark.parametrize("text", list(PARSED))
     def test_parses_to_the_per_entry_value(self, text):
-        value = json.loads(text)
-        parsed = _complex_pair(value, "f")
-        per_entry = _complex_pair(tuple(value), "f")
+        parsed = _complex_pair(json.loads(text), "f")
         assert type(parsed) is complex
-        for part in ("real", "imag"):
-            got, want = getattr(parsed, part), getattr(per_entry, part)
+        for got, want in zip((parsed.real, parsed.imag), self.PARSED[text]):
             assert got == want
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
 

@@ -448,6 +448,30 @@ class TestAllOrdersReference:
         reference = momentum_ladder_route(s, 16)
         assert abs(momentum_ladder_route(s) - reference) <= 1e-13 * (1.0 + abs(reference))
 
+    @pytest.mark.parametrize("lam", [0.16, 0.08])
+    @pytest.mark.parametrize(
+        "ref",
+        ["aav_qubit", "joint_pair", str(DATA / "noncommuting_s11_p399_5.json")],
+        ids=lambda ref: Path(ref).name,
+    )
+    def test_truncation_error_is_bounded_by_the_leakage(self, monkeypatch, ref, lam):
+        # with the guard lifted, the lowering route at d = 3..7 misses the
+        # untruncated reference by 1.0e-4 .. 1.35e-2 of the top-level leakage
+        # (the largest on the non-commuting file at d = 4, lambda = 0.16), so
+        # the 1e-8 LEAKAGE_GUARD bounds truncation at 5e-10 (1 + |A_w|)
+        monkeypatch.setattr(wm.evolution, "LEAKAGE_GUARD", 1.0)
+        base = wm.resolve_scenario(ref).with_lambda(lam)
+        reference = momentum_ladder_route(base)
+        analytic = abs(wm.analytic_oracle(base))
+        for dim in range(3, 8):
+            s = base.with_fock_dim(dim)
+            evolved = wm.evolve_exact(s)
+            leakage = max(wm.evolution.top_level_leakage(evolved, s))
+            if leakage < 1e-11:  # the error is rounding there
+                continue
+            [value] = wm.extract_joint_fock([(wm.post_select(evolved, s), s)])
+            assert abs(value - reference) / (1.0 + analytic) <= 0.05 * leakage, dim
+
 
 def spin8_triple():
     """``triple_ghz_mix`` read out by three spin-8 pointers: D = 17^3 = 4913, whose
