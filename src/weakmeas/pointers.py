@@ -19,8 +19,8 @@ Fock pointer alone has tests it: leakage (``evolution.top_level_leakage``),
 form (``scenario.dump_scenario``), quadratures (``weak_values._fock_pointers``,
 ``harness._reports``) and sampling (``harness._sampled_pointer``).  A spec
 whose sigma, s or dim is not a number (dim an integer; never a bool), whose
-operators would pass the array cap, or whose quadratures would overflow the
-float range, cannot be built.
+sigma or s no float holds, whose operators would pass the array cap, or whose
+quadratures would overflow the float range, cannot be built.
 
 Pointer operators are plain ``dim x dim`` complex arrays, not checked
 containers: that refusal keeps them finite and under the cap.  Each is built
@@ -65,7 +65,7 @@ class FockPointerSpec:
     def __post_init__(self):
         sigma = tensor._as_number(self.sigma, "sigma")
         dim = tensor._as_number(self.dim, "dim", integer=True)
-        if not math.isfinite(sigma) or sigma <= 0.0:
+        if sigma <= 0.0:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if dim < 2:
             raise ValueError(f"Fock truncation needs dim >= 2, got {self.dim}")

@@ -33,7 +33,7 @@ from .errors import (
     WeakRegimeWarning,
 )
 from .pointers import FockPointerSpec, PointerSpec, SpinPointerSpec
-from .tensor import _as_number, _embed, _frozen_complex, _is_number, require_hermitian
+from .tensor import _as_number, _embed, _frozen_complex, require_hermitian
 
 #: Couplings whose expansion parameter exceeds this are rejected outright.
 LAMBDA_HARD_LIMIT = 0.5
@@ -99,8 +99,9 @@ class Scenario:
 
     ``couplings`` holds one product ``g t`` per pointer, and ``pre`` and
     ``post`` read-only complex vectors, refused unless finite.  A name, dim
-    or coupling of the wrong type raises ``TypeError``; parts that do not
-    fit together raise one :class:`LayoutError` listing every defect.
+    or coupling of the wrong type raises ``TypeError``, and a coupling no
+    float holds ``ValueError``; parts that do not fit together raise one
+    :class:`LayoutError` listing every defect.
     """
 
     system_dims: tuple[int, ...]
@@ -236,9 +237,6 @@ def _structural_defects(scenario: Scenario) -> list[str]:
                 f"observables[{i}].matrix: dimension {len(obs.matrix)} does not match "
                 f"target factors {factors}"
             )
-    for i, gt in enumerate(scenario.couplings):
-        if not math.isfinite(gt):
-            defects.append(f"couplings[{i}].gt: must be finite")
     for label, state in (("pre", scenario.pre), ("post", scenario.post)):
         if len(state) != math.prod(dims):
             defects.append(f"{label}: length {len(state)} does not match system dims {dims}")
@@ -319,24 +317,30 @@ def ensure_valid(scenario: Scenario) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _number(value, field: str, integer: bool = False):
-    """``value`` as :func:`~weakmeas.tensor._as_number` reads it; a non-number, a number a
-    float cannot hold, ``NaN`` and ``Infinity`` raise :class:`SchemaError` naming ``field``."""
+def _built(path: str, build, **fields):
+    """``build(**fields)``, its refusal raised as a :class:`SchemaError` under the JSON ``path``.
+
+    A message that starts with its field (``sigma: expected a number, got '1.0'``)
+    extends the path; any other follows it after a colon.
+    """
     try:
-        number = _as_number(value, field, integer)
-    except TypeError as exc:
-        raise SchemaError(str(exc)) from None
-    except OverflowError:
-        raise SchemaError(f"{field}: number too large for a float") from None
-    if not (integer or math.isfinite(number)):
-        raise SchemaError(f"{field}: expected a finite number, got {value!r}")
-    return number
+        return build(**fields)
+    except (LayoutError, TypeError, ValueError) as exc:
+        text = str(exc)
+        if path:
+            text = f"{path}.{text}" if text.partition(": ")[0].isidentifier() else f"{path}: {text}"
+        raise SchemaError(text) from None
 
 
 def _complex_pair(value, field: str) -> complex:
-    if not isinstance(value, list) or len(value) != 2 or not all(_is_number(x) for x in value):
-        raise SchemaError(f"{field}: expected a [re, im] pair, got {value!r}")
-    return complex(*(_number(x, field) for x in value))
+    if isinstance(value, list) and len(value) == 2:
+        try:
+            return complex(*(_as_number(x, field) for x in value))
+        except TypeError:
+            pass  # an entry that is not a number: not a pair
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
+    raise SchemaError(f"{field}: expected a [re, im] pair, got {value!r}")
 
 
 def _parse_vector(raw, field: str) -> np.ndarray:
@@ -362,27 +366,23 @@ def _parse_pointer(raw, field: str) -> PointerSpec:
     kind = raw.get("kind")
     try:
         if kind == "fock":
-            return FockPointerSpec(
-                sigma=_number(raw["sigma"], f"{field}.sigma"),
-                dim=_number(raw.get("dim", 12), f"{field}.dim", integer=True),
-            )
+            return _built(field, FockPointerSpec, sigma=raw["sigma"], dim=raw.get("dim", 12))
         if kind == "spin":
-            return SpinPointerSpec(s=_number(raw["s"], f"{field}.s"))
+            return _built(field, SpinPointerSpec, s=raw["s"])
     except KeyError as exc:
         raise SchemaError(f"{field}: missing key {exc}") from None
-    except ValueError as exc:
-        raise SchemaError(f"{field}: {exc}") from None
     raise SchemaError(f"{field}.kind: unknown pointer kind {kind!r}")
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse a scenario document; raises :class:`SchemaError` with field context.
 
-    Checks the JSON types, naming the field (names and the description are
-    strings); a structural defect (counts, factor indices, sizes) is
-    construction's :class:`LayoutError`, raised as a :class:`SchemaError` of
-    the same text.  Physical invariants are left to
-    :func:`validate`, so a scenario that breaks them can still be inspected.
+    Checks the JSON shapes (objects, lists, ``[re, im]`` pairs, square
+    matrices, pointer kinds, keys) and hands the values to construction,
+    which checks their types, ranges and structure; its refusal is raised as
+    a :class:`SchemaError` under the JSON path (:func:`_built`).  Physical
+    invariants are left to :func:`validate`, so a scenario that breaks them
+    can still be inspected.
     """
     try:
         doc = json.loads(text)
@@ -390,12 +390,8 @@ def load_scenario(text: str) -> Scenario:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
-    for key in ("name", "description"):
-        if doc.get(key) is not None and not isinstance(doc[key], str):
-            raise SchemaError(f"{key}: expected a string, got {doc[key]!r}")
-
     system_dims = doc.get("system_dims")
-    if not isinstance(system_dims, list) or not all(_is_number(d, True) for d in system_dims):
+    if not isinstance(system_dims, list):
         raise SchemaError("system_dims: expected a list of integers")
 
     raw_obs = doc.get("observables")
@@ -407,18 +403,11 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(raw, dict):
             raise SchemaError(f"{field}: expected an object")
         target = raw.get("target")
-        if not isinstance(target, list) or not all(_is_number(t, True) for t in target):
+        if not isinstance(target, list):
             raise SchemaError(f"{field}.target: expected a list of factor indices")
+        matrix = _parse_matrix(raw.get("matrix"), f"{field}.matrix")
         name = raw.get("name", f"A{i + 1}")
-        if not isinstance(name, str):
-            raise SchemaError(f"{field}.name: expected a string, got {name!r}")
-        observables.append(
-            ObservableSpec(
-                name=name,
-                matrix=_parse_matrix(raw.get("matrix"), f"{field}.matrix"),
-                target=tuple(target),
-            )
-        )
+        observables.append(_built(field, ObservableSpec, name=name, matrix=matrix, target=target))
 
     raw_ptr = doc.get("pointers")
     if not isinstance(raw_ptr, list):
@@ -432,7 +421,8 @@ def load_scenario(text: str) -> Scenario:
     for i, raw in enumerate(raw_cpl):
         if not isinstance(raw, dict):
             raise SchemaError(f"couplings[{i}]: expected an object")
-        couplings.append(_number(raw.get("gt"), f"couplings[{i}].gt"))
+        # Scenario sees only the tuple, so the loader names each coupling itself
+        couplings.append(_built("", _as_number, value=raw.get("gt"), field=f"couplings[{i}].gt"))
 
     pre = _parse_vector(doc.get("pre"), "pre")
     post = _parse_vector(doc.get("post"), "post")
@@ -441,20 +431,19 @@ def load_scenario(text: str) -> Scenario:
     if expected is not None and not isinstance(expected, dict):
         raise SchemaError("expected: must be an object when present")
 
-    try:
-        return Scenario(
-            system_dims=system_dims,
-            observables=tuple(observables),
-            pointers=tuple(pointers),
-            couplings=tuple(couplings),
-            pre=pre,
-            post=post,
-            name=doc.get("name"),
-            description=doc.get("description"),
-            expected=expected,
-        )
-    except LayoutError as exc:
-        raise SchemaError(str(exc)) from None
+    return _built(
+        "",
+        Scenario,
+        system_dims=system_dims,
+        observables=tuple(observables),
+        pointers=tuple(pointers),
+        couplings=tuple(couplings),
+        pre=pre,
+        post=post,
+        name=doc.get("name"),
+        description=doc.get("description"),
+        expected=expected,
+    )
 
 
 def _pair(z: complex) -> list[float]:

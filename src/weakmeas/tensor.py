@@ -53,20 +53,27 @@ def _frozen_complex(values, kind: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """Whether ``value`` is an integer, or (unless ``integer``) a real number.
-    Python and numpy scalars count; ``True`` and ``False`` do not."""
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def _as_number(value, field: str, integer: bool = False) -> int | float:
-    """``value`` as an int if ``integer``, else as a float; raises :class:`TypeError`
-    naming ``field`` unless it passes :func:`_is_number`."""
-    if not _is_number(value, integer):
+    """``value`` as an int if ``integer``, else as a finite float.
+
+    Python and numpy scalars count; ``True`` and ``False`` do not.  Any other
+    type raises :class:`TypeError`, and a real number no float holds (an
+    integer past the float range, ``NaN``, an infinity) :class:`ValueError`,
+    each naming ``field``.
+    """
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if not isinstance(value, kinds) or isinstance(value, bool):
         noun = "an integer" if integer else "a number"
         raise TypeError(f"{field}: expected {noun}, got {value!r}")
-    return int(value) if integer else float(value)
+    if integer:
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{field}: number too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{field}: expected a finite number, got {number!r}")
+    return number
 
 
 def _require_shape(tensor: np.ndarray, dims: tuple[int, ...]) -> None:
