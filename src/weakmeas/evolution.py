@@ -143,15 +143,6 @@ def _nested_eigenbasis(matrices: np.ndarray, tols: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _in_frame(basis: np.ndarray, matrices: np.ndarray, tols: np.ndarray):
-    """``basis``, the stacked ``basis^dag A_j basis``, and whether all are diagonal to
-    ``tols``; both arrays read-only, since a scenario shares its frame."""
-    rotated = basis.conj().T @ matrices @ basis
-    off_diagonal = np.abs(rotated * (1.0 - np.eye(len(basis)))).max(axis=(1, 2))
-    basis.flags.writeable = rotated.flags.writeable = False
-    return basis, rotated, bool(np.all(off_diagonal <= tols))
-
-
 def _system_frame(observables) -> tuple[np.ndarray, np.ndarray, bool]:
     """The system frame ``W``, the stacked ``W^dag A_j W``, and whether all are diagonal.
 
@@ -162,7 +153,11 @@ def _system_frame(observables) -> tuple[np.ndarray, np.ndarray, bool]:
     """
     matrices = np.stack(observables)
     tols = DIAGONAL_TOL * np.abs(matrices).max(axis=(1, 2))
-    return _in_frame(_nested_eigenbasis(matrices, tols), matrices, tols)
+    basis = _nested_eigenbasis(matrices, tols)
+    rotated = basis.conj().T @ matrices @ basis
+    off_diagonal = np.abs(rotated * (1.0 - np.eye(len(basis)))).max(axis=(1, 2))
+    basis.flags.writeable = rotated.flags.writeable = False  # a scenario shares its frame
+    return basis, rotated, bool(np.all(off_diagonal <= tols))
 
 
 def scenario_frame(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -38,6 +38,7 @@ from .errors import (
 from .evolution import PostSelectionResult, evolve_exact, post_select
 from .pointers import FockPointerSpec, fock_operators, position_wavefunctions
 from .scenario import LAMBDA_WARN_LIMIT, Scenario, ensure_valid, resolve_scenario
+from .tensor import _as_number
 from .weak_values import (
     ConditionedPoint,
     _route_scale,
@@ -172,11 +173,11 @@ def _reports(scenarios: list[Scenario], tolerance: float | None = None) -> list[
     :data:`ROUTE_IDENTITY_TOL` ``(1 + |A_w|)`` raises
     :class:`WeakMeasurementError`.  Any spin pointer, mixed with Fock ones or
     not, leaves no quadratures to correlate, so the ladder route alone is
-    reported, as the spin route.  A given ``tolerance`` replaces the default:
-    the largest of :func:`extraction_tolerance`, :func:`_rounding_floor` and
-    (all-Fock) :data:`SECOND_ORDER_MARGIN` ``|c2|``.
+    reported, as the spin route.  A given ``tolerance`` (a number, not negative)
+    replaces the default: the largest of :func:`extraction_tolerance`,
+    :func:`_rounding_floor` and (all-Fock) :data:`SECOND_ORDER_MARGIN` ``|c2|``.
     """
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+    if tolerance is not None and (tolerance := _as_number(tolerance, "tolerance")) < 0.0:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     points: list[ConditionedPoint] = []
     for scenario in scenarios:
@@ -292,11 +293,11 @@ def sweep_lambda(
     truncation guard, every Fock pointer is escalated to
     :data:`SWEEP_ESCALATED_DIM` levels (or its largest Fock truncation) and
     the grid is rerun; a trip at the largest point stops the first pass
-    before any other point is evolved.  As in :func:`run_experiment`, a
-    :class:`WeakMeasurementError` or ``ValueError`` raised after the grid is
-    checked names ``scenario_ref`` first.
+    before any other point is evolved.  Entry i is a number named ``grid[i]``
+    (:func:`_as_number`); a :class:`WeakMeasurementError` or ``ValueError``
+    raised after the grid is checked names ``scenario_ref`` first.
     """
-    grid = [float(g) for g in grid]
+    grid = [_as_number(g, f"grid[{i}]") for i, g in enumerate(grid)]
     if len(grid) < 4:
         raise ValueError(f"a sweep needs at least 4 grid points, got {len(grid)}")
     if len(set(grid)) != len(grid):
@@ -310,16 +311,18 @@ def sweep_lambda(
 
     with _naming(scenario_ref):
         scenario = _load(scenario_ref, dim)
+        copies = [scenario.with_lambda(lam) for lam in grid]
         try:
-            reports = _reports([scenario.with_lambda(lam) for lam in grid])
+            reports = _reports(copies)
         except TruncationLeakageError:
             fock_dims = [p.dim for p in scenario.pointers if isinstance(p, FockPointerSpec)]
             scenario = scenario.with_fock_dim(max([SWEEP_ESCALATED_DIM] + fock_dims))
-            reports = _reports([scenario.with_lambda(lam) for lam in grid])
+            copies = [scenario.with_lambda(lam) for lam in grid]
+            reports = _reports(copies)
     errors = [next(iter(report.abs_errors.values())) for report in reports]
     above_floor = sum(
-        error > _rounding_floor(scenario.with_lambda(lam), report.analytic)
-        for lam, error, report in zip(grid, errors, reports)
+        error > _rounding_floor(copy, report.analytic)
+        for copy, error, report in zip(copies, errors, reports)
     )
 
     log_lam = np.log(np.asarray(grid))
@@ -347,7 +350,8 @@ def sampling_grid(spec: FockPointerSpec) -> np.ndarray:
 
 
 def _sampled_pointer(scenario: Scenario, pointer_index: int) -> FockPointerSpec:
-    """The pointer a density is taken of; raises unless it exists and is a Fock pointer."""
+    """The pointer a density is taken of; raises unless the integer index names a Fock pointer."""
+    pointer_index = _as_number(pointer_index, "pointer_index", integer=True)
     if not 0 <= pointer_index < scenario.n_pointers:
         raise UnsupportedScenarioError(
             f"pointer index {pointer_index} is out of range for a scenario with "
@@ -365,9 +369,11 @@ def check_sample_request(
     """Raise unless ``n_shots`` positions of the given pointer can be drawn with ``seed``.
 
     Needs only the scenario, so a caller can refuse a bad request before it
-    evolves anything.  More than :data:`MAX_SHOTS` shots raise
-    :class:`CapacityError`.
+    evolves anything.  Each number is an integer (:func:`_as_number`); more
+    than :data:`MAX_SHOTS` shots raise :class:`CapacityError`.
     """
+    n_shots = _as_number(n_shots, "n_shots", integer=True)
+    seed = _as_number(seed, "seed", integer=True)
     if n_shots > MAX_SHOTS:
         raise CapacityError(f"{n_shots} shots exceed the cap {MAX_SHOTS}")
     if n_shots < 1:
@@ -435,8 +441,8 @@ def sample_positions(
     steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     cdf /= cdf[-1]
-    rng = np.random.Generator(np.random.Philox(int(seed)))
-    positions = np.empty(int(n_shots))
+    rng = np.random.Generator(np.random.Philox(seed))
+    positions = np.empty(n_shots)
     for start in range(0, positions.size, SAMPLE_CHUNK):
         chunk = positions[start : start + SAMPLE_CHUNK]
         draws = rng.random(chunk.size)

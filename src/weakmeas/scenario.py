@@ -98,10 +98,10 @@ class Scenario:
     """Full experiment description; immutable once constructed.
 
     ``couplings`` holds one product ``g t`` per pointer, and ``pre`` and
-    ``post`` read-only complex vectors, refused unless finite.  A name, dim
-    or coupling of the wrong type raises ``TypeError``, and a coupling no
-    float holds ``ValueError``; parts that do not fit together raise one
-    :class:`LayoutError` listing every defect.
+    ``post`` read-only complex vectors, refused unless finite.  A name, dim,
+    coupling or ``expected`` (a dict) of the wrong type raises ``TypeError``,
+    and a coupling no float holds ``ValueError``; parts that do not fit
+    together raise one :class:`LayoutError` listing every defect.
     """
 
     system_dims: tuple[int, ...]
@@ -115,6 +115,8 @@ class Scenario:
     expected: dict | None = None
 
     def __post_init__(self):
+        if not isinstance(self.expected, (dict, type(None))):
+            raise TypeError("expected: must be an object when present")
         for key in ("name", "description"):
             if not isinstance(getattr(self, key), (str, type(None))):
                 raise TypeError(f"{key}: expected a string, got {getattr(self, key)!r}")
@@ -151,6 +153,7 @@ class Scenario:
 
     def with_lambda(self, lam: float) -> "Scenario":
         """Copy of the scenario with every coupling rescaled to the given lambda."""
+        lam = _as_number(lam, "lambda")
         couplings = tuple(p.coupling_for(lam) for p in self.pointers)
         return self._sharing_copy(couplings=couplings)
 
@@ -426,11 +429,6 @@ def load_scenario(text: str) -> Scenario:
 
     pre = _parse_vector(doc.get("pre"), "pre")
     post = _parse_vector(doc.get("post"), "post")
-
-    expected = doc.get("expected")
-    if expected is not None and not isinstance(expected, dict):
-        raise SchemaError("expected: must be an object when present")
-
     return _built(
         "",
         Scenario,
@@ -442,7 +440,7 @@ def load_scenario(text: str) -> Scenario:
         post=post,
         name=doc.get("name"),
         description=doc.get("description"),
-        expected=expected,
+        expected=doc.get("expected"),
     )
 
 

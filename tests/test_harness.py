@@ -1,6 +1,7 @@
 """Runs, sweeps, sampling, report emission, and the command-line front end."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,13 +120,29 @@ class TestRunExperiment:
         r = wm.run_experiment("aav_qubit", dim=8)
         assert r.passed
 
-    def test_tolerance_override_can_fail_a_run(self):
-        r = wm.run_experiment("aav_qubit", tolerance=1e-30)
-        assert not r.passed
+    @pytest.mark.parametrize(
+        "tolerance, passed", [(1e-30, False), (np.float32(1e-3), True)], ids=["1e-30", "float32"]
+    )
+    def test_tolerance_override_can_fail_a_run(self, tolerance, passed):
+        # a numpy scalar is stored as the float it equals, which JSON writes as a number
+        r = wm.run_experiment("aav_qubit", tolerance=tolerance)
+        assert r.passed is passed
+        assert type(r.tolerance) is float and r.tolerance == tolerance
+        assert json.loads(wm.emit_report(r, fmt="json"))["tolerance"] == r.tolerance
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-3])
-    def test_bad_tolerance_rejected(self, tolerance):
-        with pytest.raises(ValueError, match="finite and non-negative"):
+    @pytest.mark.parametrize(
+        "tolerance, error, message",
+        [
+            (float("nan"), ValueError, "aav_qubit: tolerance: expected a finite number, got nan"),
+            (float("inf"), ValueError, "aav_qubit: tolerance: expected a finite number, got inf"),
+            (-1e-3, ValueError, "aav_qubit: tolerance must be finite and non-negative, got -0.001"),
+            (True, TypeError, "tolerance: expected a number, got True"),
+            ("0.1", TypeError, "tolerance: expected a number, got '0.1'"),
+        ],
+        ids=["nan", "inf", "-0.001", "bool", "string"],
+    )
+    def test_bad_tolerance_rejected(self, tolerance, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             wm.run_experiment("aav_qubit", tolerance=tolerance)
 
     def test_spin_scenario_reports_spin_route(self):
@@ -209,9 +226,19 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"\(0, 0.2\]"):
             wm.sweep_lambda("aav_qubit", [0.3, 0.1, 0.05, 0.02])
 
-    def test_non_finite_grid_rejected(self):
-        with pytest.raises(ValueError, match=r"finite and lie in \(0, 0.2\], got \[nan\]"):
-            wm.sweep_lambda("aav_qubit", [float("nan"), 0.1, 0.05, 0.02])
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            ([float("nan"), 0.1, 0.05, 0.02], ValueError, "grid[0]: expected a finite number, got nan"),
+            ([0.16, 0.08, 0.04, "0.02"], TypeError, "grid[3]: expected a number, got '0.02'"),
+            ([0.16, True, 0.04, 0.02], TypeError, "grid[1]: expected a number, got True"),
+        ],
+        ids=["nan", "string", "bool"],
+    )
+    def test_non_finite_grid_rejected(self, grid, error, message):
+        # each entry is a finite number, checked in the caller's order
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            wm.sweep_lambda("aav_qubit", grid)
 
     def test_duplicate_grid_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -452,6 +479,26 @@ class TestSampling:
         result, s = conditioned_aav
         with pytest.raises(wm.UnsupportedScenarioError, match="out of range"):
             wm.position_density(result, s, index)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pointer_index", 0.0),
+            ("pointer_index", True),
+            ("n_shots", 2.7),
+            ("n_shots", True),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_non_integer_request_refused(self, conditioned_aav, monkeypatch, field, value):
+        # refused before the density is taken, let alone a position drawn
+        result, s = conditioned_aav
+        monkeypatch.setattr(wm.harness, "position_density", lambda *args: pytest.fail("drew"))
+        request = {"pointer_index": 0, "n_shots": 5, "seed": 1, field: value}
+        message = f"{field}: expected an integer, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            wm.sample_positions(result, s, **request)
 
     def test_density_shifted_one_grid_step_rejected(self, conditioned_aav, monkeypatch):
         result, s = conditioned_aav
@@ -701,9 +748,7 @@ class TestCli:
         assert cli.main(["run", "aav_qubit", "--tolerance", "nan"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: aav_qubit: tolerance must be finite and non-negative, got nan\n"
-        )
+        assert captured.err == "error: aav_qubit: tolerance: expected a finite number, got nan\n"
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_dim_refusal_names_the_scenario(self, capsys, command):
@@ -745,9 +790,7 @@ class TestCli:
         assert cli.main(["sweep", "aav_qubit", "--grid", "nan,0.1,0.05,0.02"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: sweep grid values must be finite and lie in (0, 0.2], got [nan]\n"
-        )
+        assert captured.err == "error: grid[0]: expected a finite number, got nan\n"
 
     def test_run_leakage_names_the_leaking_pointers_lambda(self, capsys, tmp_path):
         doc = catalog_doc("joint_pair")

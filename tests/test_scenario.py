@@ -359,6 +359,22 @@ COERCIONS = {
         ValueError,
         "couplings: number too large for a float",
     ),
+    "lambda-string": (
+        lambda: wm.resolve_scenario("aav_qubit").with_lambda("0.1"),
+        TypeError,
+        "lambda: expected a number, got '0.1'",
+    ),
+    "lambda-bool": (
+        lambda: wm.resolve_scenario("aav_qubit").with_lambda(True),
+        TypeError,
+        "lambda: expected a number, got True",
+    ),
+    # dump_scenario would write a document that load_scenario refuses
+    "expected-list": (
+        lambda: replace(wm.resolve_scenario("aav_qubit"), expected=[1, 2]),
+        TypeError,
+        "expected: must be an object when present",
+    ),
 }
 
 
