@@ -38,6 +38,7 @@ from .harness import (
     position_density,
     run_experiment,
     run_scenario,
+    sample_experiment,
     sample_positions,
     sweep_lambda,
 )

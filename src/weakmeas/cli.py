@@ -20,119 +20,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, scenario as scen
-from .errors import CapacityError, WeakMeasurementError
-from .evolution import evolve_exact, post_select
-
-
-@functools.cache
-def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables over the four-digit groups 0..9999.
-
-    The first holds each group's ASCII digits, each followed by an 0xFF slot
-    byte, as one uint64; the second counts the group's trailing zero digits
-    (4 for 0).  Built on first use, one digit column at a time, so commands
-    other than ``sample --out`` do not hold them.
-    """
-    quad = np.arange(10_000, dtype=np.uint16)
-    digits = np.full((10_000, 8), 0xFF, dtype=np.uint8)
-    trailing = np.zeros(10_000, dtype=np.int64)
-    for k, power in enumerate((1000, 100, 10, 1)):
-        digits[:, 2 * k] = ord("0") + quad // power % 10
-        trailing += quad % (10 * power) == 0
-    tables = digits.view(np.uint64).ravel(), trailing
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-#: Exact powers of ten 10^0..10^15, the scales that put 12 digits before the point.
-_POW10 = np.array([float(10**k) for k in range(16)])
-
-#: The product ``|x| 10^(11-e)`` is off by at most 2^-53 10^12 ~ 1.1e-4 from its
-#: exact value, so one this close to a half goes through ``%`` instead.
-_TIE_MARGIN = 2.5e-4
-
-
-def _line_mask(shown: int, exp10: int, negative: bool) -> bytes:
-    """The 32-byte AND mask that turns a row of digits into one NUL-padded line.
-
-    The first 8 bytes hold the sign, then "0." and the leading zeros of a
-    number below 1.  The other 24 cover 12 digit/slot pairs: the first
-    ``shown`` digits are kept, the decimal point follows digit ``exp10`` when
-    a digit follows it, and the newline follows the last digit.
-    """
-    head = (b"-" if negative else b"") + (b"0." + b"0" * (-1 - exp10) if exp10 < 0 else b"")
-    pairs = [[0xFF if k < shown else 0, 0] for k in range(12)]
-    if 0 <= exp10 < shown - 1:
-        pairs[exp10][1] = ord(".")
-    pairs[shown - 1][1] = ord("\n")
-    return head.ljust(8, b"\0") + bytes(b for pair in pairs for b in pair)
-
-
-#: Line masks by ``32 shown + 2 (exponent + 4) + negative``, four uint64 words each.
-_LINE_MASKS = np.frombuffer(
-    b"".join(
-        _line_mask(shown, e, negative)
-        for shown in range(13)
-        for e in range(-4, 12)
-        for negative in (False, True)
-    ),
-    dtype=np.uint64,
-).reshape(-1, 4)
-
-
-def _format_g12(values: np.ndarray) -> bytes:
-    """The bytes of ``"%.12g\\n" % x`` for every float64 ``x`` in ``values``, in order.
-
-    A value printed in fixed notation (exponent -4..11) is rounded to the
-    12 digits ``m = rint(|x| 10^(11-e))``.  Its row is an all-ones word
-    followed by the digits of ``m``, four per lookup, each with an 0xFF slot
-    byte; one AND with :func:`_line_mask` keeps the sign, the leading zeros,
-    the shown digits, the point and the newline, and zeroes the rest, which
-    one ``translate`` drops.  A value whose rounding cannot be proven to
-    match ``%`` (zero, exponent notation, non-finite, a fraction near a tie,
-    a wrong exponent guess) is formatted by ``%`` itself into its row.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    mag = np.abs(x)
-    fast = (mag >= 1e-4) & (mag < 1e12)
-    mag = np.where(fast, mag, 1.0)
-    exp10 = np.clip(np.floor(np.log10(mag)), -4, 11).astype(np.int64)
-    scaled = mag * _POW10[11 - exp10]
-    rounded = np.rint(scaled)
-    fast &= (scaled >= 1e11) & (rounded < 1e12) & (np.abs(scaled - rounded) < 0.5 - _TIE_MARGIN)
-
-    digits4, trailing4 = _quad_tables()
-    m = np.where(fast, rounded, 1e11).astype(np.int64)
-    hi = m // 10**8
-    rest = (m - hi * 10**8).astype(np.int32)
-    mid = rest // 10**4
-    lo = rest - mid * 10**4
-    trailing = trailing4[lo]
-    zeros = np.flatnonzero(lo == 0)
-    trailing[zeros] += np.where(mid[zeros] != 0, trailing4[mid[zeros]], 4 + trailing4[hi[zeros]])
-    shown = 12 - np.minimum(trailing, 11 - exp10)
-
-    rows = np.empty((x.size, 4), dtype=np.uint64)
-    rows[:, 0] = np.iinfo(np.uint64).max
-    rows[:, 1] = digits4[hi]
-    rows[:, 2] = digits4[mid]
-    rows[:, 3] = digits4[lo]
-    rows &= np.take(_LINE_MASKS, 32 * shown + 2 * exp10 + 8 + (x < 0), axis=0)
-    slow = np.flatnonzero(~fast)
-    lines = rows.view(np.uint8)
-    for i, value in zip(slow.tolist(), x[slow].tolist()):
-        line = b"%.12g\n" % value
-        lines[i] = 0
-        lines[i, : len(line)] = np.frombuffer(line, dtype=np.uint8)
-    return rows.tobytes().translate(None, b"\0")
+from .errors import WeakMeasurementError
 
 
 #: Namespace entry in which :class:`_StoreOnce` records the options given;
@@ -253,39 +145,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    with harness._naming(args.scenario):
-        scenario = scen.ensure_valid(harness._load(args.scenario, args.dim))
-        harness.check_sample_request(scenario, args.pointer, args.shots, args.seed)
-        result = post_select(evolve_exact(scenario), scenario)
-        positions = harness.sample_positions(
-            result, scenario, args.pointer, args.shots, args.seed
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(np.mean(positions))
-        if not math.isfinite(mean):
-            raise CapacityError(f"the sampled positions' mean is {mean}, past the float range")
-    # Deviations scaled by 2^-e, 2^e just above the largest |position|, square without
-    # overflow or underflow (std < 2^e); a power-of-two scale is exact, so in range
-    # the bits are those of the unscaled sum.
-    e = math.frexp(max(-positions.min(), positions.max()))[1]
-    step = harness.SAMPLE_CHUNK
-    chunks = [positions[start : start + step] for start in range(0, args.shots, step)]
-    squares = math.fsum(float(np.sum(np.ldexp(chunk - mean, -e) ** 2)) for chunk in chunks)
-    std = math.ldexp(math.sqrt(squares / args.shots), e)
-    summary = {
-        "scenario": args.scenario,
-        "pointer_index": args.pointer,
-        "n_shots": args.shots,
-        "seed": args.seed,
-        "mean": mean,
-        "std": std,
-        "stderr": std / np.sqrt(args.shots),
-    }
+    positions, summary = harness.sample_experiment(
+        args.scenario, args.pointer, args.shots, args.seed, dim=args.dim
+    )
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(b"position\n")
-            for chunk in chunks:
-                fh.write(_format_g12(chunk))
+            fh.writelines(harness.emit_positions(positions))
     print(json.dumps(summary, indent=2))
     return 0
 

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -59,11 +62,13 @@ SAMPLING_GRID_POINTS = 2**12
 #: ``weakmeas sample`` adds only chunk-sized temporaries (+137 MB at 2^24 shots).
 MAX_SHOTS = 2**24
 
-#: Shots that sampling draws and sorts, and ``weakmeas sample`` squares and
-#: writes (about 1.4 MB of formatter peak), at once.  Philox hands out the same
-#: stream in chunks as in one call, and ``np.interp`` maps every draw on its own
-#: (finding grid cells faster for sorted draws), so a chunked draw leaves every
-#: bit as a whole-array draw would, while holding one chunk of draws and indices.
+#: Shots that sampling draws and sorts, and :func:`sample_experiment` squares and
+#: :func:`emit_positions` writes (about 1.4 MB of formatter peak), at once.  Philox
+#: hands out the same stream in chunks as in one call, and ``np.interp`` maps every
+#: draw on its own (finding grid cells faster for sorted draws), so a chunked draw
+#: leaves every bit as a whole-array draw would, while holding one chunk of draws
+#: and indices.  The draws are ordered by their top 16 bits (a radix sort), not
+#: fully: ``np.interp`` returns the one cell ``cdf[j] <= x < cdf[j+1]`` in any order.
 SAMPLE_CHUNK = 2**13
 
 #: Probability mass a position density may leave off its grid.
@@ -349,6 +354,11 @@ def sampling_grid(spec: FockPointerSpec) -> np.ndarray:
     return np.linspace(-half, half, SAMPLING_GRID_POINTS)
 
 
+def _chunks(values: np.ndarray):
+    """Consecutive slices of ``values``, :data:`SAMPLE_CHUNK` long (the last may be shorter)."""
+    return (values[i : i + SAMPLE_CHUNK] for i in range(0, len(values), SAMPLE_CHUNK))
+
+
 def _sampled_pointer(scenario: Scenario, pointer_index: int) -> FockPointerSpec:
     """The pointer a density is taken of; raises unless the integer index names a Fock pointer."""
     pointer_index = _as_number(pointer_index, "pointer_index", integer=True)
@@ -363,15 +373,8 @@ def _sampled_pointer(scenario: Scenario, pointer_index: int) -> FockPointerSpec:
     return spec
 
 
-def check_sample_request(
-    scenario: Scenario, pointer_index: int, n_shots: int, seed: int
-) -> None:
-    """Raise unless ``n_shots`` positions of the given pointer can be drawn with ``seed``.
-
-    Needs only the scenario, so a caller can refuse a bad request before it
-    evolves anything.  Each number is an integer (:func:`_as_number`); more
-    than :data:`MAX_SHOTS` shots raise :class:`CapacityError`.
-    """
+def _shot_request(n_shots: int, seed: int) -> tuple[int, int]:
+    """``n_shots`` in 1..:data:`MAX_SHOTS` and ``seed`` >= 0, as integers; refuses any other."""
     n_shots = _as_number(n_shots, "n_shots", integer=True)
     seed = _as_number(seed, "seed", integer=True)
     if n_shots > MAX_SHOTS:
@@ -380,7 +383,7 @@ def check_sample_request(
         raise ValueError("n_shots must be positive")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    _sampled_pointer(scenario, pointer_index)
+    return n_shots, seed
 
 
 def position_density(
@@ -433,20 +436,18 @@ def sample_positions(
     generator keyed on ``seed``, so samples are bitwise reproducible.  Raises
     :class:`GridError` if a position is not finite: on a very wide pointer
     (sigma near 1e303 or more) a grid step over a tail cell's CDF step overflows.
-    :func:`check_sample_request` refuses a bad request before anything is
-    allocated.
+    Checks the shot count and seed, then (:func:`position_density`) the pointer.
     """
-    check_sample_request(scenario, pointer_index, n_shots, seed)
+    n_shots, seed = _shot_request(n_shots, seed)
     grid, density = position_density(result, scenario, pointer_index)
     steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     cdf /= cdf[-1]
     rng = np.random.Generator(np.random.Philox(seed))
     positions = np.empty(n_shots)
-    for start in range(0, positions.size, SAMPLE_CHUNK):
-        chunk = positions[start : start + SAMPLE_CHUNK]
+    for chunk in _chunks(positions):
         draws = rng.random(chunk.size)
-        order = np.argsort(draws)
+        order = np.argsort((draws * 65536).astype(np.uint16), kind="stable")
         chunk[order] = np.interp(draws[order], cdf, grid)
         if not np.isfinite(chunk).all():
             raise GridError(
@@ -456,6 +457,41 @@ def sample_positions(
             )
     positions.flags.writeable = False
     return positions
+
+
+def sample_experiment(
+    scenario_ref: str | Path, pointer_index: int, n_shots: int, seed: int, dim: int | None = None
+) -> tuple[np.ndarray, dict]:
+    """Load a scenario by catalog name or path and draw ``n_shots`` positions of one pointer.
+
+    Refuses a bad request before evolving, so it costs no evolution; :func:`sample_positions`,
+    public for library callers who evolve themselves, checks it again.  Returns the read-only
+    positions and their summary: a mean past the float range raises :class:`CapacityError`,
+    and ``std`` sums the deviations scaled by 2^-e, 2^e above the largest |position|,
+    exactly and without overflow or underflow.  Errors name ``scenario_ref`` first.
+    """
+    with _naming(scenario_ref):
+        scenario = ensure_valid(_load(scenario_ref, dim))
+        n_shots, seed = _shot_request(n_shots, seed)
+        _sampled_pointer(scenario, pointer_index)
+        result = post_select(evolve_exact(scenario), scenario)
+        positions = sample_positions(result, scenario, pointer_index, n_shots, seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(positions))
+        if not math.isfinite(mean):
+            raise CapacityError(f"the sampled positions' mean is {mean}, past the float range")
+    e = math.frexp(max(-positions.min(), positions.max()))[1]
+    squares = math.fsum(float(np.sum(np.ldexp(c - mean, -e) ** 2)) for c in _chunks(positions))
+    std = math.ldexp(math.sqrt(squares / n_shots), e)
+    return positions, {
+        "scenario": str(scenario_ref),
+        "pointer_index": int(pointer_index),
+        "n_shots": n_shots,
+        "seed": seed,
+        "mean": mean,
+        "std": std,
+        "stderr": std / math.sqrt(n_shots),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +571,105 @@ def report_json(report: WeakValueReport) -> dict:
 
 def sweep_json(result: SweepResult) -> dict:
     return {**asdict(result), "passed": result.passed}
+
+
+@functools.cache
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables over the four-digit groups 0..9999, for :func:`_format_g12`.
+
+    The first holds each group's ASCII digits, each followed by an 0xFF slot
+    byte, as one uint64; the second counts the group's trailing zero digits
+    (4 for 0).  Built on first use, one digit column at a time, so commands
+    other than ``sample --out`` do not hold them (nor :func:`_line_masks`).
+    """
+    quad = np.arange(10_000, dtype=np.uint16)
+    digits = np.full((10_000, 8), 0xFF, dtype=np.uint8)
+    trailing = np.zeros(10_000, dtype=np.int64)
+    for k, power in enumerate((1000, 100, 10, 1)):
+        digits[:, 2 * k] = ord("0") + quad // power % 10
+        trailing += quad % (10 * power) == 0
+    tables = digits.view(np.uint64).ravel(), trailing
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+#: Exact powers of ten 10^0..10^15, the scales that put 12 digits before the point.
+_POW10 = np.array([float(10**k) for k in range(16)])
+
+#: The product ``|x| 10^(11-e)`` is off by at most 2^-53 10^12 ~ 1.1e-4 from its
+#: exact value, so one this close to a half goes through ``%`` instead.
+_TIE_MARGIN = 2.5e-4
+
+
+@functools.cache
+def _line_masks() -> np.ndarray:
+    """The 32-byte AND masks that turn a row of digits into one NUL-padded line.
+
+    Mask ``32 shown + 2 (exp10 + 4) + negative`` is four uint64 words.  Its first 8 bytes
+    hold the sign, then "0." and the leading zeros of a number below 1.  The other 24 cover
+    12 digit/slot pairs: the first ``shown`` digits are kept, the decimal point follows
+    digit ``exp10`` when a digit follows it, and the newline follows the last digit.
+    """
+    masks = []
+    for shown, exp10, negative in itertools.product(range(13), range(-4, 12), (False, True)):
+        head = (b"-" if negative else b"") + (b"0." + b"0" * (-1 - exp10) if exp10 < 0 else b"")
+        pairs = [[0xFF if k < shown else 0, 0] for k in range(12)]
+        if 0 <= exp10 < shown - 1:
+            pairs[exp10][1] = ord(".")
+        pairs[shown - 1][1] = ord("\n")
+        masks.append(head.ljust(8, b"\0") + bytes(b for pair in pairs for b in pair))
+    return np.frombuffer(b"".join(masks), dtype=np.uint64).reshape(-1, 4)
+
+
+def _format_g12(values: np.ndarray) -> bytes:
+    """The bytes of ``"%.12g\\n" % x`` for every float64 ``x`` in ``values``, in order.
+
+    A value printed in fixed notation (exponent -4..11) is rounded to the
+    12 digits ``m = rint(|x| 10^(11-e))``.  Its row starts as its
+    :func:`_line_masks` entry (sign, leading zeros, point and newline), and
+    the digits of ``m``, four per lookup, each with an 0xFF slot byte, are
+    ANDed into its last three words: the shown digits stay and the rest is
+    zeroed, which one ``translate`` drops.  A value whose rounding cannot be
+    proven to match ``%`` (zero, exponent notation, non-finite, a fraction
+    near a tie, a wrong exponent guess) has its row written by ``%`` itself.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    mag = np.abs(x)
+    fast = (mag >= 1e-4) & (mag < 1e12)
+    mag = np.where(fast, mag, 1.0)
+    exp10 = np.clip(np.floor(np.log10(mag)), -4, 11).astype(np.int64)
+    scaled = mag * _POW10[11 - exp10]
+    rounded = np.rint(scaled)
+    fast &= (scaled >= 1e11) & (rounded < 1e12) & (np.abs(scaled - rounded) < 0.5 - _TIE_MARGIN)
+
+    digits4, trailing4 = _quad_tables()
+    m = np.where(fast, rounded, 1e11).astype(np.int64)
+    hi = m // 10**8
+    rest = (m - hi * 10**8).astype(np.int32)
+    mid = rest // 10**4
+    lo = rest - mid * 10**4
+    trailing = trailing4[lo]
+    zeros = np.flatnonzero(lo == 0)
+    trailing[zeros] += np.where(mid[zeros] != 0, trailing4[mid[zeros]], 4 + trailing4[hi[zeros]])
+    shown = 12 - np.minimum(trailing, 11 - exp10)
+
+    rows = np.take(_line_masks(), 32 * shown + 2 * exp10 + 8 + (x < 0), axis=0)
+    rows[:, 1] &= digits4[hi]
+    rows[:, 2] &= digits4[mid]
+    rows[:, 3] &= digits4[lo]
+    slow = np.flatnonzero(~fast)
+    lines = rows.view(np.uint8)
+    for i, value in zip(slow.tolist(), x[slow].tolist()):
+        line = b"%.12g\n" % value
+        lines[i] = 0
+        lines[i, : len(line)] = np.frombuffer(line, dtype=np.uint8)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def emit_positions(positions: np.ndarray) -> Iterator[bytes]:
+    """A positions file's bytes, lazily: ``position``, then ``%.12g`` lines per :func:`_chunks`."""
+    return itertools.chain([b"position\n"], map(_format_g12, _chunks(positions)))
 
 
 def emit_report(result: WeakValueReport | SweepResult, fmt: str = "csv") -> str:

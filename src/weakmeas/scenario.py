@@ -69,6 +69,29 @@ def _equal_fields(a, b) -> bool:
     return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
 
 
+def _check_json(value, path: str) -> None:
+    """Raise unless ``value`` dumps to standard JSON that loads back equal.
+
+    Objects with string keys, lists, strings, bools, integers, finite floats
+    and ``None`` pass; another type (a tuple, a numpy scalar other than
+    float64) or a non-string key raises ``TypeError``, and NaN or an
+    infinity ``ValueError``, each naming its ``path`` (``expected.x[0]``).
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"{path}: expected string keys, got {key!r}")
+            _check_json(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_json(item, f"{path}[{i}]")
+    elif isinstance(value, float):
+        _as_number(value, path)
+    elif not isinstance(value, (str, int, type(None))):
+        kinds = "null, a bool, string, number, list or object"
+        raise TypeError(f"{path}: expected {kinds}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ObservableSpec:
     """System observable coupled to one pointer.
@@ -100,8 +123,10 @@ class Scenario:
     ``couplings`` holds one product ``g t`` per pointer, and ``pre`` and
     ``post`` read-only complex vectors, refused unless finite.  A name, dim,
     coupling or ``expected`` (a dict) of the wrong type raises ``TypeError``,
-    and a coupling no float holds ``ValueError``; parts that do not fit
-    together raise one :class:`LayoutError` listing every defect.
+    and a coupling no float holds ``ValueError``; so does anything in
+    ``expected`` that JSON would not read back equal (:func:`_check_json`).
+    Parts that do not fit together raise one :class:`LayoutError` listing
+    every defect.
     """
 
     system_dims: tuple[int, ...]
@@ -117,6 +142,7 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.expected, (dict, type(None))):
             raise TypeError("expected: must be an object when present")
+        _check_json(self.expected, "expected")
         for key in ("name", "description"):
             if not isinstance(getattr(self, key), (str, type(None))):
                 raise TypeError(f"{key}: expected a string, got {getattr(self, key)!r}")
@@ -152,9 +178,14 @@ class Scenario:
         return max(self.lambdas)
 
     def with_lambda(self, lam: float) -> "Scenario":
-        """Copy of the scenario with every coupling rescaled to the given lambda."""
+        """Copy of the scenario with every coupling rescaled to the given lambda.
+
+        A lambda that rescales a coupling past the float range raises ``ValueError``.
+        """
         lam = _as_number(lam, "lambda")
         couplings = tuple(p.coupling_for(lam) for p in self.pointers)
+        if not all(map(math.isfinite, couplings)):
+            raise ValueError(f"lambda: {lam!r} rescales a coupling past the float range")
         return self._sharing_copy(couplings=couplings)
 
     def with_fock_dim(self, dim: int) -> "Scenario":

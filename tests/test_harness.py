@@ -469,6 +469,52 @@ class TestSampling:
         c = wm.sample_positions(result, s, 0, 5000, seed=43)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("gap", [False, True], ids=["zero-tails", "zero-tails-and-gap"])
+    def test_positions_are_interp_of_the_unsorted_draws(self, conditioned_aav, monkeypatch, gap):
+        # exact-zero density cells repeat CDF values; ordering the draws by their
+        # top 16 bits must leave every position with the bits np.interp gives it
+        result, s = conditioned_aav
+        grid = np.linspace(-4.0, 4.0, 4096)
+        density = np.where(np.abs(grid) < 1.5, np.exp(-(grid**2)), 0.0)
+        if gap:
+            density[np.abs(grid) < 0.25] = 0.0
+        monkeypatch.setattr(wm.harness, "position_density", lambda *args: (grid, density))
+        shots = 3 * wm.harness.SAMPLE_CHUNK + 5
+        positions = wm.sample_positions(result, s, 0, shots, seed=4)
+        steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
+        cdf = np.concatenate([[0.0], np.cumsum(steps)])
+        cdf /= cdf[-1]
+        assert np.count_nonzero(np.diff(cdf) == 0.0) > 1000
+        draws = np.random.Generator(np.random.Philox(4)).random(shots)
+        expected = np.interp(draws, cdf, grid)
+        assert positions.tobytes() == expected.tobytes()
+
+    def test_one_draw_checks_the_pointer_once(self, conditioned_aav, monkeypatch):
+        result, s = conditioned_aav
+        calls = []
+        sampled_pointer = wm.harness._sampled_pointer
+
+        def counted(*args):
+            calls.append(args)
+            return sampled_pointer(*args)
+
+        monkeypatch.setattr(wm.harness, "_sampled_pointer", counted)
+        wm.sample_positions(result, s, 0, 10, seed=1)
+        assert len(calls) == 1
+
+    def test_sample_experiment_draws_what_the_library_draws(self):
+        positions, summary = wm.sample_experiment("joint_pair", np.int64(1), 3000, 7, dim=10)
+        s = wm.resolve_scenario("joint_pair").with_fock_dim(10)
+        result = wm.post_select(wm.evolve_exact(s), s)
+        assert positions.tobytes() == wm.sample_positions(result, s, 1, 3000, 7).tobytes()
+        assert not positions.flags.writeable
+        assert list(summary) == [
+            "scenario", "pointer_index", "n_shots", "seed", "mean", "std", "stderr",
+        ]
+        assert summary["mean"] == float(np.mean(positions))
+        assert summary["std"] == pytest.approx(np.std(positions), rel=1e-12)
+        assert json.loads(json.dumps(summary)) == {**summary, "pointer_index": 1}
+
     def test_density_normalized_on_default_grid(self, conditioned_aav):
         result, s = conditioned_aav
         grid, density = wm.position_density(result, s, 0)
@@ -492,9 +538,9 @@ class TestSampling:
         ],
     )
     def test_non_integer_request_refused(self, conditioned_aav, monkeypatch, field, value):
-        # refused before the density is taken, let alone a position drawn
+        # refused before the density's grid is built, let alone a position drawn
         result, s = conditioned_aav
-        monkeypatch.setattr(wm.harness, "position_density", lambda *args: pytest.fail("drew"))
+        monkeypatch.setattr(wm.harness, "sampling_grid", lambda *args: pytest.fail("drew"))
         request = {"pointer_index": 0, "n_shots": 5, "seed": 1, field: value}
         message = f"{field}: expected an integer, got {value!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -512,7 +558,7 @@ class TestSampling:
             wm.position_density(result, s, 0)
 
     def test_the_shot_cap_keeps_the_positions_under_the_array_cap(self):
-        # check_sample_request's MAX_SHOTS is the one cap on the float64 positions
+        # MAX_SHOTS is the one cap on the float64 positions
         assert wm.harness.MAX_SHOTS * 8 <= wm.tensor.MAX_ARRAY_BYTES
 
     def test_undersized_grid_rejected(self, conditioned_aav, monkeypatch):
@@ -697,13 +743,13 @@ class TestCli:
     )
     def test_sample_refuses_before_evolving(self, monkeypatch, capsys, sample_args, err):
         evolutions = []
-        evolve = cli.evolve_exact
+        evolve = wm.harness.evolve_exact
 
         def counted(scenario):
             evolutions.append(scenario)
             return evolve(scenario)
 
-        monkeypatch.setattr(cli, "evolve_exact", counted)
+        monkeypatch.setattr(wm.harness, "evolve_exact", counted)
         args = ["sample", *sample_args.split()]
         if "--seed" not in args:
             args += ["--seed", "1"]

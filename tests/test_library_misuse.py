@@ -7,9 +7,12 @@ where an integer belongs, NaN, an infinity, a Python or numpy number.  The
 call must either refuse it with ``TypeError`` or ``ValueError`` naming the
 field, or give the same outcome as the equal Python number of the field's
 kind, so a value is never truncated or taken for another silently.  A
-scenario's ``expected`` is an object or absent, whatever builds it.
+scenario's ``expected`` is an object or absent, whatever builds it, and
+holds only what standard JSON reads back equal.
 """
 
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -134,28 +137,64 @@ def test_density_pointer_index(value):
 
 @settings(max_examples=60, deadline=None)
 @given(value=st.one_of(NOT_NUMBERS, FLOATS, integers(-3, 3)))
+@example(value=1e308)
 def test_with_lambda(value):
-    # a lambda whose coupling overflows is refused by construction, as couplings
-    check(lambda lam: wm.dump_scenario(AAV.with_lambda(lam)), value, "lambda")
+    # every refusal names lambda first, a lambda whose coupling overflows included
+    def rescaled(lam):
+        return wm.dump_scenario(AAV.with_lambda(lam))
+
+    result = outcome(rescaled, value)
+    if isinstance(result, tuple):
+        assert result[1].startswith("lambda: "), result
+    check(rescaled, value, "lambda")
 
 
 JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+#: Nested JSON values, non-finite floats included.
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
 
 
-@settings(max_examples=40, deadline=None)
+def finite(value) -> bool:
+    """Whether no float in the JSON value ``value`` is NaN or infinite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(finite(item) for item in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def refuse_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     value=st.one_of(
         NOT_NUMBERS,
         FLOATS,
         st.lists(JSON_LEAVES, max_size=3),
-        st.dictionaries(st.text(max_size=3), JSON_LEAVES, max_size=3),
+        st.dictionaries(st.text(max_size=3), JSON_TREES, max_size=3),
     )
 )
 @example(value=[1, 2])
+@example(value={"weak_value": [math.nan, 0.0]})
 def test_expected_is_an_object(value):
-    if value is None or isinstance(value, dict):
-        # what construction takes, dump_scenario writes and load_scenario reads back
-        wm.load_scenario(wm.dump_scenario(replace(AAV, expected=value)))
-        return
-    with pytest.raises(TypeError, match="^expected: must be an object when present$"):
-        replace(AAV, expected=value)
+    if value is not None and not isinstance(value, dict):
+        with pytest.raises(TypeError, match="^expected: must be an object when present$"):
+            replace(AAV, expected=value)
+    elif not finite(value):
+        message = r"(?s)^expected.*: expected a finite number, got -?(nan|inf)$"
+        with pytest.raises(ValueError, match=message):
+            replace(AAV, expected=value)
+    else:
+        # what construction takes, dump_scenario writes as standard JSON and
+        # load_scenario reads back equal
+        s = replace(AAV, expected=value)
+        text = wm.dump_scenario(s)
+        json.loads(text, parse_constant=refuse_constant)
+        assert wm.load_scenario(text) == s

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakmeas import cli
+from weakmeas import cli, harness
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "sample_digests.json"
 
@@ -79,7 +79,7 @@ def expected(values):
 
 @pytest.mark.parametrize("value", EDGES + [-v for v in EDGES], ids=repr)
 def test_format_matches_percent_g_on_edges(value):
-    assert cli._format_g12(np.array([value])) == expected([value])
+    assert harness._format_g12(np.array([value])) == expected([value])
 
 
 def test_format_matches_percent_g_near_powers_of_ten():
@@ -87,14 +87,14 @@ def test_format_matches_percent_g_near_powers_of_ten():
         math.nextafter(10.0**p, 10.0**p * scale) for p in range(-6, 14) for scale in (0, 1, 2)
     ]
     values += [-v for v in values]
-    assert cli._format_g12(np.array(values)) == expected(values)
+    assert harness._format_g12(np.array(values)) == expected(values)
 
 
 @settings(max_examples=2500, deadline=None)
 @given(st.lists(st.floats(width=64), min_size=1, max_size=8))
 @example([tie(230395786470, 11), 230395786470.0, 1e-5, -0.0, math.nan])
 def test_format_matches_percent_g(values):
-    assert cli._format_g12(np.array(values, dtype=np.float64)) == expected(values)
+    assert harness._format_g12(np.array(values, dtype=np.float64)) == expected(values)
 
 
 @settings(max_examples=500, deadline=None)
@@ -104,7 +104,7 @@ def test_format_matches_percent_g(values):
 )
 def test_format_matches_percent_g_in_fixed_notation(value, n):
     values = value * np.linspace(0.5, 2.0, n)
-    assert cli._format_g12(values) == expected(values.tolist())
+    assert harness._format_g12(values) == expected(values.tolist())
 
 
 if __name__ == "__main__":

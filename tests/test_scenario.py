@@ -375,6 +375,38 @@ COERCIONS = {
         TypeError,
         "expected: must be an object when present",
     ),
+    # ... or one it cannot write, or one that reads back different or non-standard
+    "expected-float32": (
+        lambda: replace(wm.resolve_scenario("aav_qubit"), expected={"x": np.float32(1)}),
+        TypeError,
+        "expected.x: expected null, a bool, string, number, list or object, got np.float32(1.0)",
+    ),
+    "expected-tuple": (
+        lambda: replace(wm.resolve_scenario("aav_qubit"), expected={"weak_value": (1.0, 0.0)}),
+        TypeError,
+        "expected.weak_value: expected null, a bool, string, number, list or object, "
+        "got (1.0, 0.0)",
+    ),
+    "expected-int-key": (
+        lambda: replace(wm.resolve_scenario("aav_qubit"), expected={"x": {1: 2}}),
+        TypeError,
+        "expected.x: expected string keys, got 1",
+    ),
+    "expected-nan": (
+        lambda: replace(wm.resolve_scenario("aav_qubit"), expected={"weak_value": [math.nan, 0]}),
+        ValueError,
+        "expected.weak_value[0]: expected a finite number, got nan",
+    ),
+    "expected-inf": (
+        lambda: replace(wm.resolve_scenario("aav_qubit"), expected={"x": [{"y": -math.inf}]}),
+        ValueError,
+        "expected.x[0].y: expected a finite number, got -inf",
+    ),
+    "lambda-overflow": (
+        lambda: wm.resolve_scenario("aav_qubit").with_lambda(1e308),
+        ValueError,
+        "lambda: 1e+308 rescales a coupling past the float range",
+    ),
 }
 
 
@@ -402,6 +434,10 @@ class TestConstructionRefusesCoercion:
         assert wm.load_scenario(wm.dump_scenario(s)) == s
 
 
+def refuse_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
 class TestSerialization:
     def test_round_trip_equality(self):
         s = qubit_scenario()
@@ -424,7 +460,9 @@ class TestSerialization:
     @pytest.mark.parametrize("ref", SHIPPED, ids=lambda ref: Path(ref).name)
     def test_every_shipped_scenario_round_trips(self, ref):
         s = wm.resolve_scenario(ref)
-        assert wm.load_scenario(wm.dump_scenario(s)) == s
+        text = wm.dump_scenario(s)
+        assert wm.load_scenario(text) == s
+        json.loads(text, parse_constant=refuse_constant)  # standard JSON: no NaN or Infinity
 
     def test_all_catalog_files_round_trip(self):
         for name in wm.catalog_names():
@@ -504,6 +542,12 @@ WRONG_TYPES = {
         ("observables", 1, "target"),
         [0.5],
         "observables[1].target: expected an integer, got 0.5",
+    ),
+    "expected-nan": (
+        "aav_qubit",
+        ("expected", "weak_value", 0),
+        math.nan,
+        "expected.weak_value[0]: expected a finite number, got nan",
     ),
 }
 
