@@ -41,7 +41,7 @@ from .errors import (
 from .evolution import PostSelectionResult, evolve_exact, post_select
 from .pointers import FockPointerSpec, fock_operators, position_wavefunctions
 from .scenario import LAMBDA_WARN_LIMIT, Scenario, ensure_valid, resolve_scenario
-from .tensor import _as_number
+from .tensor import _as_number, _require_shape
 from .weak_values import (
     ConditionedPoint,
     _route_scale,
@@ -392,13 +392,15 @@ def position_density(
     """Marginal position density of one conditioned pointer on its sampling grid.
 
     Synthesizes the reduced density matrix of the chosen pointer in the
-    oscillator eigenbasis on :func:`sampling_grid`.  Raises :class:`GridError`
-    if more than :data:`DENSITY_MASS_TOL` of the probability mass falls off the
-    grid, or if the mass is not finite (a grid past the float range).  Also
-    raises it if the density's first moment misses the pointer's ``<X>`` by
-    more than the grid's half-width times :data:`DENSITY_MASS_TOL` (the
-    off-grid mass, at the grid's edge) plus one rounding per grid point.
+    oscillator eigenbasis on :func:`sampling_grid`.  A state not of the
+    scenario's pointer layout raises :class:`LayoutError`.  Raises
+    :class:`GridError` if more than :data:`DENSITY_MASS_TOL` of the mass falls
+    off the grid, or if the mass is not finite (a grid past the float range),
+    or if the density's first moment misses the pointer's ``<X>`` by more
+    than the grid's half-width times :data:`DENSITY_MASS_TOL` (the off-grid
+    mass, at the grid's edge) plus one rounding per grid point.
     """
+    _require_shape(result.conditioned, scenario.pointer_dims)
     spec = _sampled_pointer(scenario, pointer_index)
     moved = np.moveaxis(result.conditioned, pointer_index, 0)
     moved = moved.reshape(len(moved), -1)

@@ -3,7 +3,7 @@
 A :class:`Scenario` names the system factors, the observables coupled to
 each pointer, the pointer specs, the couplings ``g t``, and the pre- and
 post-selection states.  Its structure is checked once, when it is built: the
-observables and states become read-only ``complex128`` arrays (finite; square
+observables and states become read-only ``complex128`` copies (finite; square
 or one axis) that fit the counts, targets and ``system_dims``, or one
 :class:`LayoutError` lists every defect.  :func:`validate` checks the physics
 (Hermiticity, the lambda limits, normalization and the overlap floor).
@@ -97,7 +97,7 @@ class ObservableSpec:
     """System observable coupled to one pointer.
 
     ``matrix`` acts on the system factors listed in ``target`` (in that
-    order); it must be Hermitian.  It is held as a read-only complex array,
+    order); it must be Hermitian.  It is held as a read-only complex copy,
     refused when built unless finite and square; a non-string ``name`` or a
     non-integer target raises ``TypeError``.
     """
@@ -121,12 +121,13 @@ class Scenario:
     """Full experiment description; immutable once constructed.
 
     ``couplings`` holds one product ``g t`` per pointer, and ``pre`` and
-    ``post`` read-only complex vectors, refused unless finite.  A name, dim,
-    coupling or ``expected`` (a dict) of the wrong type raises ``TypeError``,
-    and a coupling no float holds ``ValueError``; so does anything in
-    ``expected`` that JSON would not read back equal (:func:`_check_json`).
-    Parts that do not fit together raise one :class:`LayoutError` listing
-    every defect.
+    ``post`` read-only complex vectors, refused unless finite; every array is
+    the scenario's own copy, so what it derives and keeps stays valid.  A
+    name, dim, coupling or ``expected`` (a dict) of the wrong type raises
+    ``TypeError``, and a coupling no float holds ``ValueError``; so does
+    anything in ``expected`` that JSON would not read back equal
+    (:func:`_check_json`).  Parts that do not fit together raise one
+    :class:`LayoutError` listing every defect.
     """
 
     system_dims: tuple[int, ...]

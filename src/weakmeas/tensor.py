@@ -3,19 +3,19 @@
 A scenario's observables and pre/post states, pointer operators (built fresh
 on every call, see :mod:`weakmeas.pointers`) and amplitude tensors are plain
 ``complex128`` arrays; a tensor has one axis per factor, system factors
-first, then one per measurement pointer in declaration order.  A scenario's
-arrays come from outside the program, so :func:`_frozen_complex` checks each
-one once, when the scenario is built (finite; square for an observable, one
-axis for a state), and makes it read-only, which keeps it safe to share
-across threads.
+first, then one per measurement pointer in declaration order.  Every array a
+scenario or an :class:`Operator` holds passes :func:`_frozen_complex` once,
+when it is built: it is copied, checked (finite; square, or one axis for a
+state) and made read-only, so nothing the caller keeps can change it and it
+is safe to share across threads.
 
 :class:`Operator` remains only where the program forms a full-space matrix:
 the Kronecker product :func:`kron` and the dense references
 :func:`hermitian_propagator` and ``evolution.build_hamiltonian``.  It holds
-the factor dims beside its checked, read-only matrix and defines no
-arithmetic.  :func:`_embed` lifts a matrix on some factors to all of them;
-it checks only the array cap, because its target slots and sizes are those
-``Scenario`` construction has already checked.
+the factor dims beside its matrix and defines no arithmetic.  :func:`_embed`
+lifts a matrix on some factors to all of them; it checks only the array cap,
+because its target slots and sizes are those ``Scenario`` construction has
+already checked.
 """
 
 from __future__ import annotations
@@ -38,18 +38,15 @@ HERMITIAN_TOL = 1e-12
 
 
 def _frozen_complex(values, kind: str, ndim: int) -> np.ndarray:
-    """``values`` as a read-only complex array; raises unless finite and of ``ndim``
-    axes, all of one length (a vector, or a square matrix)."""
-    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    """A read-only complex copy of ``values``, always its own; raises unless finite
+    and of ``ndim`` equal axes (a vector, or a square matrix)."""
+    arr = np.array(values, dtype=np.complex128, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{kind} contains non-finite entries")
     if arr.ndim != ndim or len(set(arr.shape)) != 1:
         expected = "a square matrix" if ndim == 2 else "a vector"
         raise LayoutError(f"{kind} shape {arr.shape} is not {expected}")
-    if arr.flags.writeable:
-        if np.shares_memory(arr, values):
-            arr = arr.copy()
-        arr.flags.writeable = False
+    arr.flags.writeable = False
     return arr
 
 

@@ -557,6 +557,25 @@ class TestSampling:
         with pytest.raises(wm.GridError, match="first moment"):
             wm.position_density(result, s, 0)
 
+    @pytest.mark.parametrize(
+        "state_of", [("aav_qubit", 16), ("joint_pair", None)], ids=["d16-state", "pair-state"]
+    )
+    def test_state_of_another_layout_refused(self, conditioned_aav, state_of):
+        # a (16,) state against d = 12 would not broadcast, and joint_pair's
+        # (12, 12) state would give a density of the wrong layout
+        _, s = conditioned_aav
+        name, dim = state_of
+        other = wm.resolve_scenario(name)
+        other = other if dim is None else other.with_fock_dim(dim)
+        result = wm.post_select(wm.evolve_exact(other), other)
+        message = (
+            f"state shape {result.conditioned.shape} does not match the layout {s.pointer_dims}"
+        )
+        with pytest.raises(wm.LayoutError, match=f"^{re.escape(message)}$"):
+            wm.position_density(result, s, 0)
+        with pytest.raises(wm.LayoutError, match=f"^{re.escape(message)}$"):
+            wm.sample_positions(result, s, 0, 10, seed=1)
+
     def test_the_shot_cap_keeps_the_positions_under_the_array_cap(self):
         # MAX_SHOTS is the one cap on the float64 positions
         assert wm.harness.MAX_SHOTS * 8 <= wm.tensor.MAX_ARRAY_BYTES

@@ -24,7 +24,7 @@ from weakmeas import (
 )
 from weakmeas.scenario import _complex_pair, catalog_dir
 
-from conftest import SZ
+from conftest import SZ, read_only_view
 
 
 def qubit_scenario(gt=0.02, post=None, observable=None, pre=None):
@@ -164,6 +164,34 @@ class TestConstructionChecks:
         pre[0] = 0.0
         assert pre.flags.writeable
         assert s.pre[0] == 0.5**0.5
+
+    @pytest.mark.parametrize("field", ["observable", "pre", "post"])
+    def test_read_only_view_of_a_caller_array_is_copied(self, field):
+        # complex arrays, which a complex128 conversion would not copy
+        values = {
+            "observable": SZ.copy(),
+            "pre": np.full(2, 0.5**0.5, dtype=complex),
+            "post": np.eye(2, dtype=complex)[1],
+        }
+        caller = values[field]
+        s = qubit_scenario(**{field: read_only_view(caller)})
+        held = {"observable": s.observables[0].matrix, "pre": s.pre, "post": s.post}[field]
+        kept = held.copy()
+        caller.reshape(-1)[0] = np.nan
+        assert np.array_equal(held, kept)
+
+    def test_a_validated_scenario_keeps_its_word_sums(self):
+        # the oracle's cached word sums, frame and embedded observables are
+        # built from pre; a write to the caller's array after validation
+        # must not leave them describing another state
+        reference = wm.resolve_scenario("joint_pair")
+        caller = reference.pre.copy()
+        s = replace(reference, pre=read_only_view(caller))
+        wm.ensure_valid(s)
+        expected = wm.analytic_oracle(s)
+        caller[:] = [1.0, 0.0, 0.0, 0.0]
+        assert wm.validate(s) == []
+        assert wm.analytic_oracle(s) == expected == wm.analytic_oracle(reference)
 
     def test_wrong_length_state_is_refused(self):
         for field in ("pre", "post"):

@@ -12,7 +12,7 @@ import weakmeas as wm
 from weakmeas import HermiticityError, Operator
 from weakmeas.tensor import _embed
 
-from conftest import I2, SX, SZ, op, random_hermitian, random_state
+from conftest import I2, SX, SZ, op, random_hermitian, random_state, read_only_view
 
 
 class TestKron:
@@ -288,6 +288,23 @@ class TestInvariants:
             op(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             wm.tensor._frozen_complex([np.inf, 0.0], "pre", 1)
+
+    @pytest.mark.parametrize("written", [5.0, np.nan])
+    @pytest.mark.parametrize("handed", ["view", "array"])
+    def test_caller_array_is_copied(self, handed, written):
+        # after the finiteness check the caller writes to its array, which it
+        # handed in as a read-only view or made read-only itself and then
+        # writeable again: neither the value nor a NaN reaches the operator
+        caller = SZ.copy()
+        if handed == "view":
+            o = Operator((2,), read_only_view(caller))
+        else:
+            caller.flags.writeable = False
+            o = Operator((2,), caller)
+            caller.flags.writeable = True
+        caller[0, 0] = written
+        assert np.array_equal(o.matrix, SZ)
+        assert not o.matrix.flags.writeable
 
     def test_hermitian_check_is_relative(self):
         # a 1e-9 asymmetry on a unit-scale matrix must fail the 1e-12 check

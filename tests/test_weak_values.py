@@ -24,7 +24,9 @@ from conftest import (
     SZ,
     coherent_amplitudes,
     initial_joint_state,
+    momentum_ladder_route,
     op,
+    permutation_reference,
     random_hermitian,
     random_state,
     state,
@@ -51,18 +53,6 @@ DATA_SCENARIOS = sorted(
     for path in DATA.glob("*.json")
     if path.stem not in {"catalog_values", "sample_digests"}
 )
-
-
-def permutation_reference(matrices, pre, post):
-    """Symmetrized weak value by explicit enumeration of all N! orderings."""
-    acc = np.zeros_like(pre)
-    for ordering in itertools.permutations(matrices):
-        vec = pre
-        for m in reversed(ordering):
-            vec = m @ vec
-        acc = acc + vec
-    n_orderings = math.factorial(len(matrices))
-    return complex(np.vdot(post, acc) / (n_orderings * np.vdot(post, pre)))
 
 
 def one_factor_scenario(matrices, pre, post):
@@ -354,60 +344,6 @@ def dense_ladder_route(points):
         * math.prod(p.route_scale(gt) for p, gt in zip(s.pointers, s.couplings))
         for result, s in points
     ]
-
-
-def momentum_ladder_route(s, nodes=8):
-    """Reference: the Fock lowering route to all orders in the couplings, with no
-    Fock truncation, from each pointer's momentum representation.
-
-    There the conditioned pointer state is ``phi(p) f(p)``, with
-    ``f(p) = <F| exp(-i sum_j gt_j p_j A_j) |I>`` and ``phi`` the Gaussian ground
-    state.  Since ``a_j phi = 0``, ``a_j (phi f) = phi (i / 2 sigma_j) d_j f``, so
-    the route's ``prod_j (2 sigma_j / gt_j) <prod_j a_j>`` is
-    ``prod_j (i / gt_j) E[conj(f) d_1...d_N f] / E[|f|^2]`` under ``|phi|^2``.
-    The mixed partial is the multilinear Taylor coefficient of the exponential:
-    the block from the full subset to the empty one of ``exp(G)``, where ``G`` is
-    2^N-block upper triangular over the subsets of the pointers, with
-    ``-i sum_j gt_j p_j A_j`` on its diagonal and ``-i gt_j A_j`` from each subset
-    without j to the subset with j.  ``exp(G)`` is applied to ``|I>`` in the full
-    subset's block by its Taylor series, and the expectations are Gauss-Hermite
-    sums with ``nodes`` nodes per axis.
-    """
-    observables = np.stack(s.embedded_observables())
-    n, dim = len(observables), len(s.pre)
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    # |phi_j(p)|^2 is proportional to exp(-2 sigma_j^2 p^2), so p = x / (sqrt(2) sigma_j)
-    axes = np.meshgrid(*[x] * n, indexing="ij")
-    gtp = np.stack(
-        [a.reshape(-1) * gt / (math.sqrt(2.0) * p.sigma)
-         for a, gt, p in zip(axes, s.couplings, s.pointers)],
-        axis=1,
-    )
-    weights = reduce(np.multiply.outer, [w] * n).reshape(-1)
-    g = np.zeros((len(gtp), 2**n * dim, 2**n * dim), dtype=complex)
-    diagonal = -1j * np.einsum("kj,jab->kab", gtp, observables)
-    for subset in range(2**n):
-        rows = slice(subset * dim, (subset + 1) * dim)
-        g[:, rows, rows] = diagonal
-        for j in range(n):
-            if not subset >> j & 1:
-                grown = subset | 1 << j
-                g[:, rows, grown * dim : (grown + 1) * dim] = -1j * s.couplings[j] * observables[j]
-    # scale G to norm <= 1/2 so that 18 Taylor terms leave under 1e-21 per step
-    steps = max(1, math.ceil(2.0 * np.abs(g).sum(axis=-1).max()))
-    g /= steps
-    vector = np.zeros((len(gtp), 2**n * dim, 1), dtype=complex)
-    vector[:, -dim:, 0] = s.pre
-    for _ in range(steps):
-        term = total = vector
-        for k in range(1, 18):
-            term = g @ term / k
-            total = total + term
-        vector = total
-    f = vector[:, -dim:, 0] @ s.post.conj()
-    mixed = vector[:, :dim, 0] @ s.post.conj()
-    ratio = np.sum(weights * f.conj() * mixed) / np.sum(weights * abs(f) ** 2)
-    return complex(ratio * math.prod(1j / gt for gt in s.couplings))
 
 
 #: Every catalog and ``tests/data`` scenario whose pointers are all Fock: the
